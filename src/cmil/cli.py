@@ -9,7 +9,6 @@ wall-clock time, so identical seeds reproduce identical bytes.
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,14 +30,6 @@ EXIT_DIVERGED = 4
 EXIT_SHAPE = 5
 
 SCHEMA_VERSION = 1
-
-
-def _threads() -> int:
-    raw = os.environ.get("CMIL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CMIL_THREADS must be an integer, got {raw!r}")
 
 
 def _parse_set(pairs) -> dict:
@@ -221,7 +212,7 @@ def cmd_eval(args) -> int:
     result, g, _ = evaluate_split(
         bags, model, projection=args.projection, seed=args.seed,
         group_by=args.group_by, max_patch_points=args.max_patch_points,
-        mode=cfg.mode, workers=_threads())
+        mode=cfg.mode)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -12,9 +12,12 @@ _P_FLOOR = 1e-12
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     s = np.sum(x * x, axis=1)
-    d2 = s[:, None] + s[None, :] - 2.0 * (x @ x.T)
+    gram = x @ x.T
+    np.multiply(2.0, gram, out=gram)
+    d2 = np.add(s[:, None], s[None, :])
+    np.subtract(d2, gram, out=d2)
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def pca_2d(points: np.ndarray) -> np.ndarray:
@@ -77,19 +80,29 @@ def calibrate_conditionals(d2: np.ndarray, perplexity: float,
 
 
 def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sum(p * np.log(p / q)))
+    t = np.divide(p, q)
+    np.log(t, out=t)
+    np.multiply(p, t, out=t)
+    return float(np.sum(t))
 
 
 def _q_matrix(y: np.ndarray):
-    num = 1.0 / (1.0 + _pairwise_sq_dists(y))
+    num = _pairwise_sq_dists(y)
+    np.add(1.0, num, out=num)
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    q = np.maximum(num / num.sum(), _P_FLOOR)
-    return q, num
+    q = np.divide(num, num.sum())
+    return np.maximum(q, _P_FLOOR, out=q), num
 
 
 def _tsne_grad(p: np.ndarray, q: np.ndarray, num: np.ndarray, y: np.ndarray):
-    pq = (p - q) * num
-    return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
+    pq = np.subtract(p, q)
+    np.multiply(pq, num, out=pq)
+    rowsum = pq.sum(axis=1)
+    # diag(rowsum) - pq, built in place: negate, then add rowsum on the diagonal
+    np.negative(pq, out=pq)
+    pq.flat[::pq.shape[0] + 1] += rowsum
+    return 4.0 * (pq @ y)
 
 
 @dataclass
@@ -107,6 +120,10 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     afterwards, per-parameter adaptive gains as in the reference
     implementation; the last 100 iterations switch to plain descent with step
     backtracking so the KL trace over that window is non-increasing.
+
+    kl_trace[i] is the KL divergence (nats) of the iterate after step i, and
+    the Q matrix of that same iterate feeds step i+1, so each iterate's Q and
+    KL are computed once.
     """
     x = np.asarray(points, dtype=float)
     n = x.shape[0]
@@ -135,33 +152,38 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     # exaggeration runs while momentum is low; both end at the same switch
     switch = min(250, iterations // 2)
     tail = min(100, iterations)
+    p_exaggerated = p * 12.0
     kl_trace = []
 
+    # (q, num) and, once computed, kl describe the current y
+    q, num = _q_matrix(y)
+    kl = None
     for it in range(iterations):
-        q, num = _q_matrix(y)
         if it < iterations - tail:
-            p_eff = p * 12.0 if it < switch else p
-            grad = _tsne_grad(p_eff, q, num, y)
+            grad = _tsne_grad(p_exaggerated if it < switch else p, q, num, y)
             momentum = 0.5 if it < switch else 0.8
             flipped = np.sign(grad) != np.sign(vel)
             gains = np.maximum(np.where(flipped, gains + 0.2, gains * 0.8), 0.01)
             vel = momentum * vel - learning_rate * (gains * grad)
             y = y + vel
             y = y - y.mean(axis=0)
+            q, num = _q_matrix(y)
+            kl = _kl_nats(p, q)
         else:
             grad = _tsne_grad(p, q, num, y)
-            current = _kl_nats(p, q)
+            if kl is None:
+                kl = _kl_nats(p, q)
             step = learning_rate
-            y_next = y
             for _ in range(40):
                 cand = y - step * grad
                 cand = cand - cand.mean(axis=0)
-                if _kl_nats(p, _q_matrix(cand)[0]) <= current:
-                    y_next = cand
+                cand_q, cand_num = _q_matrix(cand)
+                cand_kl = _kl_nats(p, cand_q)
+                if cand_kl <= kl:
+                    y, q, num, kl = cand, cand_q, cand_num, cand_kl
                     break
                 step *= 0.5
-            y = y_next
-        kl_trace.append(_kl_nats(p, _q_matrix(y)[0]))
+        kl_trace.append(kl)
 
     return TsneResult(points=y, kl_trace=kl_trace, betas=betas)
 

@@ -12,29 +12,20 @@ from .trainer import CmilModel, predict
 
 def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int = 0,
                    group_by: str = "predicted", max_patch_points: int = 2000,
-                   mode: str = "dual", workers: int = 1):
+                   mode: str = "dual"):
     """Evaluate a list of bags; returns (EvalResult, GlobalExplanation, predictions).
 
     Metrics (AUC, JSD, silhouette) compare against ground-truth labels; the
     explanation artifact groups slides by predicted class unless group_by says
     otherwise.  Localization averages over slides with annotated tumor regions;
     when no slide has any the fields are null and a warning is emitted.
-    Ablation modes score the matching branch; workers >1 predicts in parallel.
+    Ablation modes score the matching branch.
     """
     bags = list(bags)
     head = "image" if mode == "image-only" else "concept"
     uniform = mode == "concept-only"
 
-    def _predict(bag):
-        return predict(bag, model, head=head, uniform_selection=uniform)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            preds = list(pool.map(_predict, bags))
-    else:
-        preds = [_predict(b) for b in bags]
+    preds = [predict(b, model, head=head, uniform_selection=uniform) for b in bags]
     labels = [b.label for b in bags]
     probs = [p.prob_image if head == "image" else p.prob_concept for p in preds]
 

@@ -263,26 +263,6 @@ def test_eval_without_flags_reports_null_localization(ckpt, data_dir, tmp_path):
     jsonschema.validate(doc, schema)
 
 
-def test_eval_thread_env_does_not_change_results(ckpt, data_dir, tmp_path, monkeypatch):
-    base = tmp_path / "one" / "eval.json"
-    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
-               "--out", str(base), "--split", "train", "--projection", "pca"])
-    assert rc == EXIT_OK
-    monkeypatch.setenv("CMIL_THREADS", "4")
-    threaded = tmp_path / "four" / "eval.json"
-    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
-               "--out", str(threaded), "--split", "train", "--projection", "pca"])
-    assert rc == EXIT_OK
-    assert base.read_bytes() == threaded.read_bytes()
-
-
-def test_eval_bad_thread_env_exits_2(ckpt, data_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("CMIL_THREADS", "many")
-    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
-               "--out", str(tmp_path / "eval.json"), "--split", "train"])
-    assert rc == EXIT_CONFIG
-
-
 @pytest.mark.parametrize("mode", ["image-only", "concept-only"])
 def test_ablation_modes_flow_through_checkpoint_to_eval(data_dir, tmp_path, mode):
     out = tmp_path / "m.cmck"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cmil.embed2d
 from cmil.embed2d import calibrate_conditionals, pca_2d, project_2d, tsne_2d
 from cmil.errors import ConfigError, DataValidationError, ShapeError
 from cmil.metrics import silhouette
@@ -89,6 +90,65 @@ class TestCalibration:
         assert cond[0, 1] > cond[0, 2]
 
 
+def reference_tsne(x, seed=0, iterations=500):
+    """Frozen copy of the t-SNE loop that builds Q for the step and again for
+    kl_trace.  Returns (points, kl_trace, betas, rejected line-search
+    candidates); tsne_2d must reproduce the first three to the bit."""
+    def sq_dists(z):
+        s = np.sum(z * z, axis=1)
+        d2 = s[:, None] + s[None, :] - 2.0 * (z @ z.T)
+        np.fill_diagonal(d2, 0.0)
+        return np.maximum(d2, 0.0)
+
+    def q_matrix(z):
+        num = 1.0 / (1.0 + sq_dists(z))
+        np.fill_diagonal(num, 0.0)
+        return np.maximum(num / num.sum(), 1e-12), num
+
+    def kl_nats(p, q):
+        return float(np.sum(p * np.log(p / q)))
+
+    def grad_of(p, q, num, y):
+        pq = (p - q) * num
+        return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
+
+    n = x.shape[0]
+    cond, betas = calibrate_conditionals(sq_dists(x), min(30, (n - 1) // 3))
+    p = np.maximum((cond + cond.T) / (2.0 * n), 1e-12)
+    y = np.random.default_rng(seed).normal(scale=1e-4, size=(n, 2))
+    vel = np.zeros_like(y)
+    gains = np.ones_like(y)
+    switch = min(250, iterations // 2)
+    tail = min(100, iterations)
+    kl_trace, rejected = [], 0
+    for it in range(iterations):
+        q, num = q_matrix(y)
+        if it < iterations - tail:
+            grad = grad_of(p * 12.0 if it < switch else p, q, num, y)
+            momentum = 0.5 if it < switch else 0.8
+            flipped = np.sign(grad) != np.sign(vel)
+            gains = np.maximum(np.where(flipped, gains + 0.2, gains * 0.8), 0.01)
+            vel = momentum * vel - 200.0 * (gains * grad)
+            y = y + vel
+            y = y - y.mean(axis=0)
+        else:
+            grad = grad_of(p, q, num, y)
+            current = kl_nats(p, q)
+            step = 200.0
+            y_next = y
+            for _ in range(40):
+                cand = y - step * grad
+                cand = cand - cand.mean(axis=0)
+                if kl_nats(p, q_matrix(cand)[0]) <= current:
+                    y_next = cand
+                    break
+                rejected += 1
+                step *= 0.5
+            y = y_next
+        kl_trace.append(kl_nats(p, q_matrix(y)[0]))
+    return y, kl_trace, betas, rejected
+
+
 @pytest.fixture(scope="module")
 def two_clusters():
     rng = np.random.default_rng(7)
@@ -139,6 +199,50 @@ class TestTsne:
         res = tsne_2d(rng.normal(size=(10, 4)), iterations=60)
         assert res.points.shape == (10, 2)
         assert len(res.kl_trace) == 60
+
+
+def _small_points():
+    return np.random.default_rng(1).normal(size=(10, 4))
+
+
+def _assert_matches_reference(res, points, iterations):
+    y, kl_trace, betas, _ = reference_tsne(points, iterations=iterations)
+    assert np.array_equal(res.points, y)
+    assert res.kl_trace == kl_trace
+    assert np.array_equal(res.betas, betas)
+
+
+class TestTsneMatchesReference:
+    def test_default_schedule_bit_identical(self, two_clusters):
+        points, _, res = two_clusters
+        _assert_matches_reference(res, points, 500)
+
+    # 60: the line search rejects candidates; 1: a single step; 40: the
+    # backtracking tail covers every iteration
+    @pytest.mark.parametrize("iterations", [60, 1, 40])
+    def test_small_set_bit_identical(self, iterations):
+        points = _small_points()
+        _assert_matches_reference(tsne_2d(points, iterations=iterations), points, iterations)
+
+    def test_one_q_matrix_per_iterate(self, two_clusters, monkeypatch):
+        builds = []
+        original = cmil.embed2d._q_matrix
+
+        def counting(y):
+            builds.append(1)
+            return original(y)
+
+        monkeypatch.setattr(cmil.embed2d, "_q_matrix", counting)
+        points, _, _ = two_clusters
+        assert reference_tsne(points)[3] == 0
+        tsne_2d(points)
+        assert len(builds) == 500 + 1
+
+        builds.clear()
+        rejected = reference_tsne(_small_points(), iterations=60)[3]
+        assert rejected > 0
+        tsne_2d(_small_points(), iterations=60)
+        assert len(builds) == 1 + 60 + rejected
 
 
 class TestProject2d:
