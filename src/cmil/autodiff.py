@@ -427,11 +427,6 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
-def assert_finite(t: Tensor, what: str = "tensor") -> None:
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"non-finite values in {what}")
-
-
 def relative_error(analytic: Array, numeric: Array) -> float:
     """Max over coordinates of |a - n| / (|a| + |n| + 1e-12)."""
     a = np.asarray(analytic, dtype=np.float64).ravel()

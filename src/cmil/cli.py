@@ -191,8 +191,7 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     model, cfg, bag, pred, prob = _predict_one(args)
-    head, uniform = _head_for(cfg.mode)
-    exp = explain_slide(bag, model, head=head, uniform_selection=uniform)
+    exp = explain_slide(bag, model, prediction=pred)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     json_path, svg_path = write_local_report(exp, out)

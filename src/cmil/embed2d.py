@@ -142,8 +142,10 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     if np.max(d2) <= 0.0:
         raise DataValidationError("cannot project: all points are identical")
     cond, betas = calibrate_conditionals(d2, perplexity)
-    p = (cond + cond.T) / (2.0 * n)
-    p = np.maximum(p, _P_FLOOR)
+    p = np.add(cond, cond.T)
+    del d2, cond  # only p is used from here on
+    np.divide(p, 2.0 * n, out=p)
+    np.maximum(p, _P_FLOOR, out=p)
 
     rng = np.random.default_rng(seed)
     y = rng.normal(scale=1e-4, size=(n, 2))

@@ -58,9 +58,16 @@ class LocalExplanation:
 
 
 def explain_slide(bag: Bag, model: CmilModel, head: str = "concept",
-                  uniform_selection: bool = False) -> LocalExplanation:
-    """Assemble the local report from one deterministic inference pass."""
-    pred = predict(bag, model, head=head, uniform_selection=uniform_selection)
+                  uniform_selection: bool = False,
+                  prediction: Prediction = None) -> LocalExplanation:
+    """Assemble the local report from one deterministic inference pass.
+
+    A prediction already computed for this bag can be passed in; otherwise it
+    is run here with head and uniform_selection.
+    """
+    pred = prediction
+    if pred is None:
+        pred = predict(bag, model, head=head, uniform_selection=uniform_selection)
     grid_shape = (
         max(p.grid_row for p in bag.patches) + 1,
         max(p.grid_col for p in bag.patches) + 1,

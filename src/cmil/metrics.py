@@ -14,6 +14,8 @@ import numpy as np
 from .bagio import Bag
 from .errors import DataValidationError
 
+_SILHOUETTE_ROWS = 64  # distance-matrix rows held at once by silhouette
+
 
 def accuracy(preds, labels, threshold: float = 0.5) -> float:
     preds = np.asarray(preds, dtype=np.float64)
@@ -91,26 +93,46 @@ def js_divergence(samples_a, samples_b, bins: int = 32) -> float:
 
 
 def silhouette(points, labels) -> float:
-    """Mean silhouette over points, Euclidean distance, singletons score 0."""
+    """Mean silhouette over points, Euclidean distance, singletons score 0.
+
+    Distances are built _SILHOUETTE_ROWS rows at a time from coordinate-wise
+    squared differences, so memory stays O(rows x n) and dist[i, i] is exactly 0.
+    """
     pts = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     if pts.ndim != 2 or pts.shape[0] != labels.shape[0]:
         raise DataValidationError(f"points {pts.shape} and labels {labels.shape} do not align")
-    classes = np.unique(labels)
+    classes, cluster, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if classes.size < 2:
         raise DataValidationError("silhouette needs at least 2 clusters")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
     n = pts.shape[0]
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels == labels[i]
-        if own.sum() == 1:
-            continue  # singleton convention
-        a = dist[i, own].sum() / (own.sum() - 1)
-        b = min(dist[i, labels == c].mean() for c in classes if c != labels[i])
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0 else 0.0  # coincident points
+    onehot = np.zeros((n, classes.size))
+    onehot[np.arange(n), cluster] = 1.0
+    rows = min(_SILHOUETTE_ROWS, n)
+    dist_buf = np.empty((rows, n))
+    diff_buf = np.empty((rows, n))
+    scores = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        dist, diff = dist_buf[: stop - start], diff_buf[: stop - start]
+        dist.fill(0.0)
+        for col in pts.T:
+            np.subtract(col[start:stop, None], col[None, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            dist += diff
+        np.sqrt(dist, out=dist)
+        per_cluster = dist @ onehot  # distance sums to each cluster
+        own = cluster[start:stop]
+        block_rows = np.arange(stop - start)
+        own_count = counts[own]
+        a = per_cluster[block_rows, own] / np.maximum(own_count - 1, 1)
+        per_cluster /= counts  # mean distance to each cluster
+        per_cluster[block_rows, own] = np.inf
+        b = per_cluster.min(axis=1)
+        denom = np.maximum(a, b)
+        # singleton convention; max(a, b) == 0 only for coincident points
+        scored = (own_count > 1) & (denom > 0)
+        scores[start:stop] = np.divide(b - a, denom, out=np.zeros_like(denom), where=scored)
     return float(scores.mean())
 
 

@@ -14,10 +14,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cmil.bagio import content_hash, read_split
+from cmil.bagio import content_hash, read_bag, read_split
 from cmil.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
                       EXIT_SHAPE, main)
-from cmil.trainer import load_checkpoint
+from cmil.explain import explain_slide
+from cmil.render import write_local_report
+from cmil.trainer import load_checkpoint, predict
 
 # noiseless generator so a short training run converges; 30 bags keep it quick
 SYNTH_ARGS = [
@@ -214,6 +216,29 @@ def test_explain_writes_byte_identical_reports(ckpt, data_dir, tmp_path):
     assert _checksums(a) == _checksums(b)
     assert (a / "synth_0003.explain.json").exists()
     assert (a / "synth_0003.explain.svg").exists()
+
+
+def test_explain_runs_predict_once(ckpt, data_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_predict(*args, **kwargs):
+        calls.append(args[0].slide_id)
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr("cmil.cli.predict", counting_predict)
+    monkeypatch.setattr("cmil.explain.predict", counting_predict)
+    bag = data_dir / "bag_0003.cmil"
+    assert main(["explain", "--ckpt", str(ckpt), "--bag", str(bag),
+                 "--out", str(tmp_path / "cli")]) == EXIT_OK
+    assert calls == ["synth_0003"]
+
+    # the reused prediction gives the bytes of a report that runs its own pass
+    model, cfg, _ = load_checkpoint(ckpt)
+    assert cfg.mode == "dual"  # explain_slide's default head and selection
+    (tmp_path / "direct").mkdir()
+    write_local_report(explain_slide(read_bag(bag), model), tmp_path / "direct")
+    assert len(calls) == 2
+    assert _checksums(tmp_path / "cli") == _checksums(tmp_path / "direct")
 
 
 def test_explain_report_satisfies_additive_identity(ckpt, data_dir, tmp_path):

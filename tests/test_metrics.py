@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from cmil.metrics import (
     jsd_from_histograms,
     silhouette,
 )
+from cmil.metrics import _SILHOUETTE_ROWS as ROWS
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -194,6 +197,33 @@ class TestSilhouette:
             assert silhouette(pts, labels) == pytest.approx(
                 silhouette_oracle(pts.tolist(), labels.tolist()), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1, 300])
+    def test_matches_brute_force_across_row_blocks(self, n):
+        """Three string-labelled clusters, a singleton cluster in the last row
+        block and a run of coincident points across the first block boundary."""
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 3))
+        labels = [["normal", "tumor", "stroma"][i] for i in rng.integers(0, 3, size=n)]
+        labels[:3] = ["normal", "tumor", "stroma"]
+        labels[-1] = "isolated"
+        mid = ROWS if n > ROWS + 4 else n // 2
+        pts[mid - 4 : mid + 4] = pts[mid]
+        assert silhouette(pts, np.array(labels)) == pytest.approx(
+            silhouette_oracle(pts.tolist(), labels), abs=1e-12
+        )
+
+    def test_peak_memory_stays_within_row_blocks(self):
+        rng = np.random.default_rng(6)
+        pts = rng.standard_normal((2000, 12))
+        labels = rng.integers(0, 2, size=2000)
+        tracemalloc.start()
+        try:
+            silhouette(pts, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the 2000 x 2000 x 12 difference tensor alone is 366 MiB
 
     def test_singleton_cluster_scores_zero(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [9.0, 9.0]])
