@@ -3,9 +3,8 @@
 A bag on disk is a pair of files: a binary embedding blob (magic ``CMIL``,
 little-endian u32 version, u64 row and column counts, then float32 row-major
 payload) and a JSON sidecar manifest with the same basename and a ``.json``
-extension. Concept sets use the same binary layout under magic ``CCPT``;
-cached activation matrices use ``CACT``. Embeddings are stored as float32
-and promoted to float64 in memory.
+extension. Concept sets use the same binary layout under magic ``CCPT``.
+Embeddings are stored as float32 and promoted to float64 in memory.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .errors import DataValidationError, FormatError, ShapeError
 FORMAT_VERSION = 1
 BAG_MAGIC = b"CMIL"
 CONCEPTS_MAGIC = b"CCPT"
-ACTIVATIONS_MAGIC = b"CACT"
 DEFAULT_PROMPT_TEMPLATE = "an H & E image of CONCEPT"
 
 _HEADER = struct.Struct("<4sIQQ")
@@ -264,17 +262,6 @@ def read_concepts(path: Path, expected_dim: int | None = None) -> ConceptSet:
             f"{path}: concept dimension {values.shape[1]} does not match configured {expected_dim}"
         )
     return ConceptSet(names, values, doc.get("prompt_template", DEFAULT_PROMPT_TEMPLATE))
-
-
-# -- activation caches -----------------------------------------------------------
-
-
-def write_activations(values: np.ndarray, path: Path) -> None:
-    _write_blob(Path(path), ACTIVATIONS_MAGIC, np.asarray(values, dtype=np.float64))
-
-
-def read_activations(path: Path) -> np.ndarray:
-    return _read_blob(Path(path), ACTIVATIONS_MAGIC)
 
 
 # -- splits -----------------------------------------------------------------------

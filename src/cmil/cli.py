@@ -84,10 +84,6 @@ def _dataset_files(data_dir: Path, split) -> list:
     return split.all_paths() + [data_dir / "concepts.ccpt", data_dir / "split.json"]
 
 
-def _head_for(mode: str) -> tuple:
-    return ("image" if mode == "image-only" else "concept", mode == "concept-only")
-
-
 # -- commands ----------------------------------------------------------------------
 
 
@@ -159,15 +155,13 @@ def cmd_train(args) -> int:
 def _predict_one(args):
     model, cfg, header = load_checkpoint(args.ckpt)
     bag = read_bag(args.bag)
-    head, uniform = _head_for(cfg.mode)
-    pred = predict(bag, model, head=head, uniform_selection=uniform)
-    prob = pred.prob_image if head == "image" else pred.prob_concept
-    print(f"{pred.slide_id}\t{prob:.6f}\t{pred.decision}")
-    return model, cfg, bag, pred, prob
+    pred = predict(bag, model)
+    print(f"{pred.slide_id}\t{pred.prob:.6f}\t{pred.decision}")
+    return model, cfg, bag, pred
 
 
 def cmd_predict(args) -> int:
-    model, cfg, bag, pred, prob = _predict_one(args)
+    model, cfg, bag, pred = _predict_one(args)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -179,7 +173,7 @@ def cmd_predict(args) -> int:
                        "bag_sha256": file_hash(args.bag)},
             "prediction": {
                 "slide_id": pred.slide_id,
-                "prob": prob,
+                "prob": pred.prob,
                 "prob_concept": pred.prob_concept,
                 "prob_image": pred.prob_image,
                 "decision": pred.decision,
@@ -190,7 +184,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    model, cfg, bag, pred, prob = _predict_one(args)
+    model, cfg, bag, pred = _predict_one(args)
     exp = explain_slide(bag, model, prediction=pred)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,8 +204,7 @@ def cmd_eval(args) -> int:
 
     result, g, _ = evaluate_split(
         bags, model, projection=args.projection, seed=args.seed,
-        group_by=args.group_by, max_patch_points=args.max_patch_points,
-        mode=cfg.mode)
+        group_by=args.group_by, max_patch_points=args.max_patch_points)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

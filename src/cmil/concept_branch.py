@@ -115,18 +115,6 @@ def _contributions(f_topk: Tensor, beta: Tensor, params: ConceptBranchParams) ->
     return params.clf_w * beta * col_sums
 
 
-def concept_contributions(
-    f_topk: Tensor, beta: Tensor, params: ConceptBranchParams
-) -> tuple[Tensor, Tensor]:
-    return _contributions(f_topk, beta, params), params.clf_b
-
-
-def concept_logit(f_topk: Tensor, beta: Tensor, params: ConceptBranchParams) -> tuple[Tensor, Tensor]:
-    # the logit IS the contribution sum, so the decomposition identity is exact
-    logit = ad.reduce_sum(_contributions(f_topk, beta, params)) + params.clf_b
-    return logit, ad.sigmoid(logit)
-
-
 @dataclass
 class ConceptForward:
     attention: ConceptAttention
@@ -138,5 +126,6 @@ class ConceptForward:
 def concept_forward(f_topk: Tensor, params: ConceptBranchParams) -> ConceptForward:
     att = scale_attention(concept_attention(f_topk, params), params.gamma, params.temperature)
     kappa = _contributions(f_topk, att.gated, params)
+    # the logit IS the contribution sum, so the decomposition identity is exact
     logit = ad.reduce_sum(kappa) + params.clf_b
     return ConceptForward(att, kappa, logit, ad.sigmoid(logit))

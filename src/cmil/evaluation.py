@@ -11,23 +11,19 @@ from .trainer import CmilModel, predict
 
 
 def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int = 0,
-                   group_by: str = "predicted", max_patch_points: int = 2000,
-                   mode: str = "dual"):
+                   group_by: str = "predicted", max_patch_points: int = 2000):
     """Evaluate a list of bags; returns (EvalResult, GlobalExplanation, predictions).
 
     Metrics (AUC, JSD, silhouette) compare against ground-truth labels; the
     explanation artifact groups slides by predicted class unless group_by says
     otherwise.  Localization averages over slides with annotated tumor regions;
     when no slide has any the fields are null and a warning is emitted.
-    Ablation modes score the matching branch.
+    Ablation models score the head their mode decides on.
     """
     bags = list(bags)
-    head = "image" if mode == "image-only" else "concept"
-    uniform = mode == "concept-only"
-
-    preds = [predict(b, model, head=head, uniform_selection=uniform) for b in bags]
+    preds = [predict(b, model) for b in bags]
     labels = [b.label for b in bags]
-    probs = [p.prob_image if head == "image" else p.prob_concept for p in preds]
+    probs = [p.prob for p in preds]
 
     acc = accuracy(probs, labels)
     auc_val = auc(probs, labels)

@@ -1,26 +1,18 @@
 """Local and global explanation assembly from trained-model predictions."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bagio import Bag, ConceptSet
+from .autodiff import sigmoid_value
+from .bagio import Bag
 from .embed2d import project_2d
 from .errors import DataValidationError
-from .projection import project
 from .trainer import CmilModel, Prediction, predict
 
 SCHEMA_VERSION = 1
 
 CLASS_NAMES = ("normal", "tumor")
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 @dataclass
@@ -40,7 +32,7 @@ class LocalExplanation:
 
     def reconstruction_error(self) -> float:
         logit = float(np.sum([c["kappa"] for c in self.contributions])) + self.bias
-        return abs(_sigmoid(logit) - self.prob_concept)
+        return abs(float(sigmoid_value(logit)) - self.prob_concept)
 
     def to_dict(self) -> dict:
         return {
@@ -57,17 +49,16 @@ class LocalExplanation:
         }
 
 
-def explain_slide(bag: Bag, model: CmilModel, head: str = "concept",
-                  uniform_selection: bool = False,
+def explain_slide(bag: Bag, model: CmilModel,
                   prediction: Prediction = None) -> LocalExplanation:
     """Assemble the local report from one deterministic inference pass.
 
     A prediction already computed for this bag can be passed in; otherwise it
-    is run here with head and uniform_selection.
+    is run here.
     """
     pred = prediction
     if pred is None:
-        pred = predict(bag, model, head=head, uniform_selection=uniform_selection)
+        pred = predict(bag, model)
     grid_shape = (
         max(p.grid_row for p in bag.patches) + 1,
         max(p.grid_col for p in bag.patches) + 1,
@@ -232,29 +223,3 @@ def global_explanations(bags, model: CmilModel, predictions=None,
         wsi_points_2d=wsi_2d,
         patch_points_2d=patch_2d,
     )
-
-
-def top_patches_per_concept(bags, concepts: ConceptSet, m: int) -> dict:
-    """For every concept, the m highest-activation patches across all bags.
-
-    Ties break lexicographically by (slide_id, patch index) so the report is
-    stable across input order.
-    """
-    if m < 1:
-        raise DataValidationError("m must be positive")
-    entries = {name: [] for name in concepts.names}
-    for bag in bags:
-        acts = project(bag.embeddings, concepts).values
-        for c, name in enumerate(concepts.names):
-            for i, patch in enumerate(bag.patches):
-                entries[name].append({
-                    "slide_id": bag.slide_id,
-                    "patch_index": i,
-                    "row": patch.grid_row,
-                    "col": patch.grid_col,
-                    "score": float(acts[i, c]),
-                })
-    for name in entries:
-        entries[name].sort(key=lambda e: (-e["score"], e["slide_id"], e["patch_index"]))
-        entries[name] = entries[name][:m]
-    return entries

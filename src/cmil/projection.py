@@ -2,17 +2,16 @@
 
 Both patch and concept embeddings come from frozen encoders, so the
 activation matrix is training-invariant; it is computed once per bag (plain
-numpy, no autodiff) and can be cached next to the bag file.
+numpy, no autodiff).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .bagio import Bag, ConceptSet, read_activations, write_activations
+from .bagio import ConceptSet
 from .errors import DataValidationError, DegenerateEmbeddingError, ShapeError
 
 
@@ -52,23 +51,3 @@ def project(bag_embeddings: np.ndarray, concepts: ConceptSet) -> ConceptActivati
     # unit rows can still round a hair past 1
     np.clip(values, -1.0, 1.0, out=values)
     return ConceptActivationMatrix(values, list(concepts.names))
-
-
-def activation_cache_path(bag_path: Path) -> Path:
-    return Path(bag_path).with_suffix(".cact")
-
-
-def project_bag(bag: Bag, concepts: ConceptSet, cache_path: Path | None = None) -> ConceptActivationMatrix:
-    """Project one bag, reading/writing the .cact cache when a path is given.
-
-    Cached values were stored as f32, so a cache hit reproduces the projection
-    only to f32 resolution; shape mismatches invalidate the cache.
-    """
-    if cache_path is not None and Path(cache_path).exists():
-        values = read_activations(cache_path)
-        if values.shape == (bag.num_patches, concepts.num_concepts):
-            return ConceptActivationMatrix(values, list(concepts.names))
-    acts = project(bag.embeddings, concepts)
-    if cache_path is not None:
-        write_activations(acts.values, cache_path)
-    return acts

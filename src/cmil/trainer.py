@@ -180,6 +180,7 @@ class CmilModel:
     concept: ConceptBranchParams
     concepts: ConceptSet
     topk: TopKConfig
+    mode: str = "dual"  # TrainConfig.mode: picks the selection and the deciding head
 
     def parameters(self) -> dict[str, Tensor]:
         out = self.image.tensors()
@@ -196,7 +197,7 @@ def init_model(cfg: TrainConfig, concepts: ConceptSet, dim: int) -> CmilModel:
     image = init_image_params(rng, dim, cfg.d_h, cfg.d_a)
     concept = init_concept_params(rng, cfg.topk.K, concepts.num_concepts, cfg.d_a,
                                   cfg.gamma, cfg.temperature)
-    return CmilModel(image, concept, concepts, cfg.topk)
+    return CmilModel(image, concept, concepts, cfg.topk, cfg.mode)
 
 
 @dataclass
@@ -226,6 +227,24 @@ def joint_forward(
         f_topk = gather_concepts(f_values, sel, mode=mode)
     con = concept_forward(f_topk, model.concept)
     return JointForward(img, sel, f_topk, con)
+
+
+def _mode_forward(model: CmilModel, embeddings: np.ndarray, f_values: np.ndarray,
+                  rng: np.random.Generator | None = None) -> tuple[JointForward, Tensor]:
+    """Forward pass with the model mode's selection; returns it and the deciding prob.
+
+    Selection is perturbed top-K when `rng` is given (training) and hard top-K
+    otherwise. Image-only decides on the image head, the other modes on the
+    concept head.
+    """
+    if model.mode == "concept-only":
+        # hard top-K under untrained uniform attention = first K patches
+        fwd = joint_forward(model, embeddings, f_values,
+                            fixed_indices=np.arange(model.topk.K))
+    else:
+        fwd = joint_forward(model, embeddings, f_values,
+                            mode="infer" if rng is None else "train", rng=rng)
+    return fwd, fwd.img.prob if model.mode == "image-only" else fwd.con.prob
 
 
 # -- training loop ------------------------------------------------------------------
@@ -271,13 +290,7 @@ def train(
         sums = {"bce_img": 0.0, "bce_concept": 0.0, "l2_alpha": 0.0, "total": 0.0}
         for step_no, i in enumerate(order):
             bag = train_bags[i]
-            if cfg.mode == "concept-only":
-                # hard top-K under untrained uniform attention = first K patches
-                fwd = joint_forward(model, bag.embeddings, f_train[i],
-                                    fixed_indices=np.arange(cfg.topk.K))
-            else:
-                fwd = joint_forward(model, bag.embeddings, f_train[i],
-                                    mode="train", rng=rng_noise)
+            fwd, _ = _mode_forward(model, bag.embeddings, f_train[i], rng=rng_noise)
             lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
                             cfg.lam, mode=cfg.mode)
             if not np.isfinite(lb.total.data):
@@ -296,25 +309,18 @@ def train(
 
         record = {"epoch": epoch}
         record.update({k: v / len(train_bags) for k, v in sums.items()})
-        record["val_auc"] = _validation_auc(model, val_bags, f_val, cfg.mode)
+        record["val_auc"] = _validation_auc(model, val_bags, f_val)
         log.append(record)
     return model, log
 
 
-def _validation_auc(model: CmilModel, val_bags: list[Bag], f_val: list[np.ndarray],
-                    mode: str = "dual") -> float | None:
+def _validation_auc(model: CmilModel, val_bags: list[Bag],
+                    f_val: list[np.ndarray]) -> float | None:
     labels = [b.label for b in val_bags]
     if len(set(labels)) < 2:
         return None
-    probs = []
-    for b, f in zip(val_bags, f_val):
-        if mode == "concept-only":
-            fwd = joint_forward(model, b.embeddings, f,
-                                fixed_indices=np.arange(model.topk.K))
-        else:
-            fwd = joint_forward(model, b.embeddings, f, mode="infer")
-        head = fwd.img.prob if mode == "image-only" else fwd.con.prob
-        probs.append(head.item())
+    probs = [_mode_forward(model, b.embeddings, f)[1].item()
+             for b, f in zip(val_bags, f_val)]
     return auc(probs, labels)
 
 
@@ -326,6 +332,7 @@ class Prediction:
     slide_id: str
     prob_concept: float
     prob_image: float
+    prob: float  # of the head the model's mode decides on; decision thresholds it
     decision: str
     alpha: np.ndarray
     hard_indices: np.ndarray
@@ -336,30 +343,21 @@ class Prediction:
     logit: float
 
 
-def predict(bag: Bag, model: CmilModel, head: str = "concept",
-            uniform_selection: bool = False) -> Prediction:
-    """Deterministic hard top-K inference; the concept branch is the output head.
+def predict(bag: Bag, model: CmilModel) -> Prediction:
+    """Deterministic inference with the selection and deciding head of the model's mode.
 
-    `head="image"` bases the decision on the image branch instead (image-only
-    ablation); `uniform_selection` replaces attention-guided selection with the
-    first K patches, matching concept-only training.
+    The concept branch decides, except for image-only models.
     """
-    if head not in ("concept", "image"):
-        raise ConfigError(f"unknown prediction head {head!r}")
     if bag.dim != model.dim:
         raise ShapeError(f"bag D={bag.dim} does not match checkpoint D={model.dim}")
     f_values = project(bag.embeddings, model.concepts).values
-    if uniform_selection:
-        fwd = joint_forward(model, bag.embeddings, f_values,
-                            fixed_indices=np.arange(model.topk.K))
-    else:
-        fwd = joint_forward(model, bag.embeddings, f_values, mode="infer")
-    decider = fwd.img.prob if head == "image" else fwd.con.prob
+    fwd, prob = _mode_forward(model, bag.embeddings, f_values)
     return Prediction(
         slide_id=bag.slide_id,
         prob_concept=fwd.con.prob.item(),
         prob_image=fwd.img.prob.item(),
-        decision="tumor" if decider.item() >= 0.5 else "normal",
+        prob=prob.item(),
+        decision="tumor" if prob.item() >= 0.5 else "normal",
         alpha=fwd.img.alpha.data.copy(),
         hard_indices=np.asarray(fwd.sel.hard_indices, dtype=int),
         f_topk=fwd.f_topk.data.copy(),
@@ -498,5 +496,5 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
         tensors["data.concept_embeddings"],
         cdoc.get("prompt_template", "an H & E image of CONCEPT"),
     )
-    model = CmilModel(image, concept, concepts, cfg.topk)
+    model = CmilModel(image, concept, concepts, cfg.topk, cfg.mode)
     return model, cfg, header

@@ -13,12 +13,10 @@ from cmil.bagio import (
     PatchRecord,
     builtin_concepts,
     content_hash,
-    read_activations,
     read_bag,
     read_concepts,
     read_split,
     validate_dataset,
-    write_activations,
     write_bag,
     write_concepts,
     write_split,
@@ -199,13 +197,6 @@ class TestConcepts:
         assert "CONCEPT" in tpl
         with pytest.raises(DataValidationError):
             builtin_concepts("imagenet")
-
-
-class TestActivations:
-    def test_round_trip(self, tmp_path):
-        m = np.random.default_rng(0).normal(size=(6, 4)).astype(np.float32).astype(np.float64)
-        write_activations(m, tmp_path / "a.cact")
-        np.testing.assert_array_equal(read_activations(tmp_path / "a.cact"), m)
 
 
 class TestSplits:

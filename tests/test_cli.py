@@ -234,7 +234,7 @@ def test_explain_runs_predict_once(ckpt, data_dir, tmp_path, monkeypatch):
 
     # the reused prediction gives the bytes of a report that runs its own pass
     model, cfg, _ = load_checkpoint(ckpt)
-    assert cfg.mode == "dual"  # explain_slide's default head and selection
+    assert model.mode == cfg.mode == "dual"  # explain_slide follows the model's mode
     (tmp_path / "direct").mkdir()
     write_local_report(explain_slide(read_bag(bag), model), tmp_path / "direct")
     assert len(calls) == 2
@@ -289,13 +289,32 @@ def test_eval_without_flags_reports_null_localization(ckpt, data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["image-only", "concept-only"])
-def test_ablation_modes_flow_through_checkpoint_to_eval(data_dir, tmp_path, mode):
+def test_ablation_modes_flow_through_checkpoint_to_eval(data_dir, tmp_path, mode, capsys):
     out = tmp_path / "m.cmck"
     rc = main(["train", "--data", str(data_dir), "--out", str(out),
                "--mode", mode, "--epochs", "6", "--seed", "5",
                "--set", "d_h=24", "--set", "d_a=12",
                "--set", 'topk={"K":4,"num_noise_samples":32,"noise_sigma":0.05,"seed":0}'])
     assert rc == EXIT_OK
+
+    # the loaded model carries its mode into the library entry points
+    model, _, _ = load_checkpoint(out)
+    bag_path = data_dir / "bag_0000.cmil"  # its image and concept heads disagree
+    pred = predict(read_bag(bag_path), model)
+    if mode == "concept-only":
+        assert pred.hard_indices.tolist() == [0, 1, 2, 3]
+    else:
+        assert pred.prob == pred.prob_image
+    assert pred.decision == ("tumor" if pred.prob >= 0.5 else "normal")
+    capsys.readouterr()
+    assert main(["predict", "--ckpt", str(out), "--bag", str(bag_path)]) == EXIT_OK
+    assert capsys.readouterr().out == f"{pred.slide_id}\t{pred.prob:.6f}\t{pred.decision}\n"
+    assert main(["explain", "--ckpt", str(out), "--bag", str(bag_path),
+                 "--out", str(tmp_path / "cli")]) == EXIT_OK
+    (tmp_path / "direct").mkdir()
+    write_local_report(explain_slide(read_bag(bag_path), model), tmp_path / "direct")
+    assert _checksums(tmp_path / "cli") == _checksums(tmp_path / "direct")
+
     result = tmp_path / "eval.json"
     rc = main(["eval", "--ckpt", str(out), "--data", str(data_dir),
                "--out", str(result), "--split", "train", "--projection", "pca"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from cmil.autodiff import Tensor, percentile, relative_error, zero_grads
 from cmil.concept_branch import (
     ConceptBranchParams,
+    _contributions,
     concept_attention,
-    concept_contributions,
     concept_forward,
-    concept_logit,
     init_concept_params,
     scale_attention,
 )
@@ -130,21 +130,21 @@ class TestConceptLogit:
         p = small_params(seed=8)
         p.clf_w.data[:] = 0.0
         F = Tensor(np.random.default_rng(9).normal(size=(6, 5)))
-        beta = Tensor(np.random.default_rng(10).uniform(0.1, 0.9, size=5))
-        logit, prob = concept_logit(F, beta, p)
-        assert logit.item() == pytest.approx(float(p.clf_b.data), abs=1e-12)
+        fwd = concept_forward(F, p)
+        assert fwd.logit.item() == pytest.approx(float(p.clf_b.data), abs=1e-12)
 
     def test_zero_beta(self):
+        # the logit is sum(kappa) + b, so zero kappa leaves b
         p = small_params(seed=11)
         F = Tensor(np.random.default_rng(12).normal(size=(6, 5)))
-        logit, _ = concept_logit(F, Tensor(np.zeros(5)), p)
-        assert logit.item() == pytest.approx(float(p.clf_b.data), abs=1e-12)
+        kappa = _contributions(F, Tensor(np.zeros(5)), p)
+        np.testing.assert_array_equal(kappa.data, 0.0)
 
     def test_matches_double_loop_oracle(self):
         p = small_params(seed=13)
         F = np.random.default_rng(14).normal(size=(6, 5))
-        beta = np.random.default_rng(15).uniform(0.1, 0.9, size=5)
-        logit, prob = concept_logit(Tensor(F), Tensor(beta), p)
+        fwd = concept_forward(Tensor(F), p)
+        logit, prob, beta = fwd.logit, fwd.prob, fwd.attention.gated.data
         acc = float(p.clf_b.data)
         for j in range(6):
             for c in range(5):
@@ -157,14 +157,15 @@ class TestContributions:
     def test_single_concept_reduces_to_logit_minus_bias(self):
         p = small_params(seed=16, C=1)
         F = Tensor(np.random.default_rng(17).normal(size=(6, 1)))
-        beta = Tensor(np.array([0.7]))
-        kappa, bias = concept_contributions(F, beta, p)
-        logit, _ = concept_logit(F, beta, p)
-        assert kappa.data[0] == pytest.approx(logit.item() - float(bias.data), abs=1e-12)
+        with warnings.catch_warnings():
+            # one concept always has zero attention variance; the fallback is tested above
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fwd = concept_forward(F, p)
+        assert fwd.kappa.data[0] == pytest.approx(fwd.logit.item() - float(p.clf_b.data), abs=1e-12)
 
     def test_zero_activations_give_zero_kappa(self):
         p = small_params(seed=18)
-        kappa, _ = concept_contributions(Tensor(np.zeros((6, 5))), Tensor(np.full(5, 0.5)), p)
+        kappa = _contributions(Tensor(np.zeros((6, 5))), Tensor(np.full(5, 0.5)), p)
         np.testing.assert_array_equal(kappa.data, 0.0)
 
     def test_decomposition_identity(self):
@@ -234,4 +235,4 @@ class TestValidation:
     def test_c_mismatch_in_classifier(self):
         p = small_params()
         with pytest.raises(ShapeError, match="C=3"):
-            concept_logit(Tensor(np.zeros((6, 3))), Tensor(np.zeros(3)), p)
+            concept_forward(Tensor(np.random.default_rng(25).normal(size=(6, 3))), p)

@@ -7,11 +7,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cmil.bagio import Bag, ConceptSet, PatchRecord, read_bag, read_concepts, read_split
+from cmil.bagio import Bag, PatchRecord, read_bag, read_concepts, read_split
 from cmil.errors import DataValidationError
 from cmil.evaluation import evaluate_split
 from cmil.explain import (SCHEMA_VERSION, explain_slide, global_explanations,
-                          top_patches_per_concept, wsi_concept_values)
+                          wsi_concept_values)
 from cmil.render import (CLASS_COLORS, VIRIDIS_STOPS, color_for,
                          render_global_svg, render_local_svg,
                          write_global_report, write_local_report)
@@ -159,44 +159,6 @@ class TestGlobalExplanation:
         assert len(a.patch_refs) == len(a.patch_labels) == 10
         np.testing.assert_array_equal(a.patch_points, b.patch_points)
         assert a.patch_refs == b.patch_refs
-
-
-class TestTopPatches:
-    def test_oversized_m_returns_everything_sorted(self, fitted):
-        bags, concepts, _ = fitted
-        subset = bags[:2]
-        report = top_patches_per_concept(subset, concepts, m=10_000)
-        total = sum(b.num_patches for b in subset)
-        for name, entries in report.items():
-            assert len(entries) == total
-            scores = [e["score"] for e in entries]
-            assert scores == sorted(scores, reverse=True)
-
-    def test_tumor_concepts_retrieve_only_tumor_patches(self, fitted):
-        bags, concepts, _ = fitted
-        by_id = {b.slide_id: b for b in bags}
-        report = top_patches_per_concept(bags, concepts, m=10)
-        for name, entries in report.items():
-            if not name.startswith("tumor"):
-                continue
-            for e in entries:
-                patch = by_id[e["slide_id"]].patches[e["patch_index"]]
-                assert patch.in_tumor, (name, e)
-
-    def test_ties_break_by_slide_then_patch(self):
-        emb = np.vstack([np.eye(3), np.eye(3)])  # duplicate rows across and within bags
-        patches = [PatchRecord(i, 0) for i in range(6)]
-        concepts = ConceptSet(["c0", "c1", "c2"], np.eye(3))
-        bag_b = Bag("b", 0, emb, patches)
-        bag_a = Bag("a", 0, emb.copy(), list(patches))
-        report = top_patches_per_concept([bag_b, bag_a], concepts, m=4)
-        refs = [(e["slide_id"], e["patch_index"]) for e in report["c0"]]
-        assert refs == [("a", 0), ("a", 3), ("b", 0), ("b", 3)]
-
-    def test_m_must_be_positive(self, fitted):
-        _, concepts, _ = fitted
-        with pytest.raises(DataValidationError):
-            top_patches_per_concept([], concepts, m=0)
 
 
 class TestRender:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmil.bagio import Bag, ConceptSet, PatchRecord
+from cmil.bagio import ConceptSet, read_bag, read_concepts, read_split
 from cmil.errors import DegenerateEmbeddingError, ShapeError
-from cmil.projection import ConceptActivationMatrix, l2_normalize_rows, project, project_bag
+from cmil.projection import ConceptActivationMatrix, l2_normalize_rows, project
+from cmil.synthgen import SynthConfig, gen_dataset
 
 
 def cosine_oracle(emb, conc):
@@ -94,26 +95,16 @@ class TestProject:
             ConceptActivationMatrix(np.zeros((2, 3)), ["a", "b"])
 
 
-class TestCache:
-    def test_cache_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        emb = rng.normal(size=(5, 6)).astype(np.float32).astype(np.float64)
-        bag = Bag("s", 0, emb, [PatchRecord(i, 0) for i in range(5)])
-        cs = ConceptSet(["a", "b", "c"], rng.normal(size=(3, 6)))
-        cache = tmp_path / "bag.cact"
-        first = project_bag(bag, cs, cache_path=cache)
-        assert cache.exists()
-        again = project_bag(bag, cs, cache_path=cache)
-        np.testing.assert_allclose(again.values, first.values, atol=1e-7)
-
-    def test_stale_cache_shape_recomputed(self, tmp_path):
-        rng = np.random.default_rng(4)
-        emb = rng.normal(size=(5, 6))
-        bag = Bag("s", 0, emb, [PatchRecord(i, 0) for i in range(5)])
-        cs = ConceptSet(["a", "b", "c"], rng.normal(size=(3, 6)))
-        cache = tmp_path / "bag.cact"
-        from cmil.bagio import write_activations
-
-        write_activations(np.zeros((2, 2)), cache)
-        acts = project_bag(bag, cs, cache_path=cache)
-        assert acts.values.shape == (5, 3)
+def test_tumor_concepts_retrieve_only_tumor_patches(tmp_path):
+    """The ten highest activations of each tumor concept fall on tumor patches."""
+    root = tmp_path / "noiseless"
+    gen_dataset(SynthConfig(seed=100, num_bags=30, N_range=(12, 20), D=16, C=6,
+                            tumor_concept_count=2, signal_strength=3.0, noise_std=0.0),
+                root)
+    concepts = read_concepts(root / "concepts.ccpt")
+    bags = [read_bag(p) for p in read_split(root / "split.json").all_paths()]
+    in_tumor = np.concatenate([[p.in_tumor for p in b.patches] for b in bags])
+    acts = np.vstack([project(b.embeddings, concepts).values for b in bags])
+    for c, name in enumerate(concepts.names):
+        if name.startswith("tumor"):
+            assert in_tumor[np.argsort(-acts[:, c], kind="stable")[:10]].all(), name
