@@ -11,7 +11,7 @@ shape bugs fail at op construction rather than producing silent garbage.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,11 +21,14 @@ Array = np.ndarray
 
 
 class Tensor:
-    """Immutable float64 array plus tape bookkeeping.
+    """Float64 array plus tape bookkeeping.
 
-    ``data`` must not be mutated after construction; the optimizer swaps in
-    fresh arrays instead. ``grad`` is populated by ``backward`` and has the
-    same shape as ``data``.
+    Ops never write into their inputs' ``data``, but ``data`` itself is
+    mutable: ``AdamW.step`` updates parameters in place (``p.data -= ...``)
+    and finite-difference gradient checks nudge one coordinate and restore
+    it. Backward closures read ``data`` when they run, so a graph built
+    before such a write must be rebuilt, not reused. ``grad`` is populated
+    by ``backward`` and has the same shape as ``data``.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
@@ -229,15 +232,6 @@ def sigmoid_value(x: Array | float) -> Array:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * y)
-
-    return Tensor(y, (a,), bwd)
-
-
 def log(a: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(a, g / a.data)
@@ -425,55 +419,3 @@ def percentile(a: Tensor, q: float) -> Tensor:
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.grad = None
-
-
-def relative_error(analytic: Array, numeric: Array) -> float:
-    """Max over coordinates of |a - n| / (|a| + |n| + 1e-12)."""
-    a = np.asarray(analytic, dtype=np.float64).ravel()
-    n = np.asarray(numeric, dtype=np.float64).ravel()
-    return float(np.max(np.abs(a - n) / (np.abs(a) + np.abs(n) + 1e-12))) if a.size else 0.0
-
-
-def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between backward() and central finite differences.
-
-    ``f`` must map a single tensor to a scalar tensor and be smooth at
-    ``point`` (the caller keeps clear of activation kinks).
-    """
-    return grad_check_many(lambda ts: f(ts[0]), [point], eps=eps)
-
-
-def grad_check_many(
-    f: Callable[[Sequence[Tensor]], Tensor],
-    points: Sequence[Tensor],
-    eps: float = 1e-5,
-    coords: dict[int, np.ndarray] | None = None,
-) -> float:
-    """grad_check over several leaf tensors at once.
-
-    ``coords`` optionally restricts the finite-difference sweep to flat
-    indices per tensor position (useful when the full sweep is too slow);
-    the analytic gradient is always the full backward pass.
-    """
-    out = f(points)
-    if out.data.size != 1:
-        raise ShapeError("grad_check requires a scalar-valued function")
-    zero_grads(points)
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in points]
-
-    worst = 0.0
-    for pi, p in enumerate(points):
-        flat = p.data.reshape(-1)
-        idxs = coords.get(pi, np.arange(flat.size)) if coords is not None else np.arange(flat.size)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f(points).data)
-            flat[i] = orig - eps
-            f_minus = float(f(points).data)
-            flat[i] = orig
-            cd = (f_plus - f_minus) / (2.0 * eps)
-            an = analytic[pi].reshape(-1)[i]
-            worst = max(worst, float(abs(an - cd) / (abs(an) + abs(cd) + 1e-12)))
-    return worst

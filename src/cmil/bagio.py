@@ -14,7 +14,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -283,50 +283,6 @@ def read_split(path: Path) -> DatasetSplit:
             raise FormatError(f"{path}: '{key}' must be a list of paths")
         out[key] = [path.parent / e if not Path(e).is_absolute() else Path(e) for e in entries]
     return DatasetSplit(**out)
-
-
-def validate_dataset(split: DatasetSplit) -> dict:
-    """Check split consistency and return a summary report.
-
-    Fails on cross-split slide id collisions, unreadable files and
-    inconsistent embedding dimensions.
-    """
-    seen: dict[str, str] = {}
-    dims: set[int] = set()
-    report: dict = {}
-    for name in ("train", "val", "test"):
-        paths = getattr(split, name)
-        labels = []
-        for p in paths:
-            bag = read_bag(p)
-            if bag.slide_id in seen:
-                raise DataValidationError(
-                    f"slide_id {bag.slide_id!r} appears in both {seen[bag.slide_id]} and {name}"
-                )
-            seen[bag.slide_id] = name
-            dims.add(bag.dim)
-            if len(dims) > 1:
-                raise DataValidationError(
-                    f"inconsistent embedding dimensions across dataset: {sorted(dims)}"
-                )
-            labels.append(bag.label)
-        report[name] = {"bags": len(paths), "positives": int(sum(labels))}
-    report["dim"] = dims.pop() if dims else None
-    report["ok"] = True
-    return report
-
-
-# -- bundled concept vocabularies -----------------------------------------------------
-
-_FIXTURES = {"camelyon16": "camelyon16_concepts.json", "panda": "panda_concepts.json"}
-
-
-def builtin_concepts(which: str) -> tuple[list[str], str]:
-    """Return (names, prompt_template) for a bundled vocabulary: 'camelyon16' or 'panda'."""
-    if which not in _FIXTURES:
-        raise DataValidationError(f"unknown concept vocabulary {which!r}, expected one of {sorted(_FIXTURES)}")
-    doc = _read_json(Path(__file__).parent / "fixtures" / _FIXTURES[which])
-    return list(doc["names"]), doc["prompt_template"]
 
 
 # -- provenance --------------------------------------------------------------------

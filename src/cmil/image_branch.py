@@ -37,11 +37,6 @@ class ImageBranchParams:
             "image.clf_b": self.clf_b,
         }
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        d, d_h = self.proj_w.shape
-        return d, d_h, self.attn_v.shape[1]
-
 
 def _uniform(rng, fan_in: int, shape) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)

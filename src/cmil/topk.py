@@ -36,7 +36,7 @@ class TopKConfig:
 
 @dataclass
 class Selection:
-    """Hard indices always; soft indicator only in training mode."""
+    """Hard indices always; the soft indicator only when selection was perturbed."""
 
     hard_indices: np.ndarray
     soft_indicator: Tensor | None = None
@@ -102,35 +102,28 @@ def perturbed_topk(
 def select(
     alpha: Tensor,
     cfg: TopKConfig,
-    mode: str = "train",
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
 ) -> Selection:
+    """Hard top-K of `alpha`, plus the perturbed soft indicator when given `rng` or `noise`."""
     hard = hard_topk(alpha.data, cfg.K)
-    if mode == "infer":
+    if rng is None and noise is None:
         return Selection(hard)
-    if mode != "train":
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     return Selection(hard, perturbed_topk(alpha, cfg, rng=rng, noise=noise))
 
 
-def gather_concepts(f_values: np.ndarray, sel: Selection, mode: str = "train") -> Tensor:
+def gather_concepts(f_values: np.ndarray, sel: Selection) -> Tensor:
     """K x C concept activations of the selected patches.
 
-    Training mode scales each hard-top-K row by its soft indicator weight, so
+    With a soft indicator each hard-top-K row is scaled by its soft weight, so
     selection gradients reach the attention scores while the concept branch
-    sees a fixed K x C shape; inference gathers rows as-is.
+    sees a fixed K x C shape; without one the rows are gathered as-is.
     """
     f_values = np.asarray(f_values, dtype=np.float64)
     idx = np.asarray(sel.hard_indices)
     if idx.size and (idx.min() < 0 or idx.max() >= f_values.shape[0]):
         raise ShapeError(f"selection indices out of range for {f_values.shape[0]} patches")
     rows = Tensor(f_values[idx])
-    if mode == "infer":
-        return rows
-    if mode != "train":
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     if sel.soft_indicator is None:
-        raise ConfigError("training-mode gather needs a soft indicator; run select(mode='train')")
-    weights = gather(sel.soft_indicator, idx)
-    return scale_rows(rows, weights)
+        return rows
+    return scale_rows(rows, gather(sel.soft_indicator, idx))

@@ -206,45 +206,37 @@ class JointForward:
     sel: Selection
     f_topk: Tensor
     con: ConceptForward
+    prob: Tensor  # of the head the model's mode decides on
 
 
 def joint_forward(
     model: CmilModel,
     embeddings: np.ndarray,
     f_values: np.ndarray,
-    mode: str = "train",
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
     fixed_indices: np.ndarray | None = None,
 ) -> JointForward:
+    """Forward pass of both branches with the selection of the model's mode.
+
+    Selection is perturbed top-K when `rng` or `noise` is given (training) and
+    hard top-K otherwise. Concept-only models take the first K patches, and
+    `fixed_indices` overrides both. `prob` is the image head for image-only
+    models and the concept head otherwise.
+    """
     img = image_forward(Tensor(np.asarray(embeddings, dtype=np.float64)), model.image)
+    if fixed_indices is None and model.mode == "concept-only":
+        # hard top-K under untrained uniform attention = first K patches
+        fixed_indices = np.arange(model.topk.K)
     if fixed_indices is not None:
         # frozen support: selection treated as a constant, smooth everywhere
         sel = Selection(np.asarray(fixed_indices, dtype=int))
-        f_topk = gather_concepts(f_values, sel, mode="infer")
     else:
-        sel = select(img.alpha, model.topk, mode=mode, rng=rng, noise=noise)
-        f_topk = gather_concepts(f_values, sel, mode=mode)
+        sel = select(img.alpha, model.topk, rng=rng, noise=noise)
+    f_topk = gather_concepts(f_values, sel)
     con = concept_forward(f_topk, model.concept)
-    return JointForward(img, sel, f_topk, con)
-
-
-def _mode_forward(model: CmilModel, embeddings: np.ndarray, f_values: np.ndarray,
-                  rng: np.random.Generator | None = None) -> tuple[JointForward, Tensor]:
-    """Forward pass with the model mode's selection; returns it and the deciding prob.
-
-    Selection is perturbed top-K when `rng` is given (training) and hard top-K
-    otherwise. Image-only decides on the image head, the other modes on the
-    concept head.
-    """
-    if model.mode == "concept-only":
-        # hard top-K under untrained uniform attention = first K patches
-        fwd = joint_forward(model, embeddings, f_values,
-                            fixed_indices=np.arange(model.topk.K))
-    else:
-        fwd = joint_forward(model, embeddings, f_values,
-                            mode="infer" if rng is None else "train", rng=rng)
-    return fwd, fwd.img.prob if model.mode == "image-only" else fwd.con.prob
+    prob = img.prob if model.mode == "image-only" else con.prob
+    return JointForward(img, sel, f_topk, con, prob)
 
 
 # -- training loop ------------------------------------------------------------------
@@ -268,6 +260,9 @@ def train(
     val_bags = bags["val"] if bags else _load_bags(split.val)
     if not train_bags:
         raise DataValidationError("empty training split")
+    shared = sorted({b.slide_id for b in train_bags} & {b.slide_id for b in val_bags})
+    if shared:
+        raise DataValidationError(f"slide_id {shared[0]!r} appears in both train and val")
 
     dim = train_bags[0].dim
     model = init_model(cfg, concepts, dim)
@@ -290,7 +285,7 @@ def train(
         sums = {"bce_img": 0.0, "bce_concept": 0.0, "l2_alpha": 0.0, "total": 0.0}
         for step_no, i in enumerate(order):
             bag = train_bags[i]
-            fwd, _ = _mode_forward(model, bag.embeddings, f_train[i], rng=rng_noise)
+            fwd = joint_forward(model, bag.embeddings, f_train[i], rng=rng_noise)
             lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
                             cfg.lam, mode=cfg.mode)
             if not np.isfinite(lb.total.data):
@@ -319,7 +314,7 @@ def _validation_auc(model: CmilModel, val_bags: list[Bag],
     labels = [b.label for b in val_bags]
     if len(set(labels)) < 2:
         return None
-    probs = [_mode_forward(model, b.embeddings, f)[1].item()
+    probs = [joint_forward(model, b.embeddings, f).prob.item()
              for b, f in zip(val_bags, f_val)]
     return auc(probs, labels)
 
@@ -351,13 +346,13 @@ def predict(bag: Bag, model: CmilModel) -> Prediction:
     if bag.dim != model.dim:
         raise ShapeError(f"bag D={bag.dim} does not match checkpoint D={model.dim}")
     f_values = project(bag.embeddings, model.concepts).values
-    fwd, prob = _mode_forward(model, bag.embeddings, f_values)
+    fwd = joint_forward(model, bag.embeddings, f_values)
     return Prediction(
         slide_id=bag.slide_id,
         prob_concept=fwd.con.prob.item(),
         prob_image=fwd.img.prob.item(),
-        prob=prob.item(),
-        decision="tumor" if prob.item() >= 0.5 else "normal",
+        prob=fwd.prob.item(),
+        decision="tumor" if fwd.prob.item() >= 0.5 else "normal",
         alpha=fwd.img.alpha.data.copy(),
         hard_indices=np.asarray(fwd.sel.hard_indices, dtype=int),
         f_topk=fwd.f_topk.data.copy(),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cmil import autodiff as ad
-from cmil.autodiff import Tensor, grad_check_many, zero_grads
+from cmil.autodiff import Tensor, zero_grads
 from cmil.bagio import Bag, ConceptSet, PatchRecord, read_bag, read_concepts
 from cmil.cli import main as cli_main
 from cmil.concept_branch import scale_attention
@@ -30,6 +30,7 @@ from cmil.synthgen import SynthConfig, gen_dataset
 from cmil.topk import TopKConfig, hard_topk, perturbed_topk
 from cmil.trainer import (TrainConfig, init_model, joint_forward, load_checkpoint,
                           predict, total_loss, train)
+from gradcheck import grad_check_many
 
 DEFAULT_EPOCHS = 15  # converges well before this at the default data scale
 
@@ -179,7 +180,6 @@ def _op_cases(rng):
         ("relu", unary(ad.relu, keep_off_kinks=away_from([0.0], 0.05))),
         ("tanh", unary(ad.tanh)),
         ("sigmoid", unary(ad.sigmoid)),
-        ("exp", unary(ad.exp)),
         ("log", unary(ad.log, lo=0.1, hi=3.0)),
         ("sqrt", unary(ad.sqrt, lo=0.1, hi=3.0)),
         ("clamp", unary(lambda t: ad.clamp(t, -1.0, 1.0),
@@ -214,7 +214,7 @@ def _smoothed_loss_crn_error():
     noise = np.random.default_rng(8).normal(size=(m_samples, n))
 
     def loss_value():
-        fwd = joint_forward(model, emb, f_values, mode="train", noise=noise)
+        fwd = joint_forward(model, emb, f_values, noise=noise)
         return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam).total
 
     params = model.parameters()
@@ -263,7 +263,7 @@ def test_criterion_3_gradient_suite(capsys):
         model = init_model(cfg, concepts, d)
         y = int(rng.integers(0, 2))
         fixed = hard_topk(
-            joint_forward(model, emb, f_values, mode="infer").img.alpha.data, cfg.topk.K)
+            joint_forward(model, emb, f_values).img.alpha.data, cfg.topk.K)
 
         def loss_value():
             fwd = joint_forward(model, emb, f_values, fixed_indices=fixed)

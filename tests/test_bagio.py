@@ -11,17 +11,16 @@ from cmil.bagio import (
     ConceptSet,
     DatasetSplit,
     PatchRecord,
-    builtin_concepts,
     content_hash,
     read_bag,
     read_concepts,
     read_split,
-    validate_dataset,
     write_bag,
     write_concepts,
     write_split,
 )
 from cmil.errors import DataValidationError, FormatError, ShapeError
+from cmil.trainer import TrainConfig, train
 
 
 def make_bag(n=5, d=8, seed=0, label=1, slide_id="s0", flags=True):
@@ -187,17 +186,6 @@ class TestConcepts:
         with pytest.raises(FormatError, match="magic"):
             read_concepts(tmp_path / "b.cmil")
 
-    def test_builtin_vocabularies(self):
-        breast, tpl = builtin_concepts("camelyon16")
-        prostate, tpl2 = builtin_concepts("panda")
-        assert len(breast) == 13
-        assert len(prostate) == 14
-        assert len(set(breast)) == 13 and len(set(prostate)) == 14
-        assert tpl == tpl2 == "an H & E image of CONCEPT"
-        assert "CONCEPT" in tpl
-        with pytest.raises(DataValidationError):
-            builtin_concepts("imagenet")
-
 
 class TestSplits:
     def _write_dataset(self, tmp_path, n=6, d=4):
@@ -213,18 +201,16 @@ class TestSplits:
         )
         return tmp_path / "split.json"
 
+    def _train(self, split_path):
+        # train reads both splits and checks them before its first step
+        return train(read_split(split_path), ConceptSet(["a", "b"], np.eye(2, 4)),
+                     TrainConfig(epochs=1))
+
     def test_read_split_resolves_relative_paths(self, tmp_path):
         split_path = self._write_dataset(tmp_path)
         split = read_split(split_path)
         assert len(split.train) == 4 and len(split.val) == 1 and len(split.test) == 1
         assert all(p.exists() for p in split.all_paths())
-
-    def test_validate_dataset_report(self, tmp_path):
-        split = read_split(self._write_dataset(tmp_path))
-        report = validate_dataset(split)
-        assert report["ok"]
-        assert report["train"] == {"bags": 4, "positives": 2}
-        assert report["dim"] == 4
 
     def test_cross_split_slide_collision(self, tmp_path):
         self._write_dataset(tmp_path)
@@ -234,19 +220,19 @@ class TestSplits:
             tmp_path / "bad.json",
         )
         with pytest.raises(DataValidationError, match="slide_0"):
-            validate_dataset(read_split(tmp_path / "bad.json"))
+            self._train(tmp_path / "bad.json")
 
     def test_inconsistent_dims(self, tmp_path):
         write_bag(make_bag(n=2, d=4, seed=0, slide_id="a"), tmp_path / "a.cmil")
         write_bag(make_bag(n=2, d=5, seed=1, slide_id="b"), tmp_path / "b.cmil")
         write_split({"train": ["a.cmil", "b.cmil"], "val": [], "test": []}, tmp_path / "s.json")
-        with pytest.raises(DataValidationError, match="dimension"):
-            validate_dataset(read_split(tmp_path / "s.json"))
+        with pytest.raises(ShapeError, match="expects D=4"):
+            self._train(tmp_path / "s.json")
 
     def test_missing_file(self, tmp_path):
         write_split({"train": ["ghost.cmil"], "val": [], "test": []}, tmp_path / "s.json")
         with pytest.raises(FormatError, match="cannot read"):
-            validate_dataset(read_split(tmp_path / "s.json"))
+            self._train(tmp_path / "s.json")
 
 
 class TestHashing:

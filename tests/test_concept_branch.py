@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cmil.autodiff import Tensor, percentile, relative_error, zero_grads
+from cmil.autodiff import Tensor, percentile, zero_grads
 from cmil.concept_branch import (
     ConceptBranchParams,
     _contributions,
@@ -14,6 +14,7 @@ from cmil.concept_branch import (
     scale_attention,
 )
 from cmil.errors import ConfigError, ShapeError
+from gradcheck import relative_error
 
 
 def small_params(seed=0, K=6, C=5, d_a=4, **kw):
@@ -78,11 +79,12 @@ class TestScaleAttention:
         pr = 3.25
         std = np.sqrt(np.mean((raw - raw.mean()) ** 2))
         assert att.scaled.data[2] == pytest.approx((3.0 - pr) / std, abs=1e-12)
-        att2 = scale_attention(Tensor(np.array([1.0, 2.0, 3.25, 4.0])), 0.75, 3.0)
-        # 3.25 is not the 0.75-percentile of the new vector, so recompute honestly
-        pr2 = percentile(Tensor(np.array([1.0, 2.0, 3.25, 4.0])), 0.75).item()
-        if abs(pr2 - 3.25) < 1e-12:
-            assert att2.gated.data[2] == pytest.approx(0.5, abs=1e-12)
+        # with five entries the 0.75-percentile lands on rank 3 exactly: the element 4
+        raw2 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert percentile(Tensor(raw2), 0.75).item() == 4.0
+        att2 = scale_attention(Tensor(raw2), 0.75, 3.0)
+        assert att2.scaled.data[3] == 0.0
+        assert att2.gated.data[3] == pytest.approx(0.5, abs=1e-12)
 
     def test_worked_example(self):
         # independent chain: Pr=3.25, population std=sqrt(1.25),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmil.autodiff import Tensor, relative_error, sigmoid_value, zero_grads
+from cmil.autodiff import Tensor, sigmoid_value, zero_grads
 from cmil.errors import ShapeError
 from cmil.image_branch import (
     ImageBranchParams,
@@ -14,6 +14,7 @@ from cmil.image_branch import (
     project_features,
     raw_attention_scores,
 )
+from gradcheck import relative_error
 
 
 def small_params(seed=0, D=5, d_h=6, d_a=4):

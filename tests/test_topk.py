@@ -201,14 +201,14 @@ class TestGatherConcepts:
     def test_inference_gathers_rows_in_index_order(self):
         f = self._f()
         sel = Selection(hard_indices=np.array([0, 2]))
-        out = gather_concepts(f, sel, mode="infer")
+        out = gather_concepts(f, sel)
         np.testing.assert_array_equal(out.data, f[[0, 2]])
 
     def test_unit_soft_weights_match_hard_gather(self):
         f = self._f()
         alpha = Tensor(np.array([0.9, 0.0, 0.8, 0.1, 0.0, 0.0]))
         sel = Selection(hard_indices=np.array([0, 2]), soft_indicator=Tensor(np.ones(6)))
-        out = gather_concepts(f, sel, mode="train")
+        out = gather_concepts(f, sel)
         np.testing.assert_array_equal(out.data, f[[0, 2]])
 
     def test_soft_case_matches_scalar_loop_oracle(self):
@@ -216,7 +216,7 @@ class TestGatherConcepts:
         soft = np.array([0.9, 0.2, 0.7, 0.4, 0.05])
         idx = np.array([0, 2, 3])
         sel = Selection(hard_indices=idx, soft_indicator=Tensor(soft))
-        out = gather_concepts(f, sel, mode="train")
+        out = gather_concepts(f, sel)
         expected = np.zeros((3, 3))
         for r, i in enumerate(idx):
             for j in range(3):
@@ -227,7 +227,7 @@ class TestGatherConcepts:
         f = self._f(n=4, c=2)
         soft = Tensor(np.array([0.5, 0.25, 0.8, 0.1]))
         sel = Selection(hard_indices=np.array([1, 2]), soft_indicator=soft)
-        gather_concepts(f, sel, mode="train").sum().backward()
+        gather_concepts(f, sel).sum().backward()
         expected = np.zeros(4)
         expected[1] = f[1].sum()
         expected[2] = f[2].sum()
@@ -236,26 +236,17 @@ class TestGatherConcepts:
     def test_out_of_range_index(self):
         sel = Selection(hard_indices=np.array([0, 9]))
         with pytest.raises(ShapeError, match="out of range"):
-            gather_concepts(self._f(), sel, mode="infer")
-
-    def test_train_gather_requires_soft(self):
-        sel = Selection(hard_indices=np.array([0, 1]))
-        with pytest.raises(ConfigError, match="soft indicator"):
-            gather_concepts(self._f(), sel, mode="train")
+            gather_concepts(self._f(), sel)
 
 
 class TestSelect:
     def test_infer_mode_has_no_soft(self):
-        sel = select(Tensor(np.array([0.3, 0.1, 0.6])), TopKConfig(K=2), mode="infer")
+        sel = select(Tensor(np.array([0.3, 0.1, 0.6])), TopKConfig(K=2))
         assert sel.soft_indicator is None
         assert list(sel.hard_indices) == [0, 2]
 
     def test_train_mode_keeps_hard_support_of_unperturbed_alpha(self):
         alpha = Tensor(np.array([0.9, 0.1, 0.5, 0.3]))
-        sel = select(alpha, TopKConfig(K=2, num_noise_samples=64, seed=1), mode="train")
+        sel = select(alpha, TopKConfig(K=2, num_noise_samples=64), rng=np.random.default_rng(1))
         assert list(sel.hard_indices) == [0, 2]
         assert sel.soft_indicator is not None
-
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError, match="mode"):
-            select(Tensor(np.array([0.3, 0.1])), TopKConfig(K=1), mode="test")

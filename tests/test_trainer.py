@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from cmil.autodiff import Tensor, zero_grads
 from cmil.bagio import read_bag
 from cmil.errors import ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError
+from cmil.projection import project
 from cmil.synthgen import SynthConfig, gen_dataset
-from cmil.topk import TopKConfig
+from cmil.topk import TopKConfig, select
 from cmil.trainer import (
     AdamW,
     TrainConfig,
@@ -20,6 +22,7 @@ from cmil.trainer import (
     total_loss,
     train,
 )
+from gradcheck import relative_error
 
 # seed chosen so the 3-bag val and test slices each contain both classes
 TINY_SYNTH = SynthConfig(
@@ -206,7 +209,7 @@ class TestEndToEndGradients:
         from cmil.topk import hard_topk
 
         fixed = hard_topk(
-            joint_forward(model, emb, f_values, mode="infer").img.alpha.data, cfg.topk.K
+            joint_forward(model, emb, f_values).img.alpha.data, cfg.topk.K
         )
 
         def loss_value():
@@ -220,8 +223,6 @@ class TestEndToEndGradients:
                     for k, t in params.items()}
 
         eps = 1e-6
-        from cmil.autodiff import relative_error
-
         for name, t in params.items():
             numeric = np.zeros_like(t.data)
             flat, nflat = t.data.reshape(-1), numeric.reshape(-1)
@@ -246,7 +247,7 @@ class TestEndToEndGradients:
                            topk=TopKConfig(K=3, num_noise_samples=m_samples, noise_sigma=0.05))
 
         def loss_value():
-            fwd = joint_forward(model, emb, f_values, mode="train", noise=noise)
+            fwd = joint_forward(model, emb, f_values, noise=noise)
             return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg2.lam)
 
         params = model.parameters()
@@ -282,13 +283,29 @@ def trained(tiny_dataset):
 class TestPredict:
 
     def test_inference_is_deterministic(self, trained):
+        # the inputs decide the selection: perturbed only with an rng or noise,
+        # and concept-only takes the first K patches without drawing noise
         split, concepts, model = trained
         bag = read_bag(split.test[0])
-        a = predict(bag, model)
-        b = predict(bag, model)
-        assert a.prob_concept == b.prob_concept
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-        np.testing.assert_array_equal(a.hard_indices, b.hard_indices)
+        f_values = project(bag.embeddings, concepts).values
+        for mode in ("dual", "image-only", "concept-only"):
+            m = dataclasses.replace(model, mode=mode)
+            a = predict(bag, m)
+            b = predict(bag, m)
+            assert a.prob_concept == b.prob_concept
+            np.testing.assert_array_equal(a.alpha, b.alpha)
+            np.testing.assert_array_equal(a.hard_indices, b.hard_indices)
+
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            fwd = joint_forward(m, bag.embeddings, f_values, rng=rng)
+            assert fwd.prob is (fwd.img.prob if mode == "image-only" else fwd.con.prob), mode
+            if mode == "concept-only":
+                np.testing.assert_array_equal(fwd.sel.hard_indices, np.arange(m.topk.K))
+                assert rng.bit_generator.state == state
+            else:
+                assert fwd.sel.soft_indicator is not None, mode
+            assert select(fwd.img.alpha, m.topk).soft_indicator is None
 
     def test_bag_with_n_equal_k_selects_everything(self, trained):
         _, concepts, model = trained
