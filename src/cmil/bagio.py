@@ -66,10 +66,6 @@ class Bag:
             raise DataValidationError(f"bag {self.slide_id}: non-finite embedding values")
 
     @property
-    def num_patches(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
@@ -274,14 +270,20 @@ def write_split(split_rel_paths: dict, path: Path) -> None:
 
 
 def read_split(path: Path) -> DatasetSplit:
+    """Read split.json; a bag listed in two splits is a leak and is rejected."""
     path = Path(path)
     doc = _read_json(path)
     out = {}
+    split_of = {}
     for key in ("train", "val", "test"):
         entries = doc.get(key)
         if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
             raise FormatError(f"{path}: '{key}' must be a list of paths")
         out[key] = [path.parent / e if not Path(e).is_absolute() else Path(e) for e in entries]
+        for bag in out[key]:
+            first = split_of.setdefault(bag, key)
+            if first != key:
+                raise DataValidationError(f"{path}: {bag} is listed in both '{first}' and '{key}'")
     return DatasetSplit(**out)
 
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,30 +80,82 @@ def calibrate_conditionals(d2: np.ndarray, perplexity: float,
     return cond, betas
 
 
-def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
-    t = np.divide(p, q)
-    np.log(t, out=t)
-    np.multiply(p, t, out=t)
-    return float(np.sum(t))
+_ROWS = 64  # rows per block of the t-SNE kernel pass
 
 
-def _q_matrix(y: np.ndarray):
-    num = _pairwise_sq_dists(y)
-    np.add(1.0, num, out=num)
-    np.divide(1.0, num, out=num)
-    np.fill_diagonal(num, 0.0)
-    q = np.divide(num, num.sum())
-    return np.maximum(q, _P_FLOOR, out=q), num
+class _Iterate(NamedTuple):
+    """One t-SNE map y with KL(P || Q) at y and the two kernel products its
+    gradient is made from: pn = (P o num) @ [y | 1], nn = (num o num) @ [y | 1],
+    where num = 1 / (1 + d^2) with a zero diagonal and Z = sum(num)."""
+
+    y: np.ndarray
+    kl: float
+    z: float
+    pn: np.ndarray
+    nn: np.ndarray
+
+    def grad(self, exaggeration: float) -> np.ndarray:
+        # W = a (P o num) - (num o num) / Z; gradient = 4 (rowsum(W) y - W y)
+        w = exaggeration * self.pn - self.nn / self.z
+        return 4.0 * (w[:, 2:] * self.y - w[:, :2])
 
 
-def _tsne_grad(p: np.ndarray, q: np.ndarray, num: np.ndarray, y: np.ndarray):
-    pq = np.subtract(p, q)
-    np.multiply(pq, num, out=pq)
-    rowsum = pq.sum(axis=1)
-    # diag(rowsum) - pq, built in place: negate, then add rowsum on the diagonal
-    np.negative(pq, out=pq)
-    pq.flat[::pq.shape[0] + 1] += rowsum
-    return 4.0 * (pq @ y)
+class _Objective:
+    """KL(P || Q) of exact t-SNE and the parts of its gradient, from one pass
+    over blocks of _ROWS rows, so that P is the only n x n array held.
+
+    KL = sum p log p + sum p log(1 + d^2) + log Z * sum p, each sum over
+    i != j.  Q = num / Z needs no floor: off the diagonal it is positive for
+    any finite y, and the diagonal, where q is 0, is skipped exactly (its
+    log(1 + d^2) is 0 and num is zeroed there).
+    """
+
+    def __init__(self, p: np.ndarray):
+        n = p.shape[0]
+        rows = min(_ROWS, n)
+        self._p = p
+        self._den = np.empty((rows, n))
+        self._tmp = np.empty((rows, n))
+        self._yt1 = np.ones((3, n))  # [y | 1] transposed: rows x, y, 1
+        # the y-independent part of KL: sum of p log p, and of p, over i != j
+        self._plogp = 0.0
+        for lo in range(0, n, rows):
+            t = self._tmp[:min(n - lo, rows)]
+            np.log(p[lo:lo + rows], out=t)
+            t.ravel()[lo::n + 1] = 0.0
+            self._plogp += float(np.vdot(p[lo:lo + rows], t))
+        self._p_off = float(p.sum() - np.trace(p))
+
+    def at(self, y: np.ndarray) -> _Iterate:
+        p, n = self._p, y.shape[0]
+        rows = self._den.shape[0]
+        yt1 = self._yt1
+        yt1[:2] = y.T
+        pn, nn = np.empty((n, 3)), np.empty((n, 3))
+        p_log_den, z = 0.0, 0.0
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            den, t = self._den[:hi - lo], self._tmp[:hi - lo]
+            # 1 + squared distances in difference form: exactly 1 on the diagonal
+            den[:] = yt1[0]
+            np.subtract(den, yt1[0, lo:hi, None], out=den)
+            np.multiply(den, den, out=den)
+            t[:] = yt1[1]
+            np.subtract(t, yt1[1, lo:hi, None], out=t)
+            np.multiply(t, t, out=t)
+            np.add(den, t, out=den)
+            np.add(den, 1.0, out=den)
+            np.log(den, out=t)
+            p_log_den += float(np.vdot(p[lo:hi], t))
+            np.divide(1.0, den, out=den)  # num
+            den.ravel()[lo::n + 1] = 0.0
+            z += float(den.sum())
+            np.multiply(p[lo:hi], den, out=t)
+            np.matmul(t, yt1.T, out=pn[lo:hi])
+            np.multiply(den, den, out=t)
+            np.matmul(t, yt1.T, out=nn[lo:hi])
+        kl = self._plogp + p_log_den + math.log(z) * self._p_off
+        return _Iterate(y, kl, z, pn, nn)
 
 
 @dataclass
@@ -113,7 +166,7 @@ class TsneResult:
 
 
 def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
-            iterations: int = 500, learning_rate: float = 200.0) -> TsneResult:
+            iterations: int = 500, learning_rate: float = None) -> TsneResult:
     """Exact O(n^2) symmetric-SNE embedding into two dimensions.
 
     Schedule: early exaggeration x12 while momentum is 0.5, momentum 0.8
@@ -121,9 +174,16 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     implementation; the last 100 iterations switch to plain descent with step
     backtracking so the KL trace over that window is non-increasing.
 
-    kl_trace[i] is the KL divergence (nats) of the iterate after step i, and
-    the Q matrix of that same iterate feeds step i+1, so each iterate's Q and
-    KL are computed once.
+    The default learning rate is max(n / 48, min(n / 12, 50)).  n / 48 is the
+    rate of Belkina et al. (2019) for exaggeration 12 with this gradient's
+    factor 4; scikit-learn's "auto" rule floors it at 50.  Below 600 points
+    the floor here is n / 12, which keeps the exaggerated attraction step
+    within 4x each point's neighbour offset: at 30 points a floor of 50 ends
+    in a poor local minimum for some seeds.
+
+    kl_trace[i] is the KL divergence (nats) of the iterate after step i.  Each
+    iterate, a step or a line-search candidate, gets its KL and gradient from
+    one pass over row blocks (see _Objective).
     """
     x = np.asarray(points, dtype=float)
     n = x.shape[0]
@@ -137,57 +197,51 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
         )
     if iterations < 1:
         raise ConfigError("iterations must be positive")
+    if learning_rate is None:
+        learning_rate = max(n / 48.0, min(n / 12.0, 50.0))
 
     d2 = _pairwise_sq_dists(x)
     if np.max(d2) <= 0.0:
         raise DataValidationError("cannot project: all points are identical")
     cond, betas = calibrate_conditionals(d2, perplexity)
+    del d2
     p = np.add(cond, cond.T)
-    del d2, cond  # only p is used from here on
+    del cond  # only p is used from here on
     np.divide(p, 2.0 * n, out=p)
     np.maximum(p, _P_FLOOR, out=p)
+    objective = _Objective(p)
 
     rng = np.random.default_rng(seed)
-    y = rng.normal(scale=1e-4, size=(n, 2))
-    vel = np.zeros_like(y)
-    gains = np.ones_like(y)
+    cur = objective.at(rng.normal(scale=1e-4, size=(n, 2)))
+    vel = np.zeros((n, 2))
+    gains = np.ones((n, 2))
     # exaggeration runs while momentum is low; both end at the same switch
     switch = min(250, iterations // 2)
     tail = min(100, iterations)
-    p_exaggerated = p * 12.0
     kl_trace = []
 
-    # (q, num) and, once computed, kl describe the current y
-    q, num = _q_matrix(y)
-    kl = None
     for it in range(iterations):
         if it < iterations - tail:
-            grad = _tsne_grad(p_exaggerated if it < switch else p, q, num, y)
+            grad = cur.grad(12.0 if it < switch else 1.0)
             momentum = 0.5 if it < switch else 0.8
             flipped = np.sign(grad) != np.sign(vel)
             gains = np.maximum(np.where(flipped, gains + 0.2, gains * 0.8), 0.01)
             vel = momentum * vel - learning_rate * (gains * grad)
-            y = y + vel
-            y = y - y.mean(axis=0)
-            q, num = _q_matrix(y)
-            kl = _kl_nats(p, q)
+            y = cur.y + vel
+            cur = objective.at(y - y.mean(axis=0))
         else:
-            grad = _tsne_grad(p, q, num, y)
-            if kl is None:
-                kl = _kl_nats(p, q)
+            grad = cur.grad(1.0)
             step = learning_rate
             for _ in range(40):
-                cand = y - step * grad
-                cand = cand - cand.mean(axis=0)
-                cand_q, cand_num = _q_matrix(cand)
-                cand_kl = _kl_nats(p, cand_q)
-                if cand_kl <= kl:
-                    y, q, num, kl = cand, cand_q, cand_num, cand_kl
+                y = cur.y - step * grad
+                cand = objective.at(y - y.mean(axis=0))
+                if cand.kl <= cur.kl:
+                    cur = cand
                     break
                 step *= 0.5
-        kl_trace.append(kl)
+        kl_trace.append(cur.kl)
 
-    return TsneResult(points=y, kl_trace=kl_trace, betas=betas)
+    return TsneResult(points=cur.y, kl_trace=kl_trace, betas=betas)
 
 
 def project_2d(points: np.ndarray, method: str = "pca", **params) -> np.ndarray:

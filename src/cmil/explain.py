@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import sigmoid_value
 from .bagio import Bag
 from .embed2d import project_2d
 from .errors import DataValidationError
@@ -29,10 +28,6 @@ class LocalExplanation:
     prob_concept: float
     prob_image: float
     decision: str
-
-    def reconstruction_error(self) -> float:
-        logit = float(np.sum([c["kappa"] for c in self.contributions])) + self.bias
-        return abs(float(sigmoid_value(logit)) - self.prob_concept)
 
     def to_dict(self) -> dict:
         return {

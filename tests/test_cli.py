@@ -267,6 +267,21 @@ def test_eval_output_validates_against_shipped_schema(ckpt, data_dir, tmp_path):
     assert doc["results"]["counts"]["slides"] == 24
 
 
+def test_bag_in_two_splits_exits_3(ckpt, data_dir, tmp_path, capsys):
+    leaky = tmp_path / "leaky"
+    shutil.copytree(data_dir, leaky)
+    doc = json.loads((leaky / "split.json").read_text())
+    doc["test"].append(doc["train"][0])
+    (leaky / "split.json").write_text(json.dumps(doc))
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(leaky),
+               "--out", str(tmp_path / "eval.json"), "--split", "test", "--projection", "pca"])
+    assert rc == EXIT_IO
+    assert "in both 'train' and 'test'" in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
+    rc = main(["train", "--data", str(leaky), "--out", str(tmp_path / "m.cmck"), "--epochs", "1"])
+    assert rc == EXIT_IO
+
+
 def test_eval_without_flags_reports_null_localization(ckpt, data_dir, tmp_path):
     stripped = tmp_path / "noflags"
     shutil.copytree(data_dir, stripped)

@@ -1,6 +1,7 @@
 """Projection oracles: PCA sign/distance behavior, t-SNE calibration and objective."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,63 +91,35 @@ class TestCalibration:
         assert cond[0, 1] > cond[0, 2]
 
 
-def reference_tsne(x, seed=0, iterations=500):
-    """Frozen copy of the t-SNE loop that builds Q for the step and again for
-    kl_trace.  Returns (points, kl_trace, betas, rejected line-search
-    candidates); tsne_2d must reproduce the first three to the bit."""
-    def sq_dists(z):
-        s = np.sum(z * z, axis=1)
-        d2 = s[:, None] + s[None, :] - 2.0 * (z @ z.T)
-        np.fill_diagonal(d2, 0.0)
-        return np.maximum(d2, 0.0)
+def dense_sq_dists(z):
+    s = np.sum(z * z, axis=1)
+    d2 = s[:, None] + s[None, :] - 2.0 * (z @ z.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
 
-    def q_matrix(z):
-        num = 1.0 / (1.0 + sq_dists(z))
-        np.fill_diagonal(num, 0.0)
-        return np.maximum(num / num.sum(), 1e-12), num
 
-    def kl_nats(p, q):
-        return float(np.sum(p * np.log(p / q)))
-
-    def grad_of(p, q, num, y):
-        pq = (p - q) * num
-        return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
-
+def dense_p(x):
+    """Symmetric P of tsne_2d at the default perplexity, and its precisions."""
     n = x.shape[0]
-    cond, betas = calibrate_conditionals(sq_dists(x), min(30, (n - 1) // 3))
-    p = np.maximum((cond + cond.T) / (2.0 * n), 1e-12)
-    y = np.random.default_rng(seed).normal(scale=1e-4, size=(n, 2))
-    vel = np.zeros_like(y)
-    gains = np.ones_like(y)
-    switch = min(250, iterations // 2)
-    tail = min(100, iterations)
-    kl_trace, rejected = [], 0
-    for it in range(iterations):
-        q, num = q_matrix(y)
-        if it < iterations - tail:
-            grad = grad_of(p * 12.0 if it < switch else p, q, num, y)
-            momentum = 0.5 if it < switch else 0.8
-            flipped = np.sign(grad) != np.sign(vel)
-            gains = np.maximum(np.where(flipped, gains + 0.2, gains * 0.8), 0.01)
-            vel = momentum * vel - 200.0 * (gains * grad)
-            y = y + vel
-            y = y - y.mean(axis=0)
-        else:
-            grad = grad_of(p, q, num, y)
-            current = kl_nats(p, q)
-            step = 200.0
-            y_next = y
-            for _ in range(40):
-                cand = y - step * grad
-                cand = cand - cand.mean(axis=0)
-                if kl_nats(p, q_matrix(cand)[0]) <= current:
-                    y_next = cand
-                    break
-                rejected += 1
-                step *= 0.5
-            y = y_next
-        kl_trace.append(kl_nats(p, q_matrix(y)[0]))
-    return y, kl_trace, betas, rejected
+    cond, betas = calibrate_conditionals(dense_sq_dists(x), min(30, (n - 1) // 3))
+    return np.maximum((cond + cond.T) / (2.0 * n), 1e-12), betas
+
+
+# Dense oracle for the t-SNE objective: each function builds its n x n arrays
+# in full, with q floored at 1e-12.
+def dense_q_matrix(y):
+    num = 1.0 / (1.0 + dense_sq_dists(y))
+    np.fill_diagonal(num, 0.0)
+    return np.maximum(num / num.sum(), 1e-12), num
+
+
+def dense_kl(p, q):
+    return float(np.sum(p * np.log(p / q)))
+
+
+def dense_grad(p, q, num, y):
+    pq = (p - q) * num
+    return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +145,14 @@ class TestTsne:
     def test_silhouette_improves_after_projection(self, two_clusters):
         points, labels, res = two_clusters
         assert silhouette(res.points, labels) > silhouette(points, labels)
+
+    def test_default_learning_rate_improves_every_seed(self, two_clusters):
+        points, labels, _ = two_clusters
+        before = silhouette(points, labels)
+        for seed in range(8):
+            res = tsne_2d(points, seed=seed)
+            assert res.kl_trace[-1] < res.kl_trace[0], seed
+            assert silhouette(res.points, labels) > before, seed
 
     def test_deterministic_given_seed(self, two_clusters):
         points, _, res = two_clusters
@@ -205,44 +186,85 @@ def _small_points():
     return np.random.default_rng(1).normal(size=(10, 4))
 
 
-def _assert_matches_reference(res, points, iterations):
-    y, kl_trace, betas, _ = reference_tsne(points, iterations=iterations)
-    assert np.array_equal(res.points, y)
-    assert res.kl_trace == kl_trace
-    assert np.array_equal(res.betas, betas)
+def _rel(a, b):
+    return float(np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b))
 
 
 class TestTsneMatchesReference:
-    def test_default_schedule_bit_identical(self, two_clusters):
+    # the 1e-4 start, a spread map and a converged map; n straddles the
+    # 64-row block boundary
+    @pytest.mark.parametrize("kind", ["start", "spread", "converged"])
+    @pytest.mark.parametrize("n", [10, 63, 64, 65, 300])
+    def test_objective_matches_dense(self, n, kind):
+        x = np.random.default_rng(n).normal(size=(n, 6))
+        p, _ = dense_p(x)
+        if kind == "start":
+            y = np.random.default_rng(1).normal(scale=1e-4, size=(n, 2))
+        elif kind == "spread":
+            y = np.random.default_rng(2).normal(scale=5.0, size=(n, 2))
+        else:
+            y = tsne_2d(x).points
+        q, num = dense_q_matrix(y)
+        assert np.min(num / num.sum() + np.eye(n)) >= 1e-12  # the floor is idle
+        it = cmil.embed2d._Objective(p).at(y)
+        assert abs(it.kl - dense_kl(p, q)) <= 1e-12 * abs(dense_kl(p, q))
+        for a in (1.0, 12.0):
+            assert _rel(it.grad(a), dense_grad(a * p, q, num, y)) <= 1e-12, a
+
+    def test_betas_match_calibration(self, two_clusters):
         points, _, res = two_clusters
-        _assert_matches_reference(res, points, 500)
+        assert np.array_equal(res.betas, dense_p(points)[1])
+        small = _small_points()
+        assert np.array_equal(tsne_2d(small, iterations=1).betas, dense_p(small)[1])
 
-    # 60: the line search rejects candidates; 1: a single step; 40: the
-    # backtracking tail covers every iteration
-    @pytest.mark.parametrize("iterations", [60, 1, 40])
-    def test_small_set_bit_identical(self, iterations):
-        points = _small_points()
-        _assert_matches_reference(tsne_2d(points, iterations=iterations), points, iterations)
+    # rate 200: the line search rejects candidates; 1: a single step; 40:
+    # the backtracking tail covers every iteration
+    @pytest.mark.parametrize("points, iterations, rate", [
+        ("two_clusters", 500, None), ("small", 60, 200.0), ("small", 1, None),
+        ("small", 40, None)])
+    def test_one_block_pass_per_iterate(self, two_clusters, monkeypatch,
+                                        points, iterations, rate):
+        x = two_clusters[0] if points == "two_clusters" else _small_points()
+        passes = []  # KL of every pass, in order
+        original = cmil.embed2d._Objective.at
 
-    def test_one_q_matrix_per_iterate(self, two_clusters, monkeypatch):
-        builds = []
-        original = cmil.embed2d._q_matrix
+        def counting(self, y):
+            it = original(self, y)
+            passes.append(it.kl)
+            return it
 
-        def counting(y):
-            builds.append(1)
-            return original(y)
+        monkeypatch.setattr(cmil.embed2d._Objective, "at", counting)
+        res = tsne_2d(x, iterations=iterations, learning_rate=rate)
+        head = iterations - min(100, iterations)
+        # the start, then one pass per momentum step, each traced
+        assert passes[1:head + 1] == res.kl_trace[:head]
+        # the line search: a candidate is kept iff its KL is not above the
+        # current one, and each kept candidate is the next traced value
+        current, rejected, kept = passes[head], 0, []
+        for kl in passes[head + 1:]:
+            if kl <= current:
+                current = kl
+                kept.append(kl)
+            else:
+                rejected += 1
+        assert kept == res.kl_trace[head:]
+        assert len(passes) == 1 + iterations + rejected
+        if rate is not None:
+            assert rejected > 0
 
-        monkeypatch.setattr(cmil.embed2d, "_q_matrix", counting)
-        points, _, _ = two_clusters
-        assert reference_tsne(points)[3] == 0
-        tsne_2d(points)
-        assert len(builds) == 500 + 1
-
-        builds.clear()
-        rejected = reference_tsne(_small_points(), iterations=60)[3]
-        assert rejected > 0
-        tsne_2d(_small_points(), iterations=60)
-        assert len(builds) == 1 + 60 + rejected
+    def test_one_iterate_peak_memory(self):
+        n = 2000
+        rng = np.random.default_rng(0)
+        p = rng.random((n, n))
+        p = (p + p.T) / p.sum()
+        y = rng.normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            cmil.embed2d._Objective(p).at(y).grad(12.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # P alone is 32 MB
 
 
 class TestProject2d:

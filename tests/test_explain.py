@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from cmil.autodiff import sigmoid_value
 from cmil.bagio import Bag, PatchRecord, read_bag, read_concepts, read_split
 from cmil.errors import DataValidationError
 from cmil.evaluation import evaluate_split
@@ -45,7 +46,8 @@ class TestLocalExplanation:
         bags, _, model = fitted
         for bag in bags:
             exp = explain_slide(bag, model)
-            assert exp.reconstruction_error() <= 1e-12, bag.slide_id
+            logit = sum(c["kappa"] for c in exp.contributions) + exp.bias
+            assert abs(sigmoid_value(logit) - exp.prob_concept) <= 1e-12, bag.slide_id
             assert len(exp.topk) == model.topk.K
 
     def test_attention_grid_is_the_prediction_alpha(self, fitted):

@@ -69,9 +69,10 @@ class TestGenBag:
     def test_force_positive_fraction_in_range(self):
         for seed in range(8):
             bag = gen_bag(DESK, np.random.default_rng(seed), force_label=1)
-            frac = sum(p.in_tumor for p in bag.patches) / bag.num_patches
+            n = len(bag.patches)
+            frac = sum(p.in_tumor for p in bag.patches) / n
             lo, hi = DESK.tumor_fraction_range
-            assert lo - 1 / bag.num_patches <= frac <= hi + 1 / bag.num_patches
+            assert lo - 1 / n <= frac <= hi + 1 / n
 
     def test_tumor_block_connected(self):
         bag = gen_bag(DESK, np.random.default_rng(3), force_label=1)
