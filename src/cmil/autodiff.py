@@ -24,20 +24,23 @@ class Tensor:
     """Float64 array plus tape bookkeeping.
 
     Ops never write into their inputs' ``data``, but ``data`` itself is
-    mutable: ``AdamW.step`` updates parameters in place (``p.data -= ...``)
-    and finite-difference gradient checks nudge one coordinate and restore
-    it. Backward closures read ``data`` when they run, so a graph built
-    before such a write must be rebuilt, not reused. ``grad`` is populated
-    by ``backward`` and has the same shape as ``data``.
+    mutable: ``AdamW`` rebinds each parameter's ``data`` to a view of its
+    one flat vector and ``step`` updates that vector in place, and
+    finite-difference gradient checks nudge one coordinate and restore it.
+    Backward closures read ``data`` when they run, so a graph built before
+    such a write must be rebuilt, not reused. ``grad`` is populated by
+    ``backward`` and has the same shape as ``data``; a leaf built with
+    ``constant`` is never differentiated and its ``grad`` stays None.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_const")
 
     def __init__(self, data, _parents: tuple = (), _backward: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self._parents = _parents
         self._backward = _backward
+        self._const = False
 
     @property
     def shape(self) -> tuple:
@@ -124,10 +127,21 @@ def _wrap(x) -> Tensor:
     return Tensor(x)
 
 
+def constant(data) -> Tensor:
+    """A leaf input that no gradient is computed for (its ``grad`` stays None)."""
+    t = Tensor(data)
+    t._const = True
+    return t
+
+
 def _accumulate(t: Tensor, g: Array) -> None:
+    if t._const:
+        return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, because g may be another node's grad; + 0.0 stores -0.0 as +0.0
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def _reduce_to(g: Array, shape: tuple) -> Array:
@@ -194,13 +208,14 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # subgradient at 0 is 0
-    mask = a.data > 0.0
+    # fmax maps NaN to 0 and may keep -0.0, which `+= 0.0` turns into +0.0
+    y = np.fmax(a.data, 0.0)
+    y += 0.0
 
     def bwd(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * (y > 0.0))  # subgradient at 0 is 0
 
-    return Tensor(np.where(mask, a.data, 0.0), (a,), bwd)
+    return Tensor(y, (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -224,12 +239,8 @@ def sigmoid(a: Tensor) -> Tensor:
 def sigmoid_value(x: Array | float) -> Array:
     """Numerically stable logistic function on plain arrays."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so neither exp overflows
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def log(a: Tensor) -> Tensor:
@@ -270,18 +281,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     y = a.data @ b.data
 
     def bwd(g):
-        if an == 2 and bn == 2:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        elif an == 1 and bn == 2:
-            _accumulate(a, b.data @ g)
-            _accumulate(b, np.outer(a.data, g))
-        elif an == 2 and bn == 1:
-            _accumulate(a, np.outer(g, b.data))
-            _accumulate(b, a.data.T @ g)
-        else:  # 1-D dot product, g is scalar
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
+        # a constant operand gets no product; g is a scalar for a 1-D dot product
+        if not a._const:
+            if bn == 2:
+                _accumulate(a, g @ b.data.T if an == 2 else b.data @ g)
+            else:
+                _accumulate(a, np.outer(g, b.data) if an == 2 else g * b.data)
+        if not b._const:
+            if an == 2:
+                _accumulate(b, a.data.T @ g)
+            else:
+                _accumulate(b, np.outer(a.data, g) if bn == 2 else g * a.data)
 
     return Tensor(y, (a, b), bwd)
 
@@ -314,8 +324,10 @@ def scale_rows(m: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"scale_rows: incompatible shapes {m.shape} and {v.shape}")
 
     def bwd(g):
-        _accumulate(m, g * v.data[:, None])
-        _accumulate(v, (g * m.data).sum(axis=1))
+        if not m._const:
+            _accumulate(m, g * v.data[:, None])
+        if not v._const:
+            _accumulate(v, (g * m.data).sum(axis=1))
 
     return Tensor(m.data * v.data[:, None], (m, v), bwd)
 

@@ -110,7 +110,7 @@ def _contributions(f_topk: Tensor, beta: Tensor, params: ConceptBranchParams) ->
         raise ShapeError(
             f"activations have C={f_topk.shape[1]}, classifier expects C={params.clf_w.shape[0]}"
         )
-    ones = Tensor(np.ones(f_topk.shape[0]))
+    ones = ad.constant(np.ones(f_topk.shape[0]))
     col_sums = ad.transpose(f_topk) @ ones  # per-concept sum over the K patches
     return params.clf_w * beta * col_sums
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, gather, scale_rows
+from .autodiff import Tensor, _accumulate, constant, gather, scale_rows
 from .errors import ConfigError, ShapeError
 
 
@@ -123,7 +123,7 @@ def gather_concepts(f_values: np.ndarray, sel: Selection) -> Tensor:
     idx = np.asarray(sel.hard_indices)
     if idx.size and (idx.min() < 0 or idx.max() >= f_values.shape[0]):
         raise ShapeError(f"selection indices out of range for {f_values.shape[0]} patches")
-    rows = Tensor(f_values[idx])
+    rows = constant(f_values[idx])
     if sel.soft_indicator is None:
         return rows
     return scale_rows(rows, gather(sel.soft_indicator, idx))

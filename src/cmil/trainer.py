@@ -144,7 +144,15 @@ def total_loss(y: int, img_prob: Tensor, concept_prob: Tensor, alpha: Tensor,
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay (beta1/beta2/eps per config)."""
+    """Adaptive moments with decoupled weight decay (beta1/beta2/eps per config).
+
+    The optimized parameters live in one contiguous float64 vector: each
+    ``p.data`` is copied into it in dict order and rebound to a view of its
+    slice. A step gathers the gradients into one flat buffer and checks
+    them all before anything moves, then updates the moments and the vector
+    with in-place ufuncs in the operation order of the per-parameter
+    formula, so grouping the parameters changes no bit.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -152,23 +160,54 @@ class AdamW:
         self.lr, self.wd = lr, weight_decay
         self.b1, self.b2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        size = sum(p.data.size for p in self.params.values())
+        self._x = np.empty(size)
+        self._g = np.empty(size)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._s = np.empty(size)
+        self._r = np.empty(size)
+        self._grad_views: list[np.ndarray] = []
+        offset = 0
+        for p in self.params.values():
+            end = offset + p.data.size
+            self._x[offset:end] = p.data.ravel()
+            p.data = self._x[offset:end].reshape(p.data.shape)
+            self._grad_views.append(self._g[offset:end].reshape(p.data.shape))
+            offset = end
 
     def zero_grad(self):
         zero_grads(self.params.values())
 
     def step(self):
+        for p, gv in zip(self.params.values(), self._grad_views):
+            if p.grad is None:
+                gv.fill(0.0)
+            else:
+                gv[...] = p.grad
+        g = self._g
+        if not np.isfinite(g).all():
+            bad = next(name for name, gv in zip(self.params, self._grad_views)
+                       if not np.isfinite(gv).all())
+            raise TrainingDivergedError(f"non-finite gradient in {bad}")
         self.t += 1
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise TrainingDivergedError(f"non-finite gradient in {name}")
-            m = self._m[name] = self.b1 * self._m[name] + (1 - self.b1) * g
-            v = self._v[name] = self.b2 * self._v[name] + (1 - self.b2) * g * g
-            m_hat = m / (1 - self.b1**self.t)
-            v_hat = v / (1 - self.b2**self.t)
-            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.wd * p.data)
+        x, m, v, s, r = self._x, self._m, self._v, self._s, self._r
+        m *= self.b1  # m = b1*m + (1-b1)*g
+        np.multiply(g, 1 - self.b1, out=s)
+        m += s
+        v *= self.b2  # v = b2*v + ((1-b2)*g)*g
+        np.multiply(g, 1 - self.b2, out=s)
+        s *= g
+        v += s
+        np.divide(m, 1 - self.b1**self.t, out=s)  # x -= lr*(m_hat/(sqrt(v_hat)+eps) + wd*x)
+        np.divide(v, 1 - self.b2**self.t, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        np.multiply(x, self.wd, out=r)
+        s += r
+        s *= self.lr
+        x -= s
 
 
 # -- model ------------------------------------------------------------------------
@@ -224,7 +263,7 @@ def joint_forward(
     `fixed_indices` overrides both. `prob` is the image head for image-only
     models and the concept head otherwise.
     """
-    img = image_forward(Tensor(np.asarray(embeddings, dtype=np.float64)), model.image)
+    img = image_forward(ad.constant(embeddings), model.image)
     if fixed_indices is None and model.mode == "concept-only":
         # hard top-K under untrained uniform attention = first K patches
         fixed_indices = np.arange(model.topk.K)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cmil import autodiff as ad
 from cmil.autodiff import Tensor
@@ -76,6 +77,54 @@ class TestElementwise:
         assert grad_check_many(lambda ts: ad.reduce_sum(ad.div(ts[0], ts[1])), [x, s]) < 1e-6
 
 
+def frozen_relu_value(x):
+    """The masked relu forward that ``np.fmax`` replaced."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def frozen_sigmoid_value(x):
+    """The boolean-mask logistic function that the mask-free form replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 709.8, -709.8, 745.2, -745.2,
+                     1e-320, -1e-320])
+ANY_FLOAT64 = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+                         elements=st.floats(allow_nan=True, allow_infinity=True, width=64))
+
+
+class TestKernelsMatchFrozenOracles:
+    """relu and sigmoid_value must equal their previous forms byte for byte."""
+
+    @staticmethod
+    def check(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ad.relu(Tensor(x)).data.tobytes() == frozen_relu_value(x).tobytes()
+            assert ad.sigmoid_value(x).tobytes() == frozen_sigmoid_value(x).tobytes()
+
+    def test_specials(self):
+        self.check(SPECIALS)
+        self.check(SPECIALS.reshape(1, -1)[:, ::-1])
+        for v in SPECIALS:
+            self.check(np.array(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY_FLOAT64)
+    def test_arbitrary_arrays(self, x):
+        self.check(x)
+
+    def test_relu_gradient_is_zero_off_the_positive_values(self):
+        x = Tensor(SPECIALS)
+        ad.reduce_sum(ad.relu(x)).backward()
+        np.testing.assert_array_equal(x.grad, SPECIALS > 0.0)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_array_equal(ad.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
@@ -124,6 +173,22 @@ class TestReduce:
     def test_empty(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros(0)).sum()
+
+
+class TestAccumulate:
+    """The first gradient a tensor receives is stored in an array of its own."""
+
+    def test_grad_is_not_shared(self):
+        a, b = Tensor(np.ones(3)), Tensor(np.ones(3))
+        twice = ad.mul(a, Tensor(np.full(3, 5.0)))
+        ad.reduce_sum(ad.add(ad.add(a, b), twice)).backward()
+        np.testing.assert_array_equal(a.grad, 6.0)
+        np.testing.assert_array_equal(b.grad, 1.0)
+
+    def test_negative_zero_gradient_is_stored_as_positive_zero(self):
+        x = Tensor(np.arange(1.0, 4.0))
+        ad.reduce_sum(ad.mul(x, Tensor(np.full(3, -0.0)))).backward()
+        assert not np.signbit(x.grad).any()
 
 
 class TestGatherScaleRows:

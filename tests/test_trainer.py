@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cmil import autodiff as ad
 from cmil.autodiff import Tensor, zero_grads
 from cmil.bagio import read_bag
 from cmil.errors import ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError
@@ -111,6 +112,33 @@ class TestTotalLoss:
             assert abs(lb.total.item() - recomputed) < 1e-12
 
 
+class PerParameterAdamW:
+    """Frozen copy of the per-parameter AdamW step that the flat vector replaced."""
+
+    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.lr, self.wd = lr, weight_decay
+        self.b1, self.b2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def zero_grad(self):
+        zero_grads(self.params.values())
+
+    def step(self):
+        self.t += 1
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if not np.all(np.isfinite(g)):
+                raise TrainingDivergedError(f"non-finite gradient in {name}")
+            m = self._m[name] = self.b1 * self._m[name] + (1 - self.b1) * g
+            v = self._v[name] = self.b2 * self._v[name] + (1 - self.b2) * g * g
+            m_hat = m / (1 - self.b1**self.t)
+            v_hat = v / (1 - self.b2**self.t)
+            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.wd * p.data)
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))
@@ -142,6 +170,47 @@ class TestAdamW:
         p.grad = np.array([np.nan])
         with pytest.raises(TrainingDivergedError, match="p"):
             opt.step()
+
+    def test_nan_gradient_leaves_parameters_untouched(self):
+        first = Tensor(np.array([1.0, -2.0]))
+        second = Tensor(np.array([[0.5, 0.25]]))
+        opt = AdamW({"first": first, "second": second}, lr=0.1, weight_decay=0.01)
+        before = first.data.tobytes()
+        first.grad = np.array([0.3, -0.7])
+        second.grad = np.array([[0.1, np.nan]])
+        with pytest.raises(TrainingDivergedError, match="second"):
+            opt.step()
+        assert first.data.tobytes() == before
+        # the failed step left no trace: the next one is the first step
+        second.grad = np.array([[0.1, 0.2]])
+        opt.step()
+        oracle = {"first": Tensor(np.array([1.0, -2.0])), "second": Tensor(np.array([[0.5, 0.25]]))}
+        ref = PerParameterAdamW(oracle, lr=0.1, weight_decay=0.01)
+        oracle["first"].grad, oracle["second"].grad = first.grad, second.grad
+        ref.step()
+        assert first.data.tobytes() == oracle["first"].data.tobytes()
+        assert second.data.tobytes() == oracle["second"].data.tobytes()
+
+    def test_flat_vector_matches_per_parameter_oracle(self):
+        rng = np.random.default_rng(11)
+        shapes = {"scalar": (), "vector": (7,), "matrix": (5, 3), "unused": (4,)}
+        init = {k: rng.normal(size=s) for k, s in shapes.items()}
+        flat = {k: Tensor(v.copy()) for k, v in init.items()}
+        ref = {k: Tensor(v.copy()) for k, v in init.items()}
+        kw = dict(lr=0.05, weight_decay=0.1, beta1=0.8, beta2=0.99, eps=1e-6)
+        opt, oracle = AdamW(flat, **kw), PerParameterAdamW(ref, **kw)
+        for step in range(50):
+            opt.zero_grad()
+            oracle.zero_grad()
+            for k, shape in shapes.items():
+                if k != "unused":  # its grad stays None: a zero gradient, decay only
+                    g = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=shape)
+                    flat[k].grad, ref[k].grad = g.copy(), g.copy()
+            opt.step()
+            oracle.step()
+            for k in shapes:
+                assert flat[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
+                assert flat[k].data.shape == shapes[k]
 
 
 class TestTraining:
@@ -271,6 +340,65 @@ class TestEndToEndGradients:
             np.linalg.norm(analytic) + np.linalg.norm(numeric) + 1e-12
         )
         assert rel < 1e-2, rel
+
+
+class TestConstantLeaves:
+    def _step_grads(self, monkeypatch, tiny_dataset, plain: bool):
+        """Parameter gradients of one training step and the embeddings leaf it built.
+
+        With ``plain`` every constant (the embeddings, the gathered top-K rows
+        and the column-sum ones) is built as an ordinary differentiable Tensor.
+        """
+        import cmil.autodiff
+        import cmil.topk
+        import cmil.trainer
+
+        split, concepts = tiny_dataset
+        if plain:
+            monkeypatch.setattr(cmil.autodiff, "constant", Tensor)
+            monkeypatch.setattr(cmil.topk, "constant", Tensor)
+        leaves = []
+        image_forward = cmil.trainer.image_forward
+
+        def capture(I, params):
+            leaves.append(I)
+            return image_forward(I, params)
+
+        monkeypatch.setattr(cmil.trainer, "image_forward", capture)
+        model = init_model(TINY_TRAIN, concepts, TINY_SYNTH.D)
+        bag = read_bag(split.train[0])
+        fwd = joint_forward(model, bag.embeddings, project(bag.embeddings, concepts).values,
+                            rng=np.random.default_rng(0))
+        total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha, TINY_TRAIN.lam).total.backward()
+        monkeypatch.undo()
+        return {k: t.grad for k, t in model.parameters().items()}, leaves[0]
+
+    def test_embeddings_get_no_gradient_and_parameters_are_unchanged(self, monkeypatch, tiny_dataset):
+        grads, leaf = self._step_grads(monkeypatch, tiny_dataset, plain=False)
+        plain_grads, plain_leaf = self._step_grads(monkeypatch, tiny_dataset, plain=True)
+        assert leaf.grad is None
+        assert plain_leaf.grad is not None  # the plain run did differentiate the input
+        assert grads.keys() == plain_grads.keys()
+        for name, g in grads.items():
+            assert g is not None, name
+            assert g.tobytes() == plain_grads[name].tobytes(), name
+
+    def test_constant_operands_skip_their_products(self):
+        rng = np.random.default_rng(12)
+        for a_shape, b_shape in [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,))]:
+            for make_a, make_b in [(ad.constant, Tensor), (Tensor, ad.constant)]:
+                a, b = make_a(rng.normal(size=a_shape)), make_b(rng.normal(size=b_shape))
+                ad.reduce_sum(a @ b).backward()
+                for t, make in [(a, make_a), (b, make_b)]:
+                    assert (t.grad is None) == (make is ad.constant), (a_shape, b_shape)
+        m, v = ad.constant(rng.normal(size=(3, 2))), Tensor(rng.normal(size=3))
+        ad.reduce_sum(ad.scale_rows(m, v)).backward()
+        assert m.grad is None
+        np.testing.assert_array_equal(v.grad, m.data.sum(axis=1))
+        m, v = Tensor(rng.normal(size=(3, 2))), ad.constant(rng.normal(size=3))
+        ad.reduce_sum(ad.scale_rows(m, v)).backward()
+        assert v.grad is None
+        np.testing.assert_array_equal(m.grad, np.repeat(v.data[:, None], 2, axis=1))
 
 
 @pytest.fixture(scope="module")
