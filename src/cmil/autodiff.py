@@ -299,6 +299,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose requires a 2-D tensor, got shape {a.shape}")
+    if a._const:
+        return constant(a.data.T)  # so products with it skip its gradient too
 
     def bwd(g):
         _accumulate(a, g.T)

@@ -43,44 +43,66 @@ def pca_2d(points: np.ndarray) -> np.ndarray:
     return centered @ comps.T
 
 
+_ROWS = 64  # rows per block of the calibration and of the t-SNE kernel pass
+
+
 def calibrate_conditionals(d2: np.ndarray, perplexity: float,
                            tol: float = 1e-5, max_iter: int = 200):
     """Per-row bisection on the Gaussian precision so that each conditional
-    distribution's Shannon entropy (bits) matches log2(perplexity) within tol.
+    distribution's Shannon entropy matches log2(perplexity) bits within tol.
 
     Returns (conditional matrix with zero diagonal, precisions).  Rows with
     equidistant neighbours stay uniform at any bandwidth; bisection then stops
     at max_iter and the uniform row is kept.
+
+    The rows of each block of _ROWS are bisected together, each until its own
+    last step.  With t = -beta * d, w = exp(t) and S = sum(w), the entropy is
+    ln S - sum(w t) / S nats, so zero weights need no mask, and each row's
+    distribution w / S is formed once.
     """
+    d2 = np.asarray(d2, dtype=float)
     n = d2.shape[0]
-    target = math.log2(perplexity)
+    target = math.log2(perplexity) * math.log(2.0)  # nats
+    tol = tol * math.log(2.0)
     cond = np.zeros((n, n))
     betas = np.ones(n)
-    others = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        di = d2[i, others[i]]
-        di = di - di.min()  # shift-invariant; keeps exp() from underflowing
-        beta, lo, hi = 1.0, 0.0, math.inf
-        pi = np.full(n - 1, 1.0 / (n - 1))
-        for _ in range(max_iter):
-            w = np.exp(-beta * di)
-            pi = w / w.sum()
-            nz = pi > 0
-            entropy = -np.sum(pi[nz] * np.log2(pi[nz]))
-            if abs(entropy - target) <= tol:
+    rows = min(_ROWS, n)
+    t, w = np.empty((rows, n - 1)), np.empty((rows, n - 1))
+    for lo in range(0, n, rows):
+        b = min(rows, n - lo)
+        block = np.arange(b)
+        off = np.ones((b, n), dtype=bool)  # the block's off-diagonal entries
+        off[block, lo + block] = False
+        d = d2[lo:lo + b][off].reshape(b, n - 1)
+        d -= d.min(axis=1, keepdims=True)  # shift-invariant; keeps exp() from underflowing
+        if max_iter < 1:
+            d[:] = 1.0 / (n - 1)
+        beta = betas[lo:lo + b]
+        beta_lo, beta_hi = np.zeros(b), np.full(b, math.inf)
+        active = block
+        for step in range(max_iter):
+            tk, wk = t[:active.size], w[:active.size]
+            np.take(d, active, axis=0, out=tk)
+            np.multiply(tk, -beta[active, None], out=tk)
+            np.exp(tk, out=wk)
+            s = wk.sum(axis=1)
+            entropy = np.log(s) - np.einsum("ij,ij->i", wk, tk) / s
+            done = np.abs(entropy - target) <= tol
+            last = done | (step == max_iter - 1)
+            for r in np.flatnonzero(last):
+                # a finished row's distances are not read again: its distribution replaces them
+                np.divide(wk[r], s[r], out=d[active[r]])
+            active, entropy = active[~done], entropy[~done]
+            if not active.size:
                 break
-            if entropy > target:
-                lo = beta
-                beta = beta * 2.0 if hi == math.inf else 0.5 * (lo + hi)
-            else:
-                hi = beta
-                beta = 0.5 * (lo + hi)
-        cond[i, others[i]] = pi
-        betas[i] = beta
+            up = entropy > target
+            cur = beta[active]
+            beta_lo[active] = np.where(up, cur, beta_lo[active])
+            beta_hi[active] = np.where(up, beta_hi[active], cur)
+            beta[active] = np.where(up & (beta_hi[active] == math.inf), cur * 2.0,
+                                    0.5 * (beta_lo[active] + beta_hi[active]))
+        cond[lo:lo + b][off] = d.ravel()
     return cond, betas
-
-
-_ROWS = 64  # rows per block of the t-SNE kernel pass
 
 
 class _Iterate(NamedTuple):

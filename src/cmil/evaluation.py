@@ -14,11 +14,12 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
                    group_by: str = "predicted", max_patch_points: int = 2000):
     """Evaluate a list of bags; returns (EvalResult, GlobalExplanation, predictions).
 
-    Metrics (AUC, JSD, silhouette) compare against ground-truth labels; the
-    explanation artifact groups slides by predicted class unless group_by says
-    otherwise.  Localization averages over slides with annotated tumor regions;
-    when no slide has any the fields are null and a warning is emitted.
-    Ablation models score the head their mode decides on.
+    Metrics (AUC, per-concept AUC and JSD, silhouette) compare against
+    ground-truth labels; the explanation artifact groups slides by predicted
+    class unless group_by says otherwise.  Localization averages over slides
+    with annotated tumor regions; when no slide has any the fields are null
+    and a warning is emitted.  Ablation models score the head their mode
+    decides on.
     """
     bags = list(bags)
     preds = [predict(b, model) for b in bags]
@@ -45,10 +46,12 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
     truth = np.asarray(labels)
     tumor_rows = np.flatnonzero(truth == 1)
     normal_rows = np.flatnonzero(truth == 0)
-    jsd_per_concept = {}
+    jsd_per_concept, auc_per_concept = {}, {}
     for c, name in enumerate(g.concept_names):
         jsd_per_concept[name] = js_divergence(
             g.wsi_points[tumor_rows, c], g.wsi_points[normal_rows, c])
+        # a rank measure: JSD saturates at 1 once the classes stop overlapping
+        auc_per_concept[name] = auc(g.wsi_points[:, c], truth)
     jsd_mean = float(np.mean(list(jsd_per_concept.values())))
 
     slide_truth = {b.slide_id: b.label for b in bags}
@@ -56,6 +59,7 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
     result = EvalResult(
         accuracy=acc,
         auc=auc_val,
+        auc_per_concept=auc_per_concept,
         localization_mean=loc_mean,
         localization_slides=len(flagged),
         jsd_per_concept=jsd_per_concept,

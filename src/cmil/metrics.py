@@ -142,6 +142,7 @@ class EvalResult:
     auc: float
     localization_mean: float | None
     localization_slides: int
+    auc_per_concept: dict = field(default_factory=dict)
     jsd_per_concept: dict = field(default_factory=dict)
     jsd_mean: float | None = None
     silhouette_wsi: float | None = None
@@ -160,6 +161,7 @@ class EvalResult:
         return {
             "accuracy": self.accuracy,
             "auc": self.auc,
+            "auc_per_concept": dict(self.auc_per_concept),
             "localization_mean": self.localization_mean,
             "localization_slides": self.localization_slides,
             "jsd_per_concept": dict(self.jsd_per_concept),

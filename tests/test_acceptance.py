@@ -427,6 +427,8 @@ def test_criterion_7_separability(capsys, default_sweep):
     sil_ok = (res.silhouette_wsi >= res.silhouette_patch
               and res.silhouette_wsi_2d >= res.silhouette_patch_2d)
     jsd_ok = np.mean(tumor) > np.mean(bg) and min(tumor) >= max(bg)
+    auc_tumor = [v for k, v in res.auc_per_concept.items() if k.startswith("tumor")]
+    auc_bg = [v for k, v in res.auc_per_concept.items() if k.startswith("background")]
 
     ok = sil_ok and jsd_ok
     report(capsys, 7, ok,
@@ -435,7 +437,8 @@ def test_criterion_7_separability(capsys, default_sweep):
            f"JSD tumor mean {np.mean(tumor):.3f} > background mean {np.mean(bg):.3f}; "
            f"min tumor {min(tumor):.3f} >= max background {max(bg):.3f} "
            f"(all tumor concepts sit at the 1.0 bound, so strict per-concept ordering "
-           f"is impossible; selection absence makes some background concepts separate too)")
+           f"is impossible; selection absence makes some background concepts separate too); "
+           f"slide-level AUC min tumor {min(auc_tumor):.3f}, max background {max(auc_bg):.3f}")
 
 
 def _auc_pairwise(scores, labels):

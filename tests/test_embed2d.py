@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmil.embed2d
 from cmil.embed2d import calibrate_conditionals, pca_2d, project_2d, tsne_2d
@@ -103,6 +105,128 @@ def dense_p(x):
     n = x.shape[0]
     cond, betas = calibrate_conditionals(dense_sq_dists(x), min(30, (n - 1) // 3))
     return np.maximum((cond + cond.T) / (2.0 * n), 1e-12), betas
+
+
+# Per-row oracle for the calibration: each row is bisected on its own, with
+# the entropy in bits over the nonzero entries.
+def calibrate_per_row(d2, perplexity, tol=1e-5, max_iter=200):
+    n = d2.shape[0]
+    target = math.log2(perplexity)
+    cond = np.zeros((n, n))
+    betas = np.ones(n)
+    others = ~np.eye(n, dtype=bool)
+    for i in range(n):
+        di = d2[i, others[i]]
+        di = di - di.min()  # shift-invariant; keeps exp() from underflowing
+        beta, lo, hi = 1.0, 0.0, math.inf
+        pi = np.full(n - 1, 1.0 / (n - 1))
+        for _ in range(max_iter):
+            w = np.exp(-beta * di)
+            pi = w / w.sum()
+            nz = pi > 0
+            entropy = -np.sum(pi[nz] * np.log2(pi[nz]))
+            if abs(entropy - target) <= tol:
+                break
+            if entropy > target:
+                lo = beta
+                beta = beta * 2.0 if hi == math.inf else 0.5 * (lo + hi)
+            else:
+                hi = beta
+                beta = 0.5 * (lo + hi)
+        cond[i, others[i]] = pi
+        betas[i] = beta
+    return cond, betas
+
+
+def assert_calibration_matches_per_row(d2, perplexity, **kwargs):
+    cond, betas = calibrate_conditionals(d2, perplexity, **kwargs)
+    ref_cond, ref_betas = calibrate_per_row(d2, perplexity, **kwargs)
+    assert cond.tobytes() == ref_cond.tobytes()
+    assert betas.tobytes() == ref_betas.tobytes()
+    return cond
+
+
+class NumpyCallLog:
+    """Stands in for numpy in a module and logs the calls to the named
+    functions, each with the shape of its first argument."""
+
+    def __init__(self, names):
+        self._np, self._names, self.calls = np, names, []
+
+    def __getattr__(self, name):
+        attr = getattr(self._np, name)
+        if name not in self._names:
+            return attr
+
+        def logged(*args, **kwargs):
+            self.calls.append((name, np.shape(args[0])))
+            return attr(*args, **kwargs)
+
+        return logged
+
+
+class TestCalibrationMatchesPerRow:
+    # n straddles the 64-row block boundary
+    @pytest.mark.parametrize("n", [10, 63, 64, 65, 129, 300])
+    def test_standard_normal(self, n):
+        x = np.random.default_rng(n).normal(size=(n, 12))
+        assert_calibration_matches_per_row(dense_sq_dists(x), min(30, (n - 1) // 3))
+
+    def test_tight_clusters_with_underflowed_entries(self):
+        rng = np.random.default_rng(21)
+        centers = rng.normal(scale=100.0, size=(3, 12))
+        x = centers[rng.integers(0, 3, size=150)] + rng.normal(scale=1e-3, size=(150, 12))
+        cond = assert_calibration_matches_per_row(dense_sq_dists(x), 10.0)
+        assert np.count_nonzero(cond == 0.0) > 150  # exp() underflowed off the diagonal
+
+    def test_simplex_runs_to_max_iter(self, monkeypatch):
+        x = np.eye(6)
+        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
+        log = NumpyCallLog({"exp"})
+        monkeypatch.setattr(cmil.embed2d, "np", log)
+        assert_calibration_matches_per_row(d2, 1.5)
+        assert log.calls == [("exp", (6, 5))] * 200  # every row stays active
+
+    # 0 steps keeps every row uniform; 1 and 3 stop rows short of the tolerance
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    def test_few_steps(self, max_iter):
+        x = np.random.default_rng(8).normal(size=(70, 5))
+        assert_calibration_matches_per_row(dense_sq_dists(x), 10.0, max_iter=max_iter)
+
+    def test_duplicate_points(self):
+        x = np.random.default_rng(5).normal(size=(70, 4))
+        x[1:11] = x[0]
+        x[40:60] = x[30]
+        assert_calibration_matches_per_row(dense_sq_dists(x), 5.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 80), seed=st.integers(0, 2**32 - 1),
+           dim=st.integers(1, 8), frac=st.floats(0.0, 1.0))
+    def test_random_inputs(self, n, seed, dim, frac):
+        x = np.random.default_rng(seed).normal(size=(n, dim))
+        perplexity = 1.0 + frac * ((n - 1) / 3 - 1.0)
+        assert_calibration_matches_per_row(dense_sq_dists(x), perplexity)
+
+    def test_one_exp_call_per_step_of_a_block(self, monkeypatch):
+        n = 300
+        d2 = dense_sq_dists(np.random.default_rng(n).normal(size=(n, 12)))
+        per_row = NumpyCallLog({"full", "exp"})
+        monkeypatch.setitem(calibrate_per_row.__globals__, "np", per_row)
+        calibrate_per_row(d2, 30.0)
+        monkeypatch.undo()
+        steps = []  # exp() calls per row; the oracle starts each row with full()
+        for name, _ in per_row.calls:
+            if name == "full":
+                steps.append(0)
+            else:
+                steps[-1] += 1
+        assert len(steps) == n
+        log = NumpyCallLog({"exp"})
+        monkeypatch.setattr(cmil.embed2d, "np", log)
+        calibrate_conditionals(d2, 30.0)
+        # each call covers the block's rows still active: sum(steps) row-steps in all
+        assert sum(shape[0] for _, shape in log.calls) == sum(steps)
+        assert len(log.calls) <= math.ceil(n / 64) * max(steps)
 
 
 # Dense oracle for the t-SNE objective: each function builds its n x n arrays

@@ -13,6 +13,7 @@ from cmil.errors import DataValidationError
 from cmil.evaluation import evaluate_split
 from cmil.explain import (SCHEMA_VERSION, explain_slide, global_explanations,
                           wsi_concept_values)
+from cmil.metrics import auc
 from cmil.render import (CLASS_COLORS, VIRIDIS_STOPS, color_for,
                          render_global_svg, render_local_svg,
                          write_global_report, write_local_report)
@@ -240,6 +241,15 @@ class TestEvaluation:
         assert res.counts == {"slides": 30, "tumor": 15, "normal": 15,
                               "patch_points": 30 * model.topk.K}
         assert len(preds) == len(bags)
+
+    def test_auc_per_concept_ranks_slide_level_scores(self, fitted):
+        bags, concepts, model = fitted
+        res, g, _ = evaluate_split(bags, model, projection="pca")
+        labels = [b.label for b in bags]
+        assert list(res.auc_per_concept) == list(concepts.names)
+        for c, name in enumerate(g.concept_names):
+            assert res.auc_per_concept[name] == auc(g.wsi_points[:, c], labels), name
+        assert res.to_dict()["auc_per_concept"] == res.auc_per_concept
 
     def test_localization_null_without_flags(self, fitted):
         bags, _, model = fitted

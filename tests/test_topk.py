@@ -7,6 +7,9 @@ from cmil.autodiff import Tensor, zero_grads
 from cmil.errors import ConfigError, ShapeError
 from cmil.topk import Selection, TopKConfig, gather_concepts, hard_topk, perturbed_topk, select
 
+# numpy < 2.0 has only the older name
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 def topone_inclusion_oracle(alpha, sigma):
     """P(i = argmax(alpha + sigma*z)) by numeric integration over the shared coordinate.
@@ -23,7 +26,7 @@ def topone_inclusion_oracle(alpha, sigma):
         for j in range(alpha.size):
             if j != i:
                 prod *= cdf((alpha[i] - alpha[j]) / sigma + z)
-        out[i] = np.trapezoid(phi * prod, z)
+        out[i] = _trapezoid(phi * prod, z)
     return out
 
 

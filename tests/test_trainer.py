@@ -343,8 +343,9 @@ class TestEndToEndGradients:
 
 
 class TestConstantLeaves:
-    def _step_grads(self, monkeypatch, tiny_dataset, plain: bool):
-        """Parameter gradients of one training step and the embeddings leaf it built.
+    def _step(self, monkeypatch, tiny_dataset, plain: bool, mode: str = "dual"):
+        """Parameter gradients of one training step, the embeddings leaf it
+        built, its loss node and its gathered top-K rows.
 
         With ``plain`` every constant (the embeddings, the gathered top-K rows
         and the column-sum ones) is built as an ordinary differentiable Tensor.
@@ -365,23 +366,52 @@ class TestConstantLeaves:
             return image_forward(I, params)
 
         monkeypatch.setattr(cmil.trainer, "image_forward", capture)
-        model = init_model(TINY_TRAIN, concepts, TINY_SYNTH.D)
+        model = init_model(dataclasses.replace(TINY_TRAIN, mode=mode), concepts, TINY_SYNTH.D)
         bag = read_bag(split.train[0])
         fwd = joint_forward(model, bag.embeddings, project(bag.embeddings, concepts).values,
                             rng=np.random.default_rng(0))
-        total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha, TINY_TRAIN.lam).total.backward()
+        loss = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
+                          TINY_TRAIN.lam, mode=mode).total
+        loss.backward()
         monkeypatch.undo()
-        return {k: t.grad for k, t in model.parameters().items()}, leaves[0]
+        return {k: t.grad for k, t in model.parameters().items()}, leaves[0], loss, fwd.f_topk
 
     def test_embeddings_get_no_gradient_and_parameters_are_unchanged(self, monkeypatch, tiny_dataset):
-        grads, leaf = self._step_grads(monkeypatch, tiny_dataset, plain=False)
-        plain_grads, plain_leaf = self._step_grads(monkeypatch, tiny_dataset, plain=True)
+        grads, leaf, _, _ = self._step(monkeypatch, tiny_dataset, plain=False)
+        plain_grads, plain_leaf, _, _ = self._step(monkeypatch, tiny_dataset, plain=True)
         assert leaf.grad is None
         assert plain_leaf.grad is not None  # the plain run did differentiate the input
         assert grads.keys() == plain_grads.keys()
         for name, g in grads.items():
             assert g is not None, name
             assert g.tobytes() == plain_grads[name].tobytes(), name
+
+    def test_concept_only_step_skips_the_transposed_rows(self, monkeypatch, tiny_dataset):
+        grads, _, loss, f_topk = self._step(monkeypatch, tiny_dataset, plain=False,
+                                            mode="concept-only")
+        plain_grads, _, _, _ = self._step(monkeypatch, tiny_dataset, plain=True,
+                                          mode="concept-only")
+        assert f_topk._const
+        # the nodes on the tape that view the gathered rows
+        views, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node is not f_topk and np.shares_memory(node.data, f_topk.data):
+                views.append(node)
+            stack.extend(node._parents)
+        # the attention input and the column-sum operand, both C x K
+        assert [v.shape for v in views] == [f_topk.shape[::-1]] * 2
+        assert all(v.grad is None for v in views)
+        assert grads.keys() == plain_grads.keys()
+        assert grads["concept.attn_v"] is not None
+        for name, g in grads.items():
+            if g is None:
+                assert plain_grads[name] is None, name
+            else:
+                assert g.tobytes() == plain_grads[name].tobytes(), name
 
     def test_constant_operands_skip_their_products(self):
         rng = np.random.default_rng(12)
