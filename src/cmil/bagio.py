@@ -89,9 +89,11 @@ class ConceptSet:
             raise DataValidationError("duplicate concept names")
         if any(not n for n in self.names):
             raise DataValidationError("empty concept name")
-        if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.names):
+        if (self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.names)
+                or self.embeddings.shape[1] < 1):
             raise DataValidationError(
-                f"concept embeddings must be {len(self.names)} x D, got shape {self.embeddings.shape}"
+                f"concept embeddings must be {len(self.names)} x D with D >= 1, "
+                f"got shape {self.embeddings.shape}"
             )
 
     @property

@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
+from .image_branch import gated_attention, named_tensors, uniform
 
 
 @dataclass
@@ -38,13 +39,7 @@ class ConceptBranchParams:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
 
     def tensors(self) -> dict[str, Tensor]:
-        return {
-            "concept.attn_v": self.attn_v,
-            "concept.attn_u": self.attn_u,
-            "concept.attn_w": self.attn_w,
-            "concept.clf_w": self.clf_w,
-            "concept.clf_b": self.clf_b,
-        }
+        return named_tensors(self, "concept.")
 
 
 def init_concept_params(
@@ -55,16 +50,12 @@ def init_concept_params(
     gamma: float = 0.75,
     temperature: float = 3.0,
 ) -> ConceptBranchParams:
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape))
-
     return ConceptBranchParams(
-        attn_v=uniform(K, (K, d_a)),
-        attn_u=uniform(K, (K, d_a)),
-        attn_w=uniform(d_a, (d_a,)),
-        clf_w=uniform(C, (C,)),
-        clf_b=uniform(C, ()),
+        attn_v=uniform(rng, K, (K, d_a)),
+        attn_u=uniform(rng, K, (K, d_a)),
+        attn_w=uniform(rng, d_a, (d_a,)),
+        clf_w=uniform(rng, C, (C,)),
+        clf_b=uniform(rng, C, ()),
         gamma=gamma,
         temperature=temperature,
     )
@@ -84,8 +75,7 @@ def concept_attention(f_topk: Tensor, params: ConceptBranchParams) -> Tensor:
             f"selected activations have K={f_topk.shape[0]}, attention expects K={params.attn_v.shape[0]}"
         )
     ft = ad.transpose(f_topk)  # C x K, one row per concept
-    gate = ad.mul(ad.tanh(ft @ params.attn_v), ad.sigmoid(ft @ params.attn_u))
-    return gate @ params.attn_w
+    return gated_attention(ft, params.attn_v, params.attn_u, params.attn_w)
 
 
 def scale_attention(raw: Tensor, gamma: float, temperature: float) -> ConceptAttention:

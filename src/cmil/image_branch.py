@@ -7,7 +7,7 @@ attention-scaled feature aggregate feeding the slide-level classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,31 +27,29 @@ class ImageBranchParams:
     clf_b: Tensor  # scalar
 
     def tensors(self) -> dict[str, Tensor]:
-        return {
-            "image.proj_w": self.proj_w,
-            "image.proj_b": self.proj_b,
-            "image.attn_v": self.attn_v,
-            "image.attn_u": self.attn_u,
-            "image.attn_w": self.attn_w,
-            "image.clf_w": self.clf_w,
-            "image.clf_b": self.clf_b,
-        }
+        return named_tensors(self, "image.")
 
 
-def _uniform(rng, fan_in: int, shape) -> Tensor:
+def named_tensors(params, prefix: str) -> dict[str, Tensor]:
+    """The Tensor fields of a params dataclass, keyed prefix + field name, in field order."""
+    return {prefix + f.name: v for f in fields(params)
+            if isinstance(v := getattr(params, f.name), Tensor)}
+
+
+def uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape))
 
 
 def init_image_params(rng: np.random.Generator, D: int, d_h: int = 256, d_a: int = 128) -> ImageBranchParams:
     return ImageBranchParams(
-        proj_w=_uniform(rng, D, (D, d_h)),
-        proj_b=_uniform(rng, D, (d_h,)),
-        attn_v=_uniform(rng, d_h, (d_h, d_a)),
-        attn_u=_uniform(rng, d_h, (d_h, d_a)),
-        attn_w=_uniform(rng, d_a, (d_a,)),
-        clf_w=_uniform(rng, d_h, (d_h,)),
-        clf_b=_uniform(rng, d_h, ()),
+        proj_w=uniform(rng, D, (D, d_h)),
+        proj_b=uniform(rng, D, (d_h,)),
+        attn_v=uniform(rng, d_h, (d_h, d_a)),
+        attn_u=uniform(rng, d_h, (d_h, d_a)),
+        attn_w=uniform(rng, d_a, (d_a,)),
+        clf_w=uniform(rng, d_h, (d_h,)),
+        clf_b=uniform(rng, d_h, ()),
     )
 
 
@@ -61,13 +59,13 @@ def project_features(I: Tensor, params: ImageBranchParams) -> Tensor:
     return ad.relu(ad.add_rowvec(I @ params.proj_w, params.proj_b))
 
 
-def raw_attention_scores(V: Tensor, params: ImageBranchParams) -> Tensor:
-    gate = ad.mul(ad.tanh(V @ params.attn_v), ad.sigmoid(V @ params.attn_u))
-    return gate @ params.attn_w
+def gated_attention(x: Tensor, attn_v: Tensor, attn_u: Tensor, attn_w: Tensor) -> Tensor:
+    """Gated attention score of each row of x: (tanh(x@V) * sigmoid(x@U)) @ w."""
+    return ad.mul(ad.tanh(x @ attn_v), ad.sigmoid(x @ attn_u)) @ attn_w
 
 
 def attention_scores(V: Tensor, params: ImageBranchParams) -> Tensor:
-    return ad.softmax(raw_attention_scores(V, params))
+    return ad.softmax(gated_attention(V, params.attn_v, params.attn_u, params.attn_w))
 
 
 def image_logit(V: Tensor, alpha: Tensor, params: ImageBranchParams) -> tuple[Tensor, Tensor]:

@@ -26,16 +26,10 @@ def accuracy(preds, labels, threshold: float = 0.5) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # 1-based, ties share the mean rank
-        i = j + 1
-    return ranks
+    """1-based ranks of `values`; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based rank of the last member of each tie group
+    return (ends - (counts - 1) / 2.0)[inverse]
 
 
 def auc(scores, labels) -> float:

@@ -6,13 +6,15 @@ size); the perturbed top-K noise is resampled every step from a dedicated
 stream, and the final-epoch model is the result — no early stopping.
 
 Checkpoint layout: magic "CMCK", u32 version LE, u64 header length, JSON
-header (config, dims, epoch, RNG digest, blob directory, concept names),
+header (config, dims, epoch, data hash, blob directory, concept names),
 then the declared f64 LE blobs, ending with the frozen concept embeddings.
+Loading rebuilds the model with `init_model` from the embedded config and
+fills its parameters by name: the model, not the file, says which blobs must
+be present and what shape each has (a scalar may be declared [1]).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -309,10 +311,8 @@ def train(
     f_val = [project(b.embeddings, concepts).values for b in val_bags]
 
     # ablations optimize one branch and leave the other at its initialization
-    params = model.parameters()
-    if cfg.mode != "dual":
-        prefix = "image." if cfg.mode == "image-only" else "concept."
-        params = {k: v for k, v in params.items() if k.startswith(prefix)}
+    params = {"dual": model.parameters, "image-only": model.image.tensors,
+              "concept-only": model.concept.tensors}[cfg.mode]()
     opt = AdamW(params, cfg.learning_rate, cfg.weight_decay,
                 cfg.beta1, cfg.beta2, cfg.eps)
     rng_shuffle = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
@@ -407,13 +407,8 @@ def predict(bag: Bag, model: CmilModel) -> Prediction:
 _CKPT_PREFIX = struct.Struct("<4sIQ")
 
 
-def rng_digest(rng: np.random.Generator) -> str:
-    state = json.dumps(rng.bit_generator.state, sort_keys=True, default=str)
-    return hashlib.sha256(state.encode("utf-8")).hexdigest()
-
-
 def save_checkpoint(path: Path, model: CmilModel, cfg: TrainConfig, epoch: int,
-                    digest: str = "", data_hash: str = "") -> None:
+                    data_hash: str = "") -> None:
     params = model.parameters()
     names = sorted(params)
     blobs = [np.ascontiguousarray(params[n].data, dtype="<f8") for n in names]
@@ -423,7 +418,6 @@ def save_checkpoint(path: Path, model: CmilModel, cfg: TrainConfig, epoch: int,
     header = {
         "format_version": CKPT_VERSION,
         "epoch": epoch,
-        "rng_digest": digest,
         "data_hash": data_hash,
         "train_config": cfg.to_dict(),
         "dims": {
@@ -502,33 +496,26 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
     if (not isinstance(cdoc, dict) or not isinstance(cdoc.get("names"), list)
             or not all(isinstance(n, str) for n in cdoc["names"])):
         raise FormatError(f"{path}: malformed 'concepts' header")
-
-    required = {
-        "image.proj_w", "image.proj_b", "image.attn_v", "image.attn_u", "image.attn_w",
-        "image.clf_w", "image.clf_b",
-        "concept.attn_v", "concept.attn_u", "concept.attn_w", "concept.clf_w", "concept.clf_b",
-        "data.concept_embeddings",
-    }
-    missing = required - set(tensors)
-    if missing:
-        raise FormatError(f"{path}: checkpoint missing parameter blobs {sorted(missing)}")
-
-    image = ImageBranchParams(
-        proj_w=Tensor(tensors["image.proj_w"]), proj_b=Tensor(tensors["image.proj_b"]),
-        attn_v=Tensor(tensors["image.attn_v"]), attn_u=Tensor(tensors["image.attn_u"]),
-        attn_w=Tensor(tensors["image.attn_w"]), clf_w=Tensor(tensors["image.clf_w"]),
-        clf_b=Tensor(tensors["image.clf_b"]),
-    )
-    concept = ConceptBranchParams(
-        attn_v=Tensor(tensors["concept.attn_v"]), attn_u=Tensor(tensors["concept.attn_u"]),
-        attn_w=Tensor(tensors["concept.attn_w"]), clf_w=Tensor(tensors["concept.clf_w"]),
-        clf_b=Tensor(tensors["concept.clf_b"]),
-        gamma=cfg.gamma, temperature=cfg.temperature,
-    )
+    if "data.concept_embeddings" not in tensors:
+        raise FormatError(f"{path}: checkpoint missing blob 'data.concept_embeddings'")
     concepts = ConceptSet(
         cdoc["names"],
-        tensors["data.concept_embeddings"],
+        tensors.pop("data.concept_embeddings"),
         cdoc.get("prompt_template", "an H & E image of CONCEPT"),
     )
-    model = CmilModel(image, concept, concepts, cfg.topk, cfg.mode)
+
+    model = init_model(cfg, concepts, concepts.dim)
+    params = model.parameters()
+    missing, unknown = set(params) - set(tensors), set(tensors) - set(params)
+    if missing or unknown:
+        raise FormatError(f"{path}: checkpoint missing parameter blobs {sorted(missing)}, "
+                          f"unknown blobs {sorted(unknown)}")
+    for name, p in params.items():
+        arr = tensors[name]
+        if arr.shape == (1,) and p.shape == ():
+            arr = arr.reshape(())  # save_checkpoint declares scalars as [1]
+        if arr.shape != p.shape:
+            raise FormatError(f"{path}: blob {name} has shape {list(arr.shape)}, "
+                              f"the model expects {list(p.shape)}")
+        p.data = arr
     return model, cfg, header

@@ -6,6 +6,7 @@ import json
 import math
 import pkgutil
 import shutil
+import struct
 import subprocess
 import sys
 from importlib.resources import files
@@ -206,6 +207,22 @@ def test_predict_corrupt_checkpoint_exits_3(data_dir, tmp_path):
     bad.write_bytes(b"XXXX" + b"\0" * 64)
     rc = main(["predict", "--ckpt", str(bad), "--bag", str(data_dir / "bag_0000.cmil")])
     assert rc == EXIT_IO
+
+
+def test_predict_misshaped_blob_exits_3(ckpt, data_dir, tmp_path, capsys):
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16 : 16 + hlen])
+    for entry in header["params"]:
+        if entry["name"] == "image.attn_w":
+            assert entry["shape"] == [12]
+            entry["shape"] = [2, 6]  # the same 12 values, so the file is still well formed
+    text = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.cmck"
+    bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + hlen :])
+    rc = main(["predict", "--ckpt", str(bad), "--bag", str(data_dir / "bag_0000.cmil")])
+    assert rc == EXIT_IO
+    assert "image.attn_w" in capsys.readouterr().err
 
 
 def test_explain_writes_byte_identical_reports(ckpt, data_dir, tmp_path):

@@ -57,6 +57,15 @@ class TestConceptAttention:
         with pytest.raises(ShapeError, match="K=6"):
             concept_attention(Tensor(np.zeros((4, 5))), small_params())
 
+    def test_has_the_inline_gate_bits_over_the_transpose(self):
+        from cmil import autodiff as ad
+
+        p = small_params(seed=6)
+        F = Tensor(np.random.default_rng(7).normal(size=(6, 5)))
+        ft = ad.transpose(F)
+        inline = ad.mul(ad.tanh(ft @ p.attn_v), ad.sigmoid(ft @ p.attn_u)) @ p.attn_w
+        assert concept_attention(F, p).data.tobytes() == inline.data.tobytes()
+
 
 class TestPercentile:
     def test_pinned_linear_interpolation(self):
@@ -238,3 +247,21 @@ class TestValidation:
         p = small_params()
         with pytest.raises(ShapeError, match="C=3"):
             concept_forward(Tensor(np.random.default_rng(25).normal(size=(6, 3))), p)
+
+
+class TestParameters:
+    def test_tensors_are_the_tensor_fields_in_declaration_order(self):
+        p = small_params()
+        assert list(p.tensors()) == ["concept.attn_v", "concept.attn_u", "concept.attn_w",
+                                     "concept.clf_w", "concept.clf_b"]
+        assert all(t is getattr(p, name[len("concept."):]) for name, t in p.tensors().items())
+
+    def test_init_draws_each_parameter_in_field_order(self):
+        # (fan_in, shape) of every field: one uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draw each
+        K, C, d_a = 6, 5, 4
+        draws = [(K, (K, d_a)), (K, (K, d_a)), (d_a, (d_a,)), (C, (C,)), (C, ())]
+        rng = np.random.default_rng(8)
+        expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
+        got = init_concept_params(np.random.default_rng(8), K, C, d_a).tensors().values()
+        for e, t in zip(expected, got, strict=True):
+            assert t.shape == e.shape and t.data.tobytes() == e.tobytes()

@@ -8,11 +8,11 @@ from cmil.errors import ShapeError
 from cmil.image_branch import (
     ImageBranchParams,
     attention_scores,
+    gated_attention,
     image_forward,
     image_logit,
     init_image_params,
     project_features,
-    raw_attention_scores,
 )
 from gradcheck import relative_error
 
@@ -95,13 +95,22 @@ class TestAttention:
     def test_ordering_invariant_to_score_shift(self):
         p = small_params(seed=11)
         V = Tensor(np.random.default_rng(12).normal(size=(8, 6)))
-        e = raw_attention_scores(V, p).data
+        e = gated_attention(V, p.attn_v, p.attn_u, p.attn_w).data
         import cmil.autodiff as ad
 
         shifted = ad.softmax(Tensor(e + 3.7)).data
         plain = ad.softmax(Tensor(e)).data
         assert list(np.argsort(shifted)) == list(np.argsort(plain))
         np.testing.assert_allclose(shifted, plain, atol=1e-12)
+
+    def test_gated_attention_has_the_inline_gate_bits(self):
+        import cmil.autodiff as ad
+
+        p = small_params(seed=14)
+        V = Tensor(np.random.default_rng(15).normal(size=(7, 6)))
+        inline = ad.mul(ad.tanh(V @ p.attn_v), ad.sigmoid(V @ p.attn_u)) @ p.attn_w
+        got = gated_attention(V, p.attn_v, p.attn_u, p.attn_w)
+        assert got.data.tobytes() == inline.data.tobytes()
 
 
 class TestLogit:
@@ -175,3 +184,20 @@ class TestGradients:
             np.testing.assert_array_equal(ta.data, tb.data)
         assert np.max(np.abs(a.proj_w.data)) <= 1 / np.sqrt(8)
         assert np.max(np.abs(a.attn_w.data)) <= 1 / np.sqrt(3)
+
+    def test_tensors_are_the_fields_in_declaration_order(self):
+        p = small_params()
+        assert list(p.tensors()) == ["image.proj_w", "image.proj_b", "image.attn_v", "image.attn_u",
+                                     "image.attn_w", "image.clf_w", "image.clf_b"]
+        assert all(t is getattr(p, name[len("image."):]) for name, t in p.tensors().items())
+
+    def test_init_draws_each_parameter_in_field_order(self):
+        # (fan_in, shape) of every field: one uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draw each
+        D, d_h, d_a = 5, 6, 4
+        draws = [(D, (D, d_h)), (D, (d_h,)), (d_h, (d_h, d_a)), (d_h, (d_h, d_a)),
+                 (d_a, (d_a,)), (d_h, (d_h,)), (d_h, ())]
+        rng = np.random.default_rng(3)
+        expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
+        got = init_image_params(np.random.default_rng(3), D, d_h, d_a).tensors().values()
+        for e, t in zip(expected, got, strict=True):
+            assert t.shape == e.shape and t.data.tobytes() == e.tobytes()

@@ -9,6 +9,7 @@ from cmil.bagio import Bag, PatchRecord
 from cmil.errors import DataValidationError
 from cmil.metrics import (
     EvalResult,
+    _average_ranks,
     accuracy,
     auc,
     disease_localization,
@@ -28,6 +29,20 @@ def auc_pairwise_oracle(scores, labels):
         for n in neg:
             total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def average_ranks_loop(values):
+    """The sort-then-scan loop metrics used before np.unique: ties share the mean 1-based rank."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def silhouette_oracle(points, labels):
@@ -99,6 +114,37 @@ class TestAuc:
         a = auc(scores, labels)
         b = auc(np.exp(3 * scores) + 7, labels)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestAverageRanks:
+    def assert_loop_bits(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        got, expected = _average_ranks(values), average_ranks_loop(values)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_pinned_ties(self):
+        np.testing.assert_array_equal(_average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])),
+                                      [4.0, 1.0, 4.0, 2.0, 4.0])
+
+    def test_edge_inputs_match_loop(self):
+        for values in ([], [7.0], [0.0, -0.0, 0.0], [-0.0, 1.0, 0.0, -1.0], [np.inf, -np.inf, np.inf],
+                       [5e-324, 0.0, -5e-324]):
+            self.assert_loop_bits(values)
+
+    def test_random_tied_inputs_match_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            values = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            values[rng.random(n) < 0.1] = -0.0
+            self.assert_loop_bits(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-1e3, 1e3),
+                    max_size=60))
+    def test_matches_loop_on_any_finite_input(self, values):
+        self.assert_loop_bits(values)
 
 
 def make_flagged_bag(flags):

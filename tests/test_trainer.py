@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from cmil.topk import TopKConfig, select
 from cmil.trainer import (
     AdamW,
     TrainConfig,
+    _validation_auc,
     bce_loss,
     init_model,
     joint_forward,
@@ -213,7 +216,61 @@ class TestAdamW:
                 assert flat[k].data.shape == shapes[k]
 
 
+# every parameter name in the order AdamW's flat vector took them when each
+# branch listed its names by hand; ablations kept the names with their prefix
+HAND_LISTED_NAMES = [
+    "image.proj_w", "image.proj_b", "image.attn_v", "image.attn_u", "image.attn_w",
+    "image.clf_w", "image.clf_b",
+    "concept.attn_v", "concept.attn_u", "concept.attn_w", "concept.clf_w", "concept.clf_b",
+]
+
+
+def train_hand_listed(split, concepts, cfg):
+    """Frozen copy of `train` that picks the optimized parameters by name prefix."""
+    train_bags = [read_bag(p) for p in split.train]
+    val_bags = [read_bag(p) for p in split.val]
+    model = init_model(cfg, concepts, train_bags[0].dim)
+    f_train = [project(b.embeddings, concepts).values for b in train_bags]
+    f_val = [project(b.embeddings, concepts).values for b in val_bags]
+    prefix = {"dual": "", "image-only": "image.", "concept-only": "concept."}[cfg.mode]
+    tensors = model.parameters()
+    opt = AdamW({n: tensors[n] for n in HAND_LISTED_NAMES if n.startswith(prefix)},
+                cfg.learning_rate, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps)
+    rng_shuffle = np.random.default_rng((cfg.seed, 1))
+    rng_noise = np.random.default_rng((cfg.seed, 2))
+    log = []
+    for epoch in range(cfg.epochs):
+        sums = {"bce_img": 0.0, "bce_concept": 0.0, "l2_alpha": 0.0, "total": 0.0}
+        for i in rng_shuffle.permutation(len(train_bags)):
+            bag = train_bags[i]
+            fwd = joint_forward(model, bag.embeddings, f_train[i], rng=rng_noise)
+            lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
+                            cfg.lam, mode=cfg.mode)
+            opt.zero_grad()
+            lb.total.backward()
+            opt.step()
+            for k, v in lb.floats().items():
+                sums[k] += v
+        record = {"epoch": epoch}
+        record.update({k: v / len(train_bags) for k, v in sums.items()})
+        record["val_auc"] = _validation_auc(model, val_bags, f_val)
+        log.append(record)
+    return model, log
+
+
 class TestTraining:
+    @pytest.mark.parametrize("mode", ["dual", "image-only", "concept-only"])
+    def test_two_epochs_match_hand_listed_parameters_bit_for_bit(self, tiny_dataset, mode):
+        split, concepts = tiny_dataset
+        cfg = dataclasses.replace(TINY_TRAIN, epochs=2, mode=mode)
+        model, log = train(split, concepts, cfg)
+        oracle, oracle_log = train_hand_listed(split, concepts, cfg)
+        assert list(model.parameters()) == HAND_LISTED_NAMES
+        assert json.dumps(log) == json.dumps(oracle_log)
+        for name, t in oracle.parameters().items():
+            got = model.parameters()[name].data
+            assert got.shape == t.shape and got.tobytes() == t.data.tobytes(), name
+
     def test_learns_tiny_synthetic_dataset(self, tiny_dataset):
         split, concepts = tiny_dataset
         model, log = train(split, concepts, TINY_TRAIN)
@@ -506,10 +563,10 @@ class TestCheckpoint:
         cfg = TrainConfig(epochs=1, seed=2, d_h=16, d_a=8, topk=TopKConfig(K=3, num_noise_samples=8))
         model, _ = train(split, concepts, cfg)
         path = tmp_path / "model.cmck"
-        save_checkpoint(path, model, cfg, epoch=1, digest="abc123")
+        save_checkpoint(path, model, cfg, epoch=1)
         loaded, cfg2, header = load_checkpoint(path)
         assert cfg2 == cfg
-        assert header["epoch"] == 1 and header["rng_digest"] == "abc123"
+        assert header["epoch"] == 1
         for name, t in model.parameters().items():
             np.testing.assert_array_equal(loaded.parameters()[name].data, t.data)
         np.testing.assert_array_equal(loaded.concepts.embeddings, model.concepts.embeddings)
@@ -551,3 +608,114 @@ class TestCheckpoint:
         with pytest.raises(TrainingDivergedError) as exc_info:
             train(split, concepts, cfg)
         assert exc_info.value.epoch is not None
+
+
+_PREFIX = struct.Struct("<4sIQ")
+
+
+def read_checkpoint_parts(path):
+    """(header, [(directory entry, blob bytes), ...]) of a .cmck file."""
+    raw = path.read_bytes()
+    _, _, hlen = _PREFIX.unpack_from(raw)
+    header = json.loads(raw[_PREFIX.size : _PREFIX.size + hlen])
+    offset, blobs = _PREFIX.size + hlen, []
+    for entry in header["params"]:
+        end = offset + 8 * math.prod(entry["shape"])
+        blobs.append((entry, raw[offset:end]))
+        offset = end
+    return header, blobs
+
+
+def write_checkpoint_parts(path, header, blobs):
+    header = dict(header, params=[entry for entry, _ in blobs])
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(_PREFIX.pack(b"CMCK", 1, len(text)) + text + b"".join(b for _, b in blobs))
+
+
+class TestCheckpointAgainstModel:
+    """The model built from the embedded config decides which blobs load and their shapes."""
+
+    CFG = TrainConfig(epochs=1, seed=2, d_h=16, d_a=8, topk=TopKConfig(K=3, num_noise_samples=8))
+
+    @pytest.fixture(scope="class")
+    def saved(self, tiny_dataset, tmp_path_factory):
+        split, concepts = tiny_dataset
+        model, _ = train(split, concepts, self.CFG)
+        path = tmp_path_factory.mktemp("ckpt") / "m.cmck"
+        save_checkpoint(path, model, self.CFG, epoch=1)
+        return model, path
+
+    def edited(self, saved, tmp_path, edit):
+        header, blobs = read_checkpoint_parts(saved[1])
+        out = tmp_path / "edited.cmck"
+        write_checkpoint_parts(out, header, edit(blobs))
+        return out
+
+    def test_unedited_parts_round_trip_to_the_same_bytes(self, saved, tmp_path):
+        out = self.edited(saved, tmp_path, lambda blobs: blobs)
+        assert out.read_bytes() == saved[1].read_bytes()
+
+    def test_scalars_declared_one_element_load_with_the_trained_shapes(self, saved):
+        model, path = saved
+        header, _ = read_checkpoint_parts(path)
+        declared = {e["name"]: e["shape"] for e in header["params"]}
+        assert declared["image.clf_b"] == [1] and declared["concept.clf_b"] == [1]
+        loaded, _, _ = load_checkpoint(path)
+        for name, t in model.parameters().items():
+            got = loaded.parameters()[name].data
+            assert got.shape == t.shape, name
+            assert got.tobytes() == t.data.tobytes(), name
+        assert loaded.image.clf_b.shape == () and loaded.concept.clf_b.shape == ()
+
+    def test_same_size_wrong_shape_is_a_format_error(self, saved, tmp_path):
+        def reshape(blobs):
+            return [({"name": e["name"], "shape": [2, 4]} if e["name"] == "image.attn_w" else e, b)
+                    for e, b in blobs]
+
+        with pytest.raises(FormatError, match=r"image.attn_w has shape \[2, 4\].*expects \[8\]"):
+            load_checkpoint(self.edited(saved, tmp_path, reshape))
+
+    def test_non_scalar_parameter_declared_one_element_is_a_format_error(self, saved, tmp_path):
+        def shrink(blobs):
+            return [({"name": e["name"], "shape": [1]}, b[:8]) if e["name"] == "concept.clf_w"
+                    else (e, b) for e, b in blobs]
+
+        with pytest.raises(FormatError, match="concept.clf_w"):
+            load_checkpoint(self.edited(saved, tmp_path, shrink))
+
+    def test_missing_blob_is_a_format_error(self, saved, tmp_path):
+        def drop(blobs):
+            return [(e, b) for e, b in blobs if e["name"] != "concept.attn_u"]
+
+        with pytest.raises(FormatError, match=r"missing parameter blobs \['concept.attn_u'\]"):
+            load_checkpoint(self.edited(saved, tmp_path, drop))
+
+    def test_unknown_blob_is_a_format_error(self, saved, tmp_path):
+        def add(blobs):
+            return [({"name": "image.extra", "shape": [2]}, bytes(16))] + blobs
+
+        with pytest.raises(FormatError, match=r"unknown blobs \['image.extra'\]"):
+            load_checkpoint(self.edited(saved, tmp_path, add))
+
+    def test_missing_concept_embeddings_is_a_format_error(self, saved, tmp_path):
+        def drop(blobs):
+            return [(e, b) for e, b in blobs if e["name"] != "data.concept_embeddings"]
+
+        with pytest.raises(FormatError, match="data.concept_embeddings"):
+            load_checkpoint(self.edited(saved, tmp_path, drop))
+
+    def test_zero_width_concept_embeddings_are_rejected(self, saved, tmp_path):
+        def empty(blobs):
+            return [({"name": e["name"], "shape": [e["shape"][0], 0]}, b"")
+                    if e["name"] == "data.concept_embeddings" else (e, b) for e, b in blobs]
+
+        with pytest.raises(DataValidationError, match="D >= 1"):
+            load_checkpoint(self.edited(saved, tmp_path, empty))
+
+    def test_legacy_rng_digest_key_still_loads(self, saved, tmp_path):
+        header, blobs = read_checkpoint_parts(saved[1])
+        out = tmp_path / "legacy.cmck"
+        write_checkpoint_parts(out, dict(header, rng_digest=""), blobs)
+        loaded, _, _ = load_checkpoint(out)
+        for name, t in saved[0].parameters().items():
+            assert loaded.parameters()[name].data.tobytes() == t.data.tobytes()
