@@ -11,16 +11,6 @@ from .errors import ConfigError, DataValidationError, ShapeError
 _P_FLOOR = 1e-12
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    s = np.sum(x * x, axis=1)
-    gram = x @ x.T
-    np.multiply(2.0, gram, out=gram)
-    d2 = np.add(s[:, None], s[None, :])
-    np.subtract(d2, gram, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def pca_2d(points: np.ndarray) -> np.ndarray:
     """Project onto the top-2 principal components.
 
@@ -43,37 +33,56 @@ def pca_2d(points: np.ndarray) -> np.ndarray:
     return centered @ comps.T
 
 
-_ROWS = 64  # rows per block of the calibration and of the t-SNE kernel pass
+_ROWS = 64  # rows per block of the squared distances, in silhouette and t-SNE
 
 
-def calibrate_conditionals(d2: np.ndarray, perplexity: float,
+def sq_dist_rows(xt: np.ndarray, lo: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill the b x n `out` with the squared distances from points lo .. lo+b-1
+    to all n points, the columns of `xt` (d x n, d >= 1), summed one coordinate
+    at a time with `tmp` as scratch: exactly symmetric, exactly 0 on the diagonal."""
+    hi = lo + out.shape[0]
+    out[:] = xt[0]
+    np.subtract(out, xt[0, lo:hi, None], out=out)
+    np.multiply(out, out, out=out)
+    for xk in xt[1:]:
+        tmp[:] = xk
+        np.subtract(tmp, xk[lo:hi, None], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
+def calibrate_conditionals(points: np.ndarray, perplexity: float,
                            tol: float = 1e-5, max_iter: int = 200):
     """Per-row bisection on the Gaussian precision so that each conditional
-    distribution's Shannon entropy matches log2(perplexity) bits within tol.
+    distribution's Shannon entropy matches log2(perplexity) bits within tol,
+    for n x d points (d >= 1).
 
     Returns (conditional matrix with zero diagonal, precisions).  Rows with
     equidistant neighbours stay uniform at any bandwidth; bisection then stops
     at max_iter and the uniform row is kept.
 
-    The rows of each block of _ROWS are bisected together, each until its own
-    last step.  With t = -beta * d, w = exp(t) and S = sum(w), the entropy is
-    ln S - sum(w t) / S nats, so zero weights need no mask, and each row's
-    distribution w / S is formed once.
+    Each block of _ROWS rows of squared distances is built by sq_dist_rows, so
+    the returned matrix is the only n x n array, and its rows are bisected
+    together, each until its own last step.  With t = -beta * d, w = exp(t) and
+    S = sum(w), the entropy is ln S - sum(w t) / S nats, so zero weights need
+    no mask, and each row's distribution w / S is formed once.
     """
-    d2 = np.asarray(d2, dtype=float)
-    n = d2.shape[0]
+    xt = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    n = xt.shape[1]
     target = math.log2(perplexity) * math.log(2.0)  # nats
     tol = tol * math.log(2.0)
     cond = np.zeros((n, n))
     betas = np.ones(n)
     rows = min(_ROWS, n)
+    d2, tmp = np.empty((rows, n)), np.empty((rows, n))
     t, w = np.empty((rows, n - 1)), np.empty((rows, n - 1))
     for lo in range(0, n, rows):
         b = min(rows, n - lo)
         block = np.arange(b)
         off = np.ones((b, n), dtype=bool)  # the block's off-diagonal entries
         off[block, lo + block] = False
-        d = d2[lo:lo + b][off].reshape(b, n - 1)
+        d = sq_dist_rows(xt, lo, d2[:b], tmp[:b])[off].reshape(b, n - 1)
         d -= d.min(axis=1, keepdims=True)  # shift-invariant; keeps exp() from underflowing
         if max_iter < 1:
             d[:] = 1.0 / (n - 1)
@@ -158,15 +167,8 @@ class _Objective:
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             den, t = self._den[:hi - lo], self._tmp[:hi - lo]
-            # 1 + squared distances in difference form: exactly 1 on the diagonal
-            den[:] = yt1[0]
-            np.subtract(den, yt1[0, lo:hi, None], out=den)
-            np.multiply(den, den, out=den)
-            t[:] = yt1[1]
-            np.subtract(t, yt1[1, lo:hi, None], out=t)
-            np.multiply(t, t, out=t)
-            np.add(den, t, out=den)
-            np.add(den, 1.0, out=den)
+            # 1 + squared distances: exactly 1 on the diagonal
+            np.add(sq_dist_rows(yt1[:2], lo, den, t), 1.0, out=den)
             np.log(den, out=t)
             p_log_den += float(np.vdot(p[lo:hi], t))
             np.divide(1.0, den, out=den)  # num
@@ -205,7 +207,8 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
 
     kl_trace[i] is the KL divergence (nats) of the iterate after step i.  Each
     iterate, a step or a line-search candidate, gets its KL and gradient from
-    one pass over row blocks (see _Objective).
+    one pass over row blocks (see _Objective).  P is made in place from the
+    conditional matrix: the only n x n array held.
     """
     x = np.asarray(points, dtype=float)
     n = x.shape[0]
@@ -222,13 +225,13 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     if learning_rate is None:
         learning_rate = max(n / 48.0, min(n / 12.0, 50.0))
 
-    d2 = _pairwise_sq_dists(x)
-    if np.max(d2) <= 0.0:
+    if np.all(x == x[0]):
         raise DataValidationError("cannot project: all points are identical")
-    cond, betas = calibrate_conditionals(d2, perplexity)
-    del d2
-    p = np.add(cond, cond.T)
-    del cond  # only p is used from here on
+    p, betas = calibrate_conditionals(x, perplexity)
+    for lo in range(0, n, _ROWS):  # p_ij = c_ij + c_ji, a strip of rows at a time
+        row, col = p[lo:lo + _ROWS, lo:], p[lo:, lo:lo + _ROWS]
+        np.add(row, col.T, out=row)  # numpy reads the overlapping block before writing
+        col[:] = row.T
     np.divide(p, 2.0 * n, out=p)
     np.maximum(p, _P_FLOOR, out=p)
     objective = _Objective(p)

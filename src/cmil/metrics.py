@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bagio import Bag
+from .embed2d import _ROWS, sq_dist_rows
 from .errors import DataValidationError
-
-_SILHOUETTE_ROWS = 64  # distance-matrix rows held at once by silhouette
 
 
 def accuracy(preds, labels, threshold: float = 0.5) -> float:
@@ -89,31 +88,29 @@ def js_divergence(samples_a, samples_b, bins: int = 32) -> float:
 def silhouette(points, labels) -> float:
     """Mean silhouette over points, Euclidean distance, singletons score 0.
 
-    Distances are built _SILHOUETTE_ROWS rows at a time from coordinate-wise
-    squared differences, so memory stays O(rows x n) and dist[i, i] is exactly 0.
+    Distances are built _ROWS rows at a time by embed2d.sq_dist_rows, so
+    memory stays O(rows x n) and dist[i, i] is exactly 0.
     """
     pts = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     if pts.ndim != 2 or pts.shape[0] != labels.shape[0]:
         raise DataValidationError(f"points {pts.shape} and labels {labels.shape} do not align")
+    if pts.shape[1] < 1:
+        raise DataValidationError(f"points {pts.shape} have no coordinates")
     classes, cluster, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if classes.size < 2:
         raise DataValidationError("silhouette needs at least 2 clusters")
     n = pts.shape[0]
     onehot = np.zeros((n, classes.size))
     onehot[np.arange(n), cluster] = 1.0
-    rows = min(_SILHOUETTE_ROWS, n)
+    rows = min(_ROWS, n)
+    pts_t = np.ascontiguousarray(pts.T)
     dist_buf = np.empty((rows, n))
     diff_buf = np.empty((rows, n))
     scores = np.empty(n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        dist, diff = dist_buf[: stop - start], diff_buf[: stop - start]
-        dist.fill(0.0)
-        for col in pts.T:
-            np.subtract(col[start:stop, None], col[None, :], out=diff)
-            np.multiply(diff, diff, out=diff)
-            dist += diff
+        dist = sq_dist_rows(pts_t, start, dist_buf[: stop - start], diff_buf[: stop - start])
         np.sqrt(dist, out=dist)
         per_cluster = dist @ onehot  # distance sums to each cluster
         own = cluster[start:stop]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmil.embed2d
-from cmil.embed2d import calibrate_conditionals, pca_2d, project_2d, tsne_2d
+from cmil.embed2d import calibrate_conditionals, pca_2d, project_2d, sq_dist_rows, tsne_2d
 from cmil.errors import ConfigError, DataValidationError, ShapeError
 from cmil.metrics import silhouette
 
@@ -67,8 +67,7 @@ class TestCalibration:
     def test_entropy_matches_log2_perplexity(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(50, 8))
-        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
-        cond, betas = calibrate_conditionals(d2, perplexity=10.0)
+        cond, betas = calibrate_conditionals(x, perplexity=10.0)
         assert np.all(np.diag(cond) == 0.0)
         np.testing.assert_allclose(cond.sum(axis=1), 1.0, atol=1e-12)
         for i in range(50):
@@ -79,31 +78,44 @@ class TestCalibration:
 
     def test_regular_simplex_rows_uniform(self):
         # unit basis vectors are mutually equidistant
-        x = np.eye(6)
-        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
-        cond, _ = calibrate_conditionals(d2, perplexity=1.5)
+        cond, _ = calibrate_conditionals(np.eye(6), perplexity=1.5)
         for i in range(6):
             row = np.delete(cond[i], i)
             np.testing.assert_allclose(row, 1.0 / 5.0, atol=1e-9)
 
     def test_nearer_neighbour_gets_more_mass(self):
         x = np.array([[0.0], [1.0], [3.0]])
-        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
-        cond, _ = calibrate_conditionals(d2, perplexity=1.2)
+        cond, _ = calibrate_conditionals(x, perplexity=1.2)
         assert cond[0, 1] > cond[0, 2]
 
 
 def dense_sq_dists(z):
-    s = np.sum(z * z, axis=1)
-    d2 = s[:, None] + s[None, :] - 2.0 * (z @ z.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    """Squared distances summed one coordinate at a time, in z's dtype."""
+    d2 = np.zeros((z.shape[0], z.shape[0]), dtype=z.dtype)
+    for col in z.T:
+        d2 += (col[None, :] - col[:, None]) ** 2
+    return d2
+
+
+class TestSqDistRows:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_the_coordinate_loop(self, n, dim, seed):
+        x = np.random.default_rng(seed).normal(size=(n, dim))
+        x[n // 2:n // 2 + 3] = x[n // 2]  # coincident points
+        d2, tmp = np.empty((n, n)), np.empty((64, n))
+        for lo in range(0, n, 64):
+            hi = min(lo + 64, n)
+            sq_dist_rows(x.T, lo, d2[lo:hi], tmp[:hi - lo])
+        assert d2.tobytes() == dense_sq_dists(x).tobytes()
+        assert np.all(d2 == d2.T)
+        assert np.all(np.diag(d2) == 0.0)
 
 
 def dense_p(x):
     """Symmetric P of tsne_2d at the default perplexity, and its precisions."""
     n = x.shape[0]
-    cond, betas = calibrate_conditionals(dense_sq_dists(x), min(30, (n - 1) // 3))
+    cond, betas = calibrate_conditionals(x, min(30, (n - 1) // 3))
     return np.maximum((cond + cond.T) / (2.0 * n), 1e-12), betas
 
 
@@ -138,9 +150,9 @@ def calibrate_per_row(d2, perplexity, tol=1e-5, max_iter=200):
     return cond, betas
 
 
-def assert_calibration_matches_per_row(d2, perplexity, **kwargs):
-    cond, betas = calibrate_conditionals(d2, perplexity, **kwargs)
-    ref_cond, ref_betas = calibrate_per_row(d2, perplexity, **kwargs)
+def assert_calibration_matches_per_row(x, perplexity, **kwargs):
+    cond, betas = calibrate_conditionals(x, perplexity, **kwargs)
+    ref_cond, ref_betas = calibrate_per_row(dense_sq_dists(x), perplexity, **kwargs)
     assert cond.tobytes() == ref_cond.tobytes()
     assert betas.tobytes() == ref_betas.tobytes()
     return cond
@@ -170,34 +182,32 @@ class TestCalibrationMatchesPerRow:
     @pytest.mark.parametrize("n", [10, 63, 64, 65, 129, 300])
     def test_standard_normal(self, n):
         x = np.random.default_rng(n).normal(size=(n, 12))
-        assert_calibration_matches_per_row(dense_sq_dists(x), min(30, (n - 1) // 3))
+        assert_calibration_matches_per_row(x, min(30, (n - 1) // 3))
 
     def test_tight_clusters_with_underflowed_entries(self):
         rng = np.random.default_rng(21)
         centers = rng.normal(scale=100.0, size=(3, 12))
         x = centers[rng.integers(0, 3, size=150)] + rng.normal(scale=1e-3, size=(150, 12))
-        cond = assert_calibration_matches_per_row(dense_sq_dists(x), 10.0)
+        cond = assert_calibration_matches_per_row(x, 10.0)
         assert np.count_nonzero(cond == 0.0) > 150  # exp() underflowed off the diagonal
 
     def test_simplex_runs_to_max_iter(self, monkeypatch):
-        x = np.eye(6)
-        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
         log = NumpyCallLog({"exp"})
         monkeypatch.setattr(cmil.embed2d, "np", log)
-        assert_calibration_matches_per_row(d2, 1.5)
+        assert_calibration_matches_per_row(np.eye(6), 1.5)
         assert log.calls == [("exp", (6, 5))] * 200  # every row stays active
 
     # 0 steps keeps every row uniform; 1 and 3 stop rows short of the tolerance
     @pytest.mark.parametrize("max_iter", [0, 1, 3])
     def test_few_steps(self, max_iter):
         x = np.random.default_rng(8).normal(size=(70, 5))
-        assert_calibration_matches_per_row(dense_sq_dists(x), 10.0, max_iter=max_iter)
+        assert_calibration_matches_per_row(x, 10.0, max_iter=max_iter)
 
     def test_duplicate_points(self):
         x = np.random.default_rng(5).normal(size=(70, 4))
         x[1:11] = x[0]
         x[40:60] = x[30]
-        assert_calibration_matches_per_row(dense_sq_dists(x), 5.0)
+        assert_calibration_matches_per_row(x, 5.0)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(4, 80), seed=st.integers(0, 2**32 - 1),
@@ -205,14 +215,14 @@ class TestCalibrationMatchesPerRow:
     def test_random_inputs(self, n, seed, dim, frac):
         x = np.random.default_rng(seed).normal(size=(n, dim))
         perplexity = 1.0 + frac * ((n - 1) / 3 - 1.0)
-        assert_calibration_matches_per_row(dense_sq_dists(x), perplexity)
+        assert_calibration_matches_per_row(x, perplexity)
 
     def test_one_exp_call_per_step_of_a_block(self, monkeypatch):
         n = 300
-        d2 = dense_sq_dists(np.random.default_rng(n).normal(size=(n, 12)))
+        x = np.random.default_rng(n).normal(size=(n, 12))
         per_row = NumpyCallLog({"full", "exp"})
         monkeypatch.setitem(calibrate_per_row.__globals__, "np", per_row)
-        calibrate_per_row(d2, 30.0)
+        calibrate_per_row(dense_sq_dists(x), 30.0)
         monkeypatch.undo()
         steps = []  # exp() calls per row; the oracle starts each row with full()
         for name, _ in per_row.calls:
@@ -223,16 +233,17 @@ class TestCalibrationMatchesPerRow:
         assert len(steps) == n
         log = NumpyCallLog({"exp"})
         monkeypatch.setattr(cmil.embed2d, "np", log)
-        calibrate_conditionals(d2, 30.0)
+        calibrate_conditionals(x, 30.0)
         # each call covers the block's rows still active: sum(steps) row-steps in all
         assert sum(shape[0] for _, shape in log.calls) == sum(steps)
         assert len(log.calls) <= math.ceil(n / 64) * max(steps)
 
 
 # Dense oracle for the t-SNE objective: each function builds its n x n arrays
-# in full, with q floored at 1e-12.
+# in full, with q floored at 1e-12, in long double: q and num are long double,
+# so the KL and the gradient made from them are too.
 def dense_q_matrix(y):
-    num = 1.0 / (1.0 + dense_sq_dists(y))
+    num = 1.0 / (1.0 + dense_sq_dists(y.astype(np.longdouble)))
     np.fill_diagonal(num, 0.0)
     return np.maximum(num / num.sum(), 1e-12), num
 
@@ -389,6 +400,16 @@ class TestTsneMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20  # P alone is 32 MB
+
+    def test_set_up_peak_memory(self):
+        x = np.random.default_rng(0).standard_normal((2000, 12))
+        tracemalloc.start()
+        try:
+            tsne_2d(x, iterations=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # P alone is 30.5 MiB
 
 
 class TestProject2d:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmil.bagio import Bag, PatchRecord
+from cmil.embed2d import _ROWS as ROWS
 from cmil.errors import DataValidationError
 from cmil.metrics import (
     EvalResult,
@@ -17,7 +18,6 @@ from cmil.metrics import (
     jsd_from_histograms,
     silhouette,
 )
-from cmil.metrics import _SILHOUETTE_ROWS as ROWS
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -279,6 +279,10 @@ class TestSilhouette:
     def test_single_cluster_rejected(self):
         with pytest.raises(DataValidationError, match="2 clusters"):
             silhouette(np.zeros((3, 2)), np.zeros(3))
+
+    def test_points_without_coordinates_rejected(self):
+        with pytest.raises(DataValidationError, match="no coordinates"):
+            silhouette(np.zeros((4, 0)), np.array([0, 0, 1, 1]))
 
     def test_bounded(self):
         rng = np.random.default_rng(5)
