@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataValidationError, FormatError, ShapeError
+from .errors import DataValidationError, FormatError
 
 FORMAT_VERSION = 1
 BAG_MAGIC = b"CMIL"
@@ -248,17 +248,13 @@ def write_concepts(concepts: ConceptSet, path: Path) -> None:
     )
 
 
-def read_concepts(path: Path, expected_dim: int | None = None) -> ConceptSet:
+def read_concepts(path: Path) -> ConceptSet:
     path = Path(path)
     values = _read_blob(path, CONCEPTS_MAGIC)
     doc = _read_json(_sidecar(path))
     names = doc.get("names")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise FormatError(f"{_sidecar(path)}: 'names' must be a list of strings")
-    if expected_dim is not None and values.shape[1] != expected_dim:
-        raise ShapeError(
-            f"{path}: concept dimension {values.shape[1]} does not match configured {expected_dim}"
-        )
     return ConceptSet(names, values, doc.get("prompt_template", DEFAULT_PROMPT_TEMPLATE))
 
 

@@ -21,7 +21,7 @@ from .evaluation import evaluate_split
 from .explain import explain_slide
 from .render import write_global_report, write_local_report
 from .synthgen import SynthConfig, gen_dataset
-from .trainer import TrainConfig, load_checkpoint, predict, save_checkpoint, train
+from .trainer import MODES, TrainConfig, load_checkpoint, predict, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="checkpoint path (.cmck)")
     t.add_argument("--seed", type=int)
     t.add_argument("--epochs", type=int)
-    t.add_argument("--mode", choices=["dual", "image-only", "concept-only"])
+    t.add_argument("--mode", choices=MODES)
     t.add_argument("--set", action="append", metavar="KEY=VALUE")
     t.set_defaults(func=cmd_train)
 

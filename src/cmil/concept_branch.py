@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .image_branch import gated_attention, named_tensors, uniform
 
 
@@ -29,14 +29,8 @@ class ConceptBranchParams:
     attn_w: Tensor  # d_a
     clf_w: Tensor  # C
     clf_b: Tensor  # scalar
-    gamma: float = 0.75
+    gamma: float = 0.75  # checked by TrainConfig
     temperature: float = 3.0
-
-    def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ConfigError(f"gamma must be in (0,1), got {self.gamma}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
 
     def tensors(self) -> dict[str, Tensor]:
         return named_tensors(self, "concept.")

@@ -16,12 +16,12 @@ from .embed2d import _ROWS, sq_dist_rows
 from .errors import DataValidationError
 
 
-def accuracy(preds, labels, threshold: float = 0.5) -> float:
+def accuracy(preds, labels) -> float:
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels)
     if preds.size == 0 or preds.shape != labels.shape:
         raise DataValidationError(f"need equal nonempty preds/labels, got {preds.shape} vs {labels.shape}")
-    return float(np.mean((preds >= threshold).astype(int) == labels))
+    return float(np.mean((preds >= 0.5).astype(int) == labels))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -70,8 +70,8 @@ def jsd_from_histograms(p, q) -> float:
     return 0.5 * kl(p, m) + 0.5 * kl(q, m)
 
 
-def js_divergence(samples_a, samples_b, bins: int = 32) -> float:
-    """JSD between two sample sets, histogrammed on shared equal-width bins."""
+def js_divergence(samples_a, samples_b) -> float:
+    """JSD between two sample sets, histogrammed on 32 shared equal-width bins."""
     a = np.asarray(samples_a, dtype=np.float64).ravel()
     b = np.asarray(samples_b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
@@ -80,8 +80,8 @@ def js_divergence(samples_a, samples_b, bins: int = 32) -> float:
     hi = max(a.max(), b.max())
     if lo == hi:
         return 0.0
-    p, _ = np.histogram(a, bins=bins, range=(lo, hi))
-    q, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    p, _ = np.histogram(a, bins=32, range=(lo, hi))
+    q, _ = np.histogram(b, bins=32, range=(lo, hi))
     return jsd_from_histograms(p, q)
 
 

@@ -42,9 +42,9 @@ def _rect(x, y, w, h, fill, extra=""):
             f'fill="{fill}"{extra}/>')
 
 
-def _text(x, y, s, size=11, anchor="start"):
+def _text(x, y, s, size=11):
     return (f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
-            f'font-family="sans-serif" text-anchor="{anchor}">{s}</text>')
+            f'font-family="sans-serif" text-anchor="start">{s}</text>')
 
 
 def render_local_svg(exp: LocalExplanation) -> str:

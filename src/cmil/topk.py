@@ -23,7 +23,6 @@ class TopKConfig:
     K: int = 20
     num_noise_samples: int = 100
     noise_sigma: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.K < 1:
@@ -68,7 +67,7 @@ def perturbed_topk(
     """Soft top-K indicator as an autodiff node over the attention vector.
 
     `noise` pins the Gaussian samples explicitly (common-random-number tests);
-    otherwise they come from `rng`, falling back to a stream seeded by cfg.seed.
+    otherwise they come from `rng`.
     """
     n = alpha.shape[0]
     if cfg.K > n:
@@ -78,8 +77,6 @@ def perturbed_topk(
         return Tensor(np.ones(n), (alpha,), None)
 
     if noise is None:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
         noise = rng.normal(size=(cfg.num_noise_samples, n))
     else:
         noise = np.asarray(noise, dtype=np.float64)

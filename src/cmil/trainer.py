@@ -6,11 +6,11 @@ size); the perturbed top-K noise is resampled every step from a dedicated
 stream, and the final-epoch model is the result — no early stopping.
 
 Checkpoint layout: magic "CMCK", u32 version LE, u64 header length, JSON
-header (config, dims, epoch, data hash, blob directory, concept names),
-then the declared f64 LE blobs, ending with the frozen concept embeddings.
-Loading rebuilds the model with `init_model` from the embedded config and
-fills its parameters by name: the model, not the file, says which blobs must
-be present and what shape each has (a scalar may be declared [1]).
+header (config, epoch, data hash, blob directory, concept names), then the
+declared f64 LE blobs, ending with the frozen concept embeddings. Loading
+rebuilds the model with `init_model` from the embedded config and fills its
+parameters by name: the model, not the file, says which blobs must be present
+and what shape each has (a scalar may be declared [1], as older files do).
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 _NOISE_STREAM = 2
 
+# "image-only"/"concept-only" train one branch (ablations)
+MODES = ("dual", "image-only", "concept-only")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -48,7 +51,6 @@ class TrainConfig:
     weight_decay: float = 1e-3
     epochs: int = 300
     lam: float = 0.05
-    batch_size: int = 1  # bags differ in size; only 1 is supported
     seed: int = 0
     d_h: int = 256
     d_a: int = 128
@@ -57,11 +59,11 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    mode: str = "dual"  # "image-only"/"concept-only" train one branch (ablations)
+    mode: str = "dual"  # one of MODES
     topk: TopKConfig = TopKConfig()
 
     def __post_init__(self):
-        if self.mode not in ("dual", "image-only", "concept-only"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
@@ -69,8 +71,6 @@ class TrainConfig:
             raise ConfigError("weight_decay and lam must be >= 0")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size != 1:
-            raise ConfigError("only batch_size=1 is supported (variable bag sizes)")
         if min(self.d_h, self.d_a) < 1:
             raise ConfigError("d_h and d_a must be >= 1")
         if not 0 < self.gamma < 1:
@@ -80,16 +80,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        extra = set(doc) - known
+        """Build from a JSON object, dropping the batch size of 1 and the top-K seed of older files."""
+        doc = {k: v for k, v in doc.items() if (k, v) != ("batch_size", 1)}
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown train config keys: {sorted(extra)}")
-        doc = dict(doc)
         if "topk" in doc and isinstance(doc["topk"], dict):
-            tk = set(doc["topk"]) - set(TopKConfig.__dataclass_fields__)
+            topk = {k: v for k, v in doc["topk"].items() if k != "seed"}
+            tk = set(topk) - set(TopKConfig.__dataclass_fields__)
             if tk:
                 raise ConfigError(f"unknown topk config keys: {sorted(tk)}")
-            doc["topk"] = TopKConfig(**doc["topk"])
+            doc["topk"] = TopKConfig(**topk)
         try:
             return cls(**doc)
         except TypeError as exc:
@@ -411,22 +412,14 @@ def save_checkpoint(path: Path, model: CmilModel, cfg: TrainConfig, epoch: int,
                     data_hash: str = "") -> None:
     params = model.parameters()
     names = sorted(params)
-    blobs = [np.ascontiguousarray(params[n].data, dtype="<f8") for n in names]
+    blobs = [np.asarray(params[n].data, dtype="<f8") for n in names]
     names.append("data.concept_embeddings")
-    blobs.append(np.ascontiguousarray(model.concepts.embeddings, dtype="<f8"))
+    blobs.append(np.asarray(model.concepts.embeddings, dtype="<f8"))
 
     header = {
-        "format_version": CKPT_VERSION,
         "epoch": epoch,
         "data_hash": data_hash,
         "train_config": cfg.to_dict(),
-        "dims": {
-            "D": model.dim,
-            "C": model.concepts.num_concepts,
-            "K": model.topk.K,
-            "d_h": cfg.d_h,
-            "d_a": cfg.d_a,
-        },
         "concepts": {
             "names": list(model.concepts.names),
             "prompt_template": model.concepts.prompt_template,
@@ -503,6 +496,12 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
         tensors.pop("data.concept_embeddings"),
         cdoc.get("prompt_template", "an H & E image of CONCEPT"),
     )
+    # the config alone must not size the model: its largest blocks must fit in the file
+    need = cfg.d_h * (concepts.dim + 2 * cfg.d_a) + 2 * cfg.topk.K * cfg.d_a
+    payload = (len(data) - _CKPT_PREFIX.size - hlen) // 8
+    if need > payload:
+        raise FormatError(f"{path}: embedded train config needs at least {need} parameter "
+                          f"values, the file holds {payload}")
 
     model = init_model(cfg, concepts, concepts.dim)
     params = model.parameters()
@@ -513,7 +512,7 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
     for name, p in params.items():
         arr = tensors[name]
         if arr.shape == (1,) and p.shape == ():
-            arr = arr.reshape(())  # save_checkpoint declares scalars as [1]
+            arr = arr.reshape(())  # files written before [] scalars declare them as [1]
         if arr.shape != p.shape:
             raise FormatError(f"{path}: blob {name} has shape {list(arr.shape)}, "
                               f"the model expects {list(p.shape)}")

@@ -176,11 +176,6 @@ class TestConcepts:
         with pytest.raises(DataValidationError, match="duplicate"):
             ConceptSet(["a", "a"], np.eye(2))
 
-    def test_dimension_mismatch(self, tmp_path):
-        write_concepts(ConceptSet(["a", "b"], np.eye(2, 4)), tmp_path / "c.ccpt")
-        with pytest.raises(ShapeError, match="dimension"):
-            read_concepts(tmp_path / "c.ccpt", expected_dim=7)
-
     def test_wrong_magic_for_kind(self, tmp_path):
         write_bag(make_bag(), tmp_path / "b.cmil")
         with pytest.raises(FormatError, match="magic"):

@@ -158,7 +158,7 @@ def test_dotted_set_overrides_nested_config(data_dir, tmp_path):
     assert rc == EXIT_OK
     _, cfg, header = load_checkpoint(out)
     assert cfg.topk.K == 6
-    assert header["dims"]["K"] == 6
+    assert header["train_config"]["topk"]["K"] == 6
 
 
 def test_train_unknown_mode_exits_2(data_dir, tmp_path):

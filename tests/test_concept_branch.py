@@ -14,6 +14,7 @@ from cmil.concept_branch import (
     scale_attention,
 )
 from cmil.errors import ConfigError, ShapeError
+from cmil.trainer import TrainConfig
 from gradcheck import relative_error
 
 
@@ -237,11 +238,11 @@ class TestGradients:
 class TestValidation:
     def test_bad_gamma(self):
         with pytest.raises(ConfigError, match="gamma"):
-            small_params(gamma=1.5)
+            TrainConfig(gamma=1.5)
 
     def test_bad_temperature(self):
         with pytest.raises(ConfigError, match="temperature"):
-            small_params(temperature=0.0)
+            TrainConfig(temperature=0.0)
 
     def test_c_mismatch_in_classifier(self):
         p = small_params()

@@ -27,7 +27,7 @@ NOISELESS_SYNTH = SynthConfig(
 )
 FIT_TRAIN = TrainConfig(
     epochs=25, seed=5, d_h=24, d_a=12,
-    topk=TopKConfig(K=4, num_noise_samples=32, noise_sigma=0.05, seed=0),
+    topk=TopKConfig(K=4, num_noise_samples=32, noise_sigma=0.05),
 )
 
 

@@ -1,0 +1,37 @@
+"""Every name a cmil module imports is used in that module.
+
+A standard-library stand-in for a linter's unused-import rule. `from __future__`
+imports and the package's `__init__.py` (which re-exports) are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import cmil
+
+MODULES = sorted(p for p in Path(cmil.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert {"trainer.py", "bagio.py", "cli.py"} <= {p.name for p in MODULES}
+    found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert not {name: lines for name, lines in found.items() if lines}
+
+
+def test_an_unused_import_is_reported():
+    source = "from __future__ import annotations\nimport os\nimport numpy as np\nnp.zeros(1)\n"
+    assert unused_imports(source) == ["line 2: os"]

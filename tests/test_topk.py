@@ -74,22 +74,22 @@ class TestPerturbedForward:
         assert alpha.grad is None or not np.any(alpha.grad)
 
     def test_symmetric_pair_splits_evenly(self):
-        cfg = TopKConfig(K=1, num_noise_samples=100_000, noise_sigma=0.05, seed=3)
-        soft = perturbed_topk(Tensor(np.array([0.4, 0.4])), cfg)
+        cfg = TopKConfig(K=1, num_noise_samples=100_000, noise_sigma=0.05)
+        soft = perturbed_topk(Tensor(np.array([0.4, 0.4])), cfg, rng=np.random.default_rng(3))
         np.testing.assert_allclose(soft.data, [0.5, 0.5], atol=0.01)
 
     def test_mass_is_exactly_k(self):
         rng = np.random.default_rng(1)
-        cfg = TopKConfig(K=4, num_noise_samples=500, noise_sigma=0.05, seed=0)
-        soft = perturbed_topk(Tensor(rng.normal(size=11)), cfg)
+        cfg = TopKConfig(K=4, num_noise_samples=500, noise_sigma=0.05)
+        soft = perturbed_topk(Tensor(rng.normal(size=11)), cfg, rng=np.random.default_rng(0))
         assert abs(soft.data.sum() - 4.0) < 1e-9
         assert np.all(soft.data >= 0.0) and np.all(soft.data <= 1.0)
 
     def test_inclusion_probabilities_match_integration_oracle(self):
         alpha = np.array([0.0, 1.0, 2.0])
         m = 200_000
-        cfg = TopKConfig(K=1, num_noise_samples=m, noise_sigma=1.0, seed=7)
-        soft = perturbed_topk(Tensor(alpha), cfg)
+        cfg = TopKConfig(K=1, num_noise_samples=m, noise_sigma=1.0)
+        soft = perturbed_topk(Tensor(alpha), cfg, rng=np.random.default_rng(7))
         expected = topone_inclusion_oracle(alpha, 1.0)
         assert abs(expected.sum() - 1.0) < 1e-6
         se = np.sqrt(expected * (1 - expected) / m)
@@ -97,16 +97,17 @@ class TestPerturbedForward:
 
     def test_converges_to_hard_selection_at_tiny_sigma(self):
         alpha = np.array([0.9, 0.1, 0.5, 0.3])
-        cfg = TopKConfig(K=2, num_noise_samples=100, noise_sigma=1e-6, seed=5)
-        soft = perturbed_topk(Tensor(alpha), cfg)
+        cfg = TopKConfig(K=2, num_noise_samples=100, noise_sigma=1e-6)
+        soft = perturbed_topk(Tensor(alpha), cfg, rng=np.random.default_rng(5))
         hard = np.zeros(4)
         hard[hard_topk(alpha, 2)] = 1.0
         np.testing.assert_array_equal(soft.data, hard)
 
     def test_seeded_determinism(self):
-        cfg = TopKConfig(K=2, num_noise_samples=50, noise_sigma=0.05, seed=11)
-        a = perturbed_topk(Tensor(np.array([0.1, 0.9, 0.4, 0.2])), cfg)
-        b = perturbed_topk(Tensor(np.array([0.1, 0.9, 0.4, 0.2])), cfg)
+        cfg = TopKConfig(K=2, num_noise_samples=50, noise_sigma=0.05)
+        alpha = np.array([0.1, 0.9, 0.4, 0.2])
+        a = perturbed_topk(Tensor(alpha), cfg, rng=np.random.default_rng(11))
+        b = perturbed_topk(Tensor(alpha), cfg, rng=np.random.default_rng(11))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_k_larger_than_bag_rejected(self):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ TINY_SYNTH = SynthConfig(
 )
 TINY_TRAIN = TrainConfig(
     epochs=12, seed=5, d_h=24, d_a=12,
-    topk=TopKConfig(K=4, num_noise_samples=32, noise_sigma=0.05, seed=0),
+    topk=TopKConfig(K=4, num_noise_samples=32, noise_sigma=0.05),
 )
 
 
@@ -55,12 +56,16 @@ class TestConfig:
         assert cfg.weight_decay == 1e-3
         assert cfg.epochs == 300
         assert cfg.lam == 0.05
-        assert cfg.batch_size == 1
         assert cfg.topk.K == 20
 
     def test_batch_size_fixed(self):
-        with pytest.raises(ConfigError, match="batch_size"):
-            TrainConfig(batch_size=4)
+        for batch_size in (2, 4):
+            with pytest.raises(ConfigError, match="batch_size"):
+                TrainConfig.from_dict({"batch_size": batch_size})
+
+    def test_from_dict_drops_the_keys_older_files_carry(self):
+        doc = {"epochs": 2, "batch_size": 1, "topk": {"K": 3, "seed": 7}}
+        assert TrainConfig.from_dict(doc) == TrainConfig(epochs=2, topk=TopKConfig(K=3))
 
     def test_from_dict_nested_topk(self):
         cfg = TrainConfig.from_dict({"epochs": 2, "topk": {"K": 3, "num_noise_samples": 8}})
@@ -655,11 +660,15 @@ class TestCheckpointAgainstModel:
         out = self.edited(saved, tmp_path, lambda blobs: blobs)
         assert out.read_bytes() == saved[1].read_bytes()
 
-    def test_scalars_declared_one_element_load_with_the_trained_shapes(self, saved):
+    def test_scalars_declared_one_element_load_with_the_trained_shapes(self, saved, tmp_path):
+        def declared(path):
+            return {e["name"]: e["shape"] for e in read_checkpoint_parts(path)[0]["params"]}
+
         model, path = saved
-        header, _ = read_checkpoint_parts(path)
-        declared = {e["name"]: e["shape"] for e in header["params"]}
-        assert declared["image.clf_b"] == [1] and declared["concept.clf_b"] == [1]
+        assert declared(path)["image.clf_b"] == [] and declared(path)["concept.clf_b"] == []
+        path = self.edited(saved, tmp_path, lambda blobs: [
+            (dict(e, shape=[1]) if e["shape"] == [] else e, b) for e, b in blobs])
+        assert declared(path)["image.clf_b"] == [1] and declared(path)["concept.clf_b"] == [1]
         loaded, _, _ = load_checkpoint(path)
         for name, t in model.parameters().items():
             got = loaded.parameters()[name].data
@@ -711,6 +720,44 @@ class TestCheckpointAgainstModel:
 
         with pytest.raises(DataValidationError, match="D >= 1"):
             load_checkpoint(self.edited(saved, tmp_path, empty))
+
+    def test_older_header_form_loads_and_predicts_the_same(self, saved, tiny_dataset, tmp_path):
+        # the header older files carry: a fixed batch size, a top-K seed, a dims
+        # block, a JSON format version and 0-d parameters declared [1]
+        model, path = saved
+        header, blobs = read_checkpoint_parts(path)
+        tc = header["train_config"]
+        header = dict(header, format_version=1, dims={
+            "D": model.dim, "C": model.concepts.num_concepts, "K": tc["topk"]["K"],
+            "d_h": tc["d_h"], "d_a": tc["d_a"]},
+            train_config=dict(tc, batch_size=1, topk=dict(tc["topk"], seed=0)))
+        blobs = [(dict(e, shape=[1]) if e["shape"] == [] else e, b) for e, b in blobs]
+        out = tmp_path / "older.cmck"
+        write_checkpoint_parts(out, header, blobs)
+        loaded, cfg, _ = load_checkpoint(out)
+        assert cfg == self.CFG
+        for name, t in model.parameters().items():
+            got = loaded.parameters()[name].data
+            assert got.shape == t.shape and got.tobytes() == t.data.tobytes(), name
+        bag = read_bag(tiny_dataset[0].test[0])
+        want, got = predict(bag, model), predict(bag, loaded)
+        for f in dataclasses.fields(want):
+            a, b = getattr(want, f.name), getattr(got, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+    def test_config_larger_than_the_file_fails_before_allocating(self, saved, tmp_path):
+        header, blobs = read_checkpoint_parts(saved[1])
+        out = tmp_path / "huge.cmck"
+        write_checkpoint_parts(out, dict(header, train_config=dict(header["train_config"],
+                                                                   d_h=400_000)), blobs)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="needs at least"):
+                load_checkpoint(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_legacy_rng_digest_key_still_loads(self, saved, tmp_path):
         header, blobs = read_checkpoint_parts(saved[1])
