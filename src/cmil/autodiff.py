@@ -46,10 +46,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         return self.data.item()
 
@@ -60,9 +56,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
 
     def __sub__(self, other):
         return sub(self, _wrap(other))
@@ -79,20 +72,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _wrap(other))
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def mean(self):
-        return reduce_mean(self)
 
     # -- backward pass ------------------------------------------------------
 

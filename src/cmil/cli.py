@@ -18,7 +18,7 @@ from .errors import (CmilError, ConfigError, DataValidationError,
                      DegenerateEmbeddingError, FormatError, ShapeError,
                      TrainingDivergedError)
 from .evaluation import evaluate_split
-from .explain import explain_slide
+from .explain import SCHEMA_VERSION, explain_slide
 from .render import write_global_report, write_local_report
 from .synthgen import SynthConfig, gen_dataset
 from .trainer import MODES, TrainConfig, load_checkpoint, predict, save_checkpoint, train
@@ -28,8 +28,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_SHAPE = 5
-
-SCHEMA_VERSION = 1
 
 
 def _parse_set(pairs) -> dict:
@@ -185,7 +183,7 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     model, cfg, bag, pred = _predict_one(args)
-    exp = explain_slide(bag, model, prediction=pred)
+    exp = explain_slide(bag, model, pred)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     json_path, svg_path = write_local_report(exp, out)
@@ -194,6 +192,9 @@ def cmd_explain(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0 or args.max_patch_points < 0:
+        raise ConfigError(f"--seed and --max-patch-points must be >= 0, got "
+                          f"{args.seed} and {args.max_patch_points}")
     model, cfg, header = load_checkpoint(args.ckpt)
     data = Path(args.data)
     split = read_split(data / "split.json")

@@ -29,8 +29,8 @@ class ConceptBranchParams:
     attn_w: Tensor  # d_a
     clf_w: Tensor  # C
     clf_b: Tensor  # scalar
-    gamma: float = 0.75  # checked by TrainConfig
-    temperature: float = 3.0
+    gamma: float  # checked by TrainConfig
+    temperature: float
 
     def tensors(self) -> dict[str, Tensor]:
         return named_tensors(self, "concept.")
@@ -40,9 +40,9 @@ def init_concept_params(
     rng: np.random.Generator,
     K: int,
     C: int,
-    d_a: int = 128,
-    gamma: float = 0.75,
-    temperature: float = 3.0,
+    d_a: int,
+    gamma: float,
+    temperature: float,
 ) -> ConceptBranchParams:
     return ConceptBranchParams(
         attn_v=uniform(rng, K, (K, d_a)),

@@ -1,5 +1,9 @@
 """Exception hierarchy shared across the package."""
 
+import dataclasses
+import math
+import numbers
+
 
 class CmilError(Exception):
     """Base class for all package errors."""
@@ -7,6 +11,33 @@ class CmilError(Exception):
 
 class ConfigError(CmilError):
     """Invalid or inconsistent configuration."""
+
+
+def _has_type_of(value, default) -> bool:
+    if isinstance(value, bool) and not isinstance(default, bool):
+        return False
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and len(value) == len(default)
+                and all(map(_has_type_of, value, default)))
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, float):
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, type(default))
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError unless every field of a config dataclass has its default's type.
+
+    An int field takes an integer, a float field any finite real number, and
+    a tuple field a tuple of its default's length and element types; a bool
+    is neither an integer nor a real number here.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not _has_type_of(value, f.default):
+            raise ConfigError(f"{f.name}={value!r} does not have the type of its "
+                              f"default {f.default!r}")
 
 
 class FormatError(CmilError):

@@ -7,7 +7,7 @@ import numpy as np
 from .bagio import Bag
 from .embed2d import project_2d
 from .errors import DataValidationError
-from .trainer import CmilModel, Prediction, predict
+from .trainer import CmilModel, Prediction
 
 SCHEMA_VERSION = 1
 
@@ -44,16 +44,8 @@ class LocalExplanation:
         }
 
 
-def explain_slide(bag: Bag, model: CmilModel,
-                  prediction: Prediction = None) -> LocalExplanation:
-    """Assemble the local report from one deterministic inference pass.
-
-    A prediction already computed for this bag can be passed in; otherwise it
-    is run here.
-    """
-    pred = prediction
-    if pred is None:
-        pred = predict(bag, model)
+def explain_slide(bag: Bag, model: CmilModel, pred: Prediction) -> LocalExplanation:
+    """Assemble the local report from the bag's prediction."""
     grid_shape = (
         max(p.grid_row for p in bag.patches) + 1,
         max(p.grid_col for p in bag.patches) + 1,
@@ -138,21 +130,19 @@ class GlobalExplanation:
         }
 
 
-def global_explanations(bags, model: CmilModel, predictions=None,
-                        group_by: str = "predicted", projection: str = "tsne",
-                        seed: int = 0, max_patch_points: int = 2000) -> GlobalExplanation:
+def global_explanations(bags, model: CmilModel, predictions, group_by: str,
+                        projection: str, seed: int,
+                        max_patch_points: int) -> GlobalExplanation:
     """Aggregate per-slide predictions into the dataset-level explanation.
 
-    Slides are grouped by predicted class by default; group_by="truth" switches
-    to ground-truth labels for analysis.  Patch-level points are subsampled to
-    max_patch_points (seeded) before projection to keep the exact t-SNE O(n^2)
-    cost bounded.
+    Slides are grouped by predicted class (group_by="predicted") or by
+    ground-truth label (group_by="truth").  Patch-level points are subsampled
+    to max_patch_points (seeded) before projection to keep the exact t-SNE
+    O(n^2) cost bounded.
     """
     if group_by not in ("predicted", "truth"):
         raise DataValidationError(f"unknown grouping {group_by!r}")
     bags = list(bags)
-    if predictions is None:
-        predictions = [predict(b, model) for b in bags]
 
     classes = {name: [] for name in CLASS_NAMES}
     kappas = {name: [] for name in CLASS_NAMES}

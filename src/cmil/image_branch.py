@@ -41,7 +41,7 @@ def uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape))
 
 
-def init_image_params(rng: np.random.Generator, D: int, d_h: int = 256, d_a: int = 128) -> ImageBranchParams:
+def init_image_params(rng: np.random.Generator, D: int, d_h: int, d_a: int) -> ImageBranchParams:
     return ImageBranchParams(
         proj_w=uniform(rng, D, (D, d_h)),
         proj_b=uniform(rng, D, (d_h,)),

@@ -7,29 +7,10 @@ numpy, no autodiff).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bagio import ConceptSet
-from .errors import DataValidationError, DegenerateEmbeddingError, ShapeError
-
-
-@dataclass
-class ConceptActivationMatrix:
-    """N x C cosine activations, columns aligned with the concept names."""
-
-    values: np.ndarray
-    names: list[str]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.names):
-            raise ShapeError(
-                f"activation matrix {self.values.shape} does not match {len(self.names)} concept names"
-            )
-        if np.max(np.abs(self.values), initial=0.0) > 1 + 1e-9:
-            raise DataValidationError("cosine activations must lie in [-1, 1]")
+from .errors import DegenerateEmbeddingError, ShapeError
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -41,7 +22,8 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def project(bag_embeddings: np.ndarray, concepts: ConceptSet) -> ConceptActivationMatrix:
+def project(bag_embeddings: np.ndarray, concepts: ConceptSet) -> np.ndarray:
+    """N x C cosine activations, columns in the concept set's order."""
     emb = np.asarray(bag_embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[1] != concepts.dim:
         raise ShapeError(
@@ -50,4 +32,4 @@ def project(bag_embeddings: np.ndarray, concepts: ConceptSet) -> ConceptActivati
     values = l2_normalize_rows(emb) @ l2_normalize_rows(concepts.embeddings).T
     # unit rows can still round a hair past 1
     np.clip(values, -1.0, 1.0, out=values)
-    return ConceptActivationMatrix(values, list(concepts.names))
+    return values

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bagio import Bag, ConceptSet, DatasetSplit, PatchRecord, write_bag, write_concepts, write_split
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 
 # stream ids far above any bag index
 _CONCEPT_STREAM = 2**40
@@ -36,6 +36,9 @@ class SynthConfig:
     positive_rate: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.tumor_fraction_range
         if not (0 < lo < hi < 1):
             raise ConfigError(f"tumor_fraction_range must satisfy 0 < lo < hi < 1, got {self.tumor_fraction_range}")
@@ -62,15 +65,9 @@ class SynthConfig:
             raise ConfigError(f"unknown synth config keys: {sorted(extra)}")
         doc = dict(doc)
         for key in ("N_range", "tumor_fraction_range"):
-            if key in doc:
-                v = doc[key]
-                if not isinstance(v, (list, tuple)) or len(v) != 2:
-                    raise ConfigError(f"{key} must be a 2-element list")
-                doc[key] = tuple(v)
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            if isinstance(doc.get(key), list):  # JSON has no tuples
+                doc[key] = tuple(doc[key])
+        return cls(**doc)
 
 
 def gen_concepts(cfg: SynthConfig) -> ConceptSet:
@@ -85,7 +82,7 @@ def gen_concepts(cfg: SynthConfig) -> ConceptSet:
     names = [f"tumor concept {i}" for i in range(cfg.tumor_concept_count)] + [
         f"background concept {i}" for i in range(cfg.C - cfg.tumor_concept_count)
     ]
-    return ConceptSet(names, rows, prompt_template="an H & E image of CONCEPT")
+    return ConceptSet(names, rows)
 
 
 def _grid_shape(n: int) -> tuple[int, int]:
@@ -127,18 +124,16 @@ def _convex_weights(rng, k: int) -> np.ndarray:
 def gen_bag(
     cfg: SynthConfig,
     rng: np.random.Generator,
-    force_label: int | None = None,
-    concepts: ConceptSet | None = None,
-    slide_id: str = "synth",
+    force_label: int,
+    concepts: ConceptSet,
+    slide_id: str,
 ) -> Bag:
-    if concepts is None:
-        concepts = gen_concepts(cfg)
     tc = cfg.tumor_concept_count
     tumor_basis = concepts.embeddings[:tc]
     bg_basis = concepts.embeddings[tc:]
 
     n = int(rng.integers(cfg.N_range[0], cfg.N_range[1] + 1))
-    label = int(force_label) if force_label is not None else int(rng.random() < cfg.positive_rate)
+    label = int(force_label)
 
     tumor_idx: set[int] = set()
     tumor_dir = np.zeros(cfg.D)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, _accumulate, constant, gather, scale_rows
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class TopKConfig:
     noise_sigma: float = 0.05
 
     def __post_init__(self):
+        check_field_types(self)
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
         if self.num_noise_samples < 1:

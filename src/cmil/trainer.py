@@ -25,9 +25,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, zero_grads
-from .bagio import Bag, ConceptSet, DatasetSplit, read_bag
+from .bagio import DEFAULT_PROMPT_TEMPLATE, Bag, ConceptSet, DatasetSplit, read_bag
 from .concept_branch import ConceptBranchParams, ConceptForward, concept_forward, init_concept_params
-from .errors import ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError
+from .errors import (ConfigError, DataValidationError, FormatError, ShapeError,
+                     TrainingDivergedError, check_field_types)
 from .image_branch import ImageBranchParams, ImageForward, image_forward, init_image_params
 from .metrics import auc
 from .projection import project
@@ -63,6 +64,7 @@ class TrainConfig:
     topk: TopKConfig = TopKConfig()
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")
         if self.learning_rate <= 0:
@@ -71,6 +73,8 @@ class TrainConfig:
             raise ConfigError("weight_decay and lam must be >= 0")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if min(self.d_h, self.d_a) < 1:
             raise ConfigError("d_h and d_a must be >= 1")
         if not 0 < self.gamma < 1:
@@ -91,10 +95,7 @@ class TrainConfig:
             if tk:
                 raise ConfigError(f"unknown topk config keys: {sorted(tk)}")
             doc["topk"] = TopKConfig(**topk)
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**doc)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -157,8 +158,8 @@ class AdamW:
     formula, so grouping the parameters changes no bit.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float,
+                 beta1: float, beta2: float, eps: float):
         self.params = dict(params)
         self.lr, self.wd = lr, weight_decay
         self.b1, self.b2, self.eps = beta1, beta2, eps
@@ -308,8 +309,8 @@ def train(
 
     dim = train_bags[0].dim
     model = init_model(cfg, concepts, dim)
-    f_train = [project(b.embeddings, concepts).values for b in train_bags]
-    f_val = [project(b.embeddings, concepts).values for b in val_bags]
+    f_train = [project(b.embeddings, concepts) for b in train_bags]
+    f_val = [project(b.embeddings, concepts) for b in val_bags]
 
     # ablations optimize one branch and leave the other at its initialization
     params = {"dual": model.parameters, "image-only": model.image.tensors,
@@ -375,7 +376,6 @@ class Prediction:
     beta: np.ndarray
     kappa: np.ndarray
     bias: float
-    logit: float
 
 
 def predict(bag: Bag, model: CmilModel) -> Prediction:
@@ -385,7 +385,7 @@ def predict(bag: Bag, model: CmilModel) -> Prediction:
     """
     if bag.dim != model.dim:
         raise ShapeError(f"bag D={bag.dim} does not match checkpoint D={model.dim}")
-    f_values = project(bag.embeddings, model.concepts).values
+    f_values = project(bag.embeddings, model.concepts)
     fwd = joint_forward(model, bag.embeddings, f_values)
     return Prediction(
         slide_id=bag.slide_id,
@@ -399,7 +399,6 @@ def predict(bag: Bag, model: CmilModel) -> Prediction:
         beta=fwd.con.attention.gated.data.copy(),
         kappa=fwd.con.kappa.data.copy(),
         bias=model.concept.clf_b.item(),
-        logit=fwd.con.logit.item(),
     )
 
 
@@ -481,6 +480,8 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
         if end > len(data):
             raise FormatError(f"{path}: truncated blob {entry['name']}")
         arr = np.frombuffer(data[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: non-finite values in blob {entry['name']}")
         tensors[entry["name"]] = arr
         offset = end
     if offset != len(data):
@@ -494,7 +495,7 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
     concepts = ConceptSet(
         cdoc["names"],
         tensors.pop("data.concept_embeddings"),
-        cdoc.get("prompt_template", "an H & E image of CONCEPT"),
+        cdoc.get("prompt_template", DEFAULT_PROMPT_TEMPLATE),
     )
     # the config alone must not size the model: its largest blocks must fit in the file
     need = cfg.d_h * (concepts.dim + 2 * cfg.d_a) + 2 * cfg.topk.K * cfg.d_a

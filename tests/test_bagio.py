@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cmil.bagio import (
     Bag,
     ConceptSet,
-    DatasetSplit,
     PatchRecord,
     content_hash,
     read_bag,

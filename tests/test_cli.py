@@ -167,6 +167,37 @@ def test_train_unknown_mode_exits_2(data_dir, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+# a setting of the wrong type, or a negative seed or cap, is a configuration error
+BAD_SETTINGS = [
+    ["train", "--set", "epochs=1.5"],
+    ["train", "--set", "topk.K=2.5"],
+    ["train", "--set", "d_h=2.5"],
+    ["train", "--set", "seed=1.5"],
+    ["train", "--set", "topk=5"],
+    ["train", "--seed", "-1"],
+    ["gen-data", "--set", "num_bags=20.5"],
+    ["gen-data", "--set", "D=64.0"],
+    ["gen-data", "--seed", "-1"],
+    ["eval", "--seed", "-1", "--projection", "tsne"],
+    ["eval", "--seed", "-1", "--projection", "pca", "--max-patch-points", "10"],
+    ["eval", "--max-patch-points", "-1", "--projection", "pca"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_SETTINGS, ids=" ".join)
+def test_bad_setting_exits_2_with_an_error_line(argv, data_dir, ckpt, tmp_path, capsys):
+    command, flags = argv[0], argv[1:]
+    where = {
+        "gen-data": ["--out", str(tmp_path / "ds")],
+        "train": ["--data", str(data_dir), "--out", str(tmp_path / "m.cmck")],
+        "eval": ["--ckpt", str(ckpt), "--data", str(data_dir),
+                 "--out", str(tmp_path / "eval.json"), "--split", "train"],
+    }[command]
+    assert main([command] + where + flags) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- predict / explain -------------------------------------------------------------
 
 
@@ -243,18 +274,17 @@ def test_explain_runs_predict_once(ckpt, data_dir, tmp_path, monkeypatch):
         return predict(*args, **kwargs)
 
     monkeypatch.setattr("cmil.cli.predict", counting_predict)
-    monkeypatch.setattr("cmil.explain.predict", counting_predict)
     bag = data_dir / "bag_0003.cmil"
     assert main(["explain", "--ckpt", str(ckpt), "--bag", str(bag),
                  "--out", str(tmp_path / "cli")]) == EXIT_OK
     assert calls == ["synth_0003"]
 
-    # the reused prediction gives the bytes of a report that runs its own pass
+    # the reused prediction gives the bytes of a report built from a fresh pass
     model, cfg, _ = load_checkpoint(ckpt)
-    assert model.mode == cfg.mode == "dual"  # explain_slide follows the model's mode
+    assert model.mode == cfg.mode == "dual"  # predict follows the model's mode
     (tmp_path / "direct").mkdir()
-    write_local_report(explain_slide(read_bag(bag), model), tmp_path / "direct")
-    assert len(calls) == 2
+    direct = read_bag(bag)
+    write_local_report(explain_slide(direct, model, predict(direct, model)), tmp_path / "direct")
     assert _checksums(tmp_path / "cli") == _checksums(tmp_path / "direct")
 
 
@@ -344,7 +374,7 @@ def test_ablation_modes_flow_through_checkpoint_to_eval(data_dir, tmp_path, mode
     assert main(["explain", "--ckpt", str(out), "--bag", str(bag_path),
                  "--out", str(tmp_path / "cli")]) == EXIT_OK
     (tmp_path / "direct").mkdir()
-    write_local_report(explain_slide(read_bag(bag_path), model), tmp_path / "direct")
+    write_local_report(explain_slide(read_bag(bag_path), model, pred), tmp_path / "direct")
     assert _checksums(tmp_path / "cli") == _checksums(tmp_path / "direct")
 
     result = tmp_path / "eval.json"

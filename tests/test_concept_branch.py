@@ -18,8 +18,12 @@ from cmil.trainer import TrainConfig
 from gradcheck import relative_error
 
 
-def small_params(seed=0, K=6, C=5, d_a=4, **kw):
-    return init_concept_params(np.random.default_rng(seed), K, C, d_a, **kw)
+DEFAULTS = TrainConfig()
+
+
+def small_params(seed=0, K=6, C=5, d_a=4):
+    return init_concept_params(np.random.default_rng(seed), K, C, d_a,
+                               DEFAULTS.gamma, DEFAULTS.temperature)
 
 
 def scalar_concept_attention(F, Vw, Uw, w):
@@ -263,6 +267,6 @@ class TestParameters:
         draws = [(K, (K, d_a)), (K, (K, d_a)), (d_a, (d_a,)), (C, (C,)), (C, ())]
         rng = np.random.default_rng(8)
         expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
-        got = init_concept_params(np.random.default_rng(8), K, C, d_a).tensors().values()
+        got = small_params(8, K, C, d_a).tensors().values()
         for e, t in zip(expected, got, strict=True):
             assert t.shape == e.shape and t.data.tobytes() == e.tobytes()

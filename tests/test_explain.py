@@ -1,7 +1,6 @@
 """Explanation assembly, SVG rendering, and split evaluation."""
 
 import json
-import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -19,7 +18,7 @@ from cmil.render import (CLASS_COLORS, VIRIDIS_STOPS, color_for,
                          write_global_report, write_local_report)
 from cmil.synthgen import SynthConfig, gen_dataset
 from cmil.topk import TopKConfig
-from cmil.trainer import TrainConfig, init_model, predict, train
+from cmil.trainer import TrainConfig, predict, train
 
 NOISELESS_SYNTH = SynthConfig(
     seed=100, num_bags=30, N_range=(12, 20), D=16, C=6, tumor_concept_count=2,
@@ -29,6 +28,17 @@ FIT_TRAIN = TrainConfig(
     epochs=25, seed=5, d_h=24, d_a=12,
     topk=TopKConfig(K=4, num_noise_samples=32, noise_sigma=0.05),
 )
+
+
+def explain(bag, model):
+    """The local report of the bag's own prediction, as `cmil explain` builds it."""
+    return explain_slide(bag, model, predict(bag, model))
+
+
+def global_pca(bags, model, group_by="predicted", max_patch_points=2000):
+    """The PCA global report of the bags' own predictions, at seed 0."""
+    return global_explanations(bags, model, [predict(b, model) for b in bags],
+                               group_by, "pca", 0, max_patch_points)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +56,7 @@ class TestLocalExplanation:
     def test_reconstruction_identity_every_slide(self, fitted):
         bags, _, model = fitted
         for bag in bags:
-            exp = explain_slide(bag, model)
+            exp = explain(bag, model)
             logit = sum(c["kappa"] for c in exp.contributions) + exp.bias
             assert abs(sigmoid_value(logit) - exp.prob_concept) <= 1e-12, bag.slide_id
             assert len(exp.topk) == model.topk.K
@@ -54,7 +64,7 @@ class TestLocalExplanation:
     def test_attention_grid_is_the_prediction_alpha(self, fitted):
         bags, _, model = fitted
         bag = bags[0]
-        exp = explain_slide(bag, model)
+        exp = explain(bag, model)
         pred = predict(bag, model)
         emitted = np.array([e["alpha"] for e in exp.attention_grid])
         np.testing.assert_array_equal(emitted, pred.alpha)
@@ -62,7 +72,7 @@ class TestLocalExplanation:
     def test_topk_entries_reference_selected_patches(self, fitted):
         bags, _, model = fitted
         bag = bags[1]
-        exp = explain_slide(bag, model)
+        exp = explain(bag, model)
         pred = predict(bag, model)
         assert [e["patch_index"] for e in exp.topk] == [int(j) for j in pred.hard_indices]
         for k, e in enumerate(exp.topk):
@@ -76,7 +86,7 @@ class TestLocalExplanation:
         for bag in bags:
             if bag.label != 1:
                 continue
-            exp = explain_slide(bag, model)
+            exp = explain(bag, model)
             best = max(exp.contributions, key=lambda c: c["kappa"])
             assert best["concept"].startswith("tumor"), bag.slide_id
 
@@ -85,20 +95,20 @@ class TestLocalExplanation:
         for bag in bags:
             if bag.label != 0:
                 continue
-            exp = explain_slide(bag, model)
+            exp = explain(bag, model)
             assert sum(c["kappa"] for c in exp.contributions) + exp.bias < 0
             assert exp.decision == "normal"
 
     def test_grid_shape_bounds_all_coordinates(self, fitted):
         bags, _, model = fitted
-        exp = explain_slide(bags[2], model)
+        exp = explain(bags[2], model)
         rows, cols = exp.grid_shape
         assert rows == max(e["row"] for e in exp.attention_grid) + 1
         assert cols == max(e["col"] for e in exp.attention_grid) + 1
 
     def test_report_dict_is_json_ready(self, fitted):
         bags, _, model = fitted
-        d = explain_slide(bags[0], model).to_dict()
+        d = explain(bags[0], model).to_dict()
         assert d["schema_version"] == SCHEMA_VERSION
         assert json.loads(json.dumps(d, sort_keys=True)) == d
 
@@ -106,7 +116,7 @@ class TestLocalExplanation:
 class TestGlobalExplanation:
     def test_classes_partition_all_slides(self, fitted):
         bags, concepts, model = fitted
-        g = global_explanations(bags, model, projection="pca")
+        g = global_pca(bags, model)
         grouped = sorted(s for ids in g.classes.values() for s in ids)
         assert grouped == sorted(b.slide_id for b in bags)
         for vec in g.mean_contributions.values():
@@ -114,8 +124,8 @@ class TestGlobalExplanation:
 
     def test_grouping_flag_recorded_and_respected(self, fitted):
         bags, _, model = fitted
-        by_pred = global_explanations(bags, model, projection="pca")
-        by_truth = global_explanations(bags, model, projection="pca", group_by="truth")
+        by_pred = global_pca(bags, model)
+        by_truth = global_pca(bags, model, group_by="truth")
         assert by_pred.group_by == "predicted" and by_truth.group_by == "truth"
         truth_tumor = sorted(b.slide_id for b in bags if b.label == 1)
         assert sorted(by_truth.classes["tumor"]) == truth_tumor
@@ -124,7 +134,7 @@ class TestGlobalExplanation:
         bags, _, model = fitted
         tumor_only = [b for b in bags if b.label == 1]
         with pytest.raises(DataValidationError, match="'normal'"):
-            global_explanations(tumor_only, model, group_by="truth", projection="pca")
+            global_pca(tumor_only, model, group_by="truth")
 
     def test_identical_slides_have_zero_within_class_variance(self, fitted):
         bags, concepts, model = fitted
@@ -134,14 +144,14 @@ class TestGlobalExplanation:
         mk = lambda sid, label, emb: Bag(sid, label, emb.copy(), list(patches))
         four = [mk("t1", 1, emb_t), mk("t2", 1, emb_t),
                 mk("n1", 0, emb_n), mk("n2", 0, emb_n)]
-        g = global_explanations(four, model, group_by="truth", projection="pca")
+        g = global_pca(four, model, group_by="truth")
         for name in g.concept_names:
             for cls, values in g.wsi_values[name].items():
                 assert np.var(values) == 0.0
 
     def test_tumor_concept_means_larger_for_tumor_class(self, fitted):
         bags, concepts, model = fitted
-        g = global_explanations(bags, model, group_by="truth", projection="pca")
+        g = global_pca(bags, model, group_by="truth")
         for c, name in enumerate(g.concept_names):
             if name.startswith("tumor"):
                 assert (g.mean_contributions["tumor"][c]
@@ -149,15 +159,15 @@ class TestGlobalExplanation:
 
     def test_wsi_points_are_beta_weighted_sums(self, fitted):
         bags, _, model = fitted
-        g = global_explanations(bags, model, projection="pca")
+        g = global_pca(bags, model)
         for i, bag in enumerate(bags):
             pred = predict(bag, model)
             np.testing.assert_array_equal(g.wsi_points[i], wsi_concept_values(pred))
 
     def test_patch_point_cap_is_deterministic(self, fitted):
         bags, _, model = fitted
-        a = global_explanations(bags, model, projection="pca", max_patch_points=10)
-        b = global_explanations(bags, model, projection="pca", max_patch_points=10)
+        a = global_pca(bags, model, max_patch_points=10)
+        b = global_pca(bags, model, max_patch_points=10)
         assert a.patch_points.shape[0] == 10
         assert len(a.patch_refs) == len(a.patch_labels) == 10
         np.testing.assert_array_equal(a.patch_points, b.patch_points)
@@ -183,7 +193,7 @@ class TestRender:
 
     def test_local_svg_wellformed_and_deterministic(self, fitted):
         bags, _, model = fitted
-        exp = explain_slide(bags[0], model)
+        exp = explain(bags[0], model)
         svg = render_local_svg(exp)
         assert svg == render_local_svg(exp)
         root = ET.fromstring(svg)
@@ -197,7 +207,7 @@ class TestRender:
 
     def test_global_svg_wellformed(self, fitted):
         bags, _, model = fitted
-        g = global_explanations(bags, model, projection="pca")
+        g = global_pca(bags, model)
         svg = render_global_svg(g)
         assert svg == render_global_svg(g)
         root = ET.fromstring(svg)
@@ -209,7 +219,7 @@ class TestRender:
 
     def test_write_local_report_files(self, fitted, tmp_path):
         bags, _, model = fitted
-        exp = explain_slide(bags[0], model)
+        exp = explain(bags[0], model)
         json_path, svg_path = write_local_report(exp, tmp_path)
         assert json_path.name == f"{bags[0].slide_id}.explain.json"
         assert svg_path.name == f"{bags[0].slide_id}.explain.svg"
@@ -220,7 +230,7 @@ class TestRender:
 
     def test_write_global_report_files(self, fitted, tmp_path):
         bags, _, model = fitted
-        g = global_explanations(bags, model, projection="pca")
+        g = global_pca(bags, model)
         json_path, svg_path = write_global_report(g, tmp_path)
         assert json_path.name == "global.json" and svg_path.name == "global.svg"
         loaded = json.loads(json_path.read_text())

@@ -6,11 +6,9 @@ import pytest
 from cmil.autodiff import Tensor, sigmoid_value, zero_grads
 from cmil.errors import ShapeError
 from cmil.image_branch import (
-    ImageBranchParams,
     attention_scores,
     gated_attention,
     image_forward,
-    image_logit,
     init_image_params,
     project_features,
 )

@@ -1,4 +1,4 @@
-"""Every name a cmil module imports is used in that module.
+"""Every name a cmil module or test file imports is used in that file.
 
 A standard-library stand-in for a linter's unused-import rule. `from __future__`
 imports and the package's `__init__.py` (which re-exports) are exempt.
@@ -10,6 +10,7 @@ from pathlib import Path
 import cmil
 
 MODULES = sorted(p for p in Path(cmil.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,7 +29,9 @@ def unused_imports(source: str) -> list[str]:
 
 def test_no_module_imports_a_name_it_does_not_use():
     assert {"trainer.py", "bagio.py", "cli.py"} <= {p.name for p in MODULES}
-    found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {"test_imports.py", "gradcheck.py"} <= {p.name for p in TEST_FILES}
+    found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text(encoding="utf-8"))
+             for p in MODULES + TEST_FILES}
     assert not {name: lines for name, lines in found.items() if lines}
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cmil.bagio import ConceptSet, read_bag, read_concepts, read_split
 from cmil.errors import DegenerateEmbeddingError, ShapeError
-from cmil.projection import ConceptActivationMatrix, l2_normalize_rows, project
+from cmil.projection import l2_normalize_rows, project
 from cmil.synthgen import SynthConfig, gen_dataset
 
 
@@ -47,19 +47,19 @@ class TestProject:
     def test_parallel_is_one(self):
         cs = self._concepts([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         acts = project(np.array([[5.0, 0.0, 0.0]]), cs)
-        assert acts.values[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert acts[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
         cs = self._concepts([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         acts = project(np.array([[0.0, 0.0, 2.0]]), cs)
-        np.testing.assert_allclose(acts.values[0], [0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(acts[0], [0.0, 0.0], atol=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(42)
         emb = rng.normal(size=(5, 8))
         conc = rng.normal(size=(3, 8))
         acts = project(emb, self._concepts(conc))
-        np.testing.assert_allclose(acts.values, cosine_oracle(emb, conc), atol=1e-12)
+        np.testing.assert_allclose(acts, cosine_oracle(emb, conc), atol=1e-12)
 
     def test_dimension_mismatch(self):
         cs = self._concepts(np.eye(2, 4))
@@ -70,8 +70,8 @@ class TestProject:
         rng = np.random.default_rng(1)
         emb = rng.normal(size=(6, 5))
         cs = self._concepts(rng.normal(size=(3, 5)))
-        a = project(emb, cs).values
-        b = project(emb * 137.0, cs).values
+        a = project(emb, cs)
+        b = project(emb * 137.0, cs)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_self_projection_unit_diagonal(self):
@@ -79,7 +79,7 @@ class TestProject:
         conc = rng.normal(size=(4, 7))
         cs = self._concepts(conc)
         acts = project(conc, cs)
-        np.testing.assert_allclose(np.diag(acts.values), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(acts), 1.0, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), scale=st.floats(0.01, 100.0))
@@ -88,11 +88,7 @@ class TestProject:
         emb = rng.normal(size=(4, 6)) * scale
         cs = self._concepts(rng.normal(size=(3, 6)))
         acts = project(emb, cs)
-        assert np.all(np.abs(acts.values) <= 1.0)
-
-    def test_activation_matrix_shape_guard(self):
-        with pytest.raises(ShapeError):
-            ConceptActivationMatrix(np.zeros((2, 3)), ["a", "b"])
+        assert np.all(np.abs(acts) <= 1.0)
 
 
 def test_tumor_concepts_retrieve_only_tumor_patches(tmp_path):
@@ -104,7 +100,7 @@ def test_tumor_concepts_retrieve_only_tumor_patches(tmp_path):
     concepts = read_concepts(root / "concepts.ccpt")
     bags = [read_bag(p) for p in read_split(root / "split.json").all_paths()]
     in_tumor = np.concatenate([[p.in_tumor for p in b.patches] for b in bags])
-    acts = np.vstack([project(b.embeddings, concepts).values for b in bags])
+    acts = np.vstack([project(b.embeddings, concepts) for b in bags])
     for c, name in enumerate(concepts.names):
         if name.startswith("tumor"):
             assert in_tumor[np.argsort(-acts[:, c], kind="stable")[:10]].all(), name

@@ -6,6 +6,12 @@ from cmil.errors import ConfigError
 from cmil.synthgen import SynthConfig, gen_bag, gen_concepts, gen_dataset
 
 DESK = SynthConfig(seed=7, num_bags=20, N_range=(30, 60), D=32, C=8, tumor_concept_count=3)
+DESK_CONCEPTS = gen_concepts(DESK)
+
+
+def desk_bag(seed, label):
+    return gen_bag(DESK, np.random.default_rng(seed), force_label=label,
+                   concepts=DESK_CONCEPTS, slide_id="synth")
 
 
 class TestConfig:
@@ -62,20 +68,20 @@ def _neighbors(idx, cols):
 
 class TestGenBag:
     def test_force_negative_has_no_tumor_flags(self):
-        bag = gen_bag(DESK, np.random.default_rng(0), force_label=0)
+        bag = desk_bag(0, 0)
         assert bag.label == 0
         assert all(p.in_tumor is False for p in bag.patches)
 
     def test_force_positive_fraction_in_range(self):
         for seed in range(8):
-            bag = gen_bag(DESK, np.random.default_rng(seed), force_label=1)
+            bag = desk_bag(seed, 1)
             n = len(bag.patches)
             frac = sum(p.in_tumor for p in bag.patches) / n
             lo, hi = DESK.tumor_fraction_range
             assert lo - 1 / n <= frac <= hi + 1 / n
 
     def test_tumor_block_connected(self):
-        bag = gen_bag(DESK, np.random.default_rng(3), force_label=1)
+        bag = desk_bag(3, 1)
         cols = max(p.grid_col for p in bag.patches) + 1
         tumor = {i for i, p in enumerate(bag.patches) if p.in_tumor}
         # BFS over 4-adjacency must reach the whole block
@@ -93,7 +99,7 @@ class TestGenBag:
         cfg = SynthConfig(seed=1, N_range=(40, 40), D=16, C=5, tumor_concept_count=2,
                           noise_std=0.0, signal_strength=1.0)
         cs = gen_concepts(cfg)
-        bag = gen_bag(cfg, np.random.default_rng(5), force_label=1, concepts=cs)
+        bag = gen_bag(cfg, np.random.default_rng(5), force_label=1, concepts=cs, slide_id="synth")
         tumor_rows = bag.embeddings[[p.in_tumor for p in bag.patches]]
         # all tumor patches share the bag mixture; cosine vs that mixture is 1
         mix = tumor_rows[0]
@@ -104,7 +110,7 @@ class TestGenBag:
     def test_noiseless_tumor_patches_activate_only_tumor_concepts(self):
         cfg = SynthConfig(seed=2, N_range=(50, 50), D=32, C=10, tumor_concept_count=3, noise_std=0.0)
         cs = gen_concepts(cfg)
-        bag = gen_bag(cfg, np.random.default_rng(11), force_label=1, concepts=cs)
+        bag = gen_bag(cfg, np.random.default_rng(11), force_label=1, concepts=cs, slide_id="synth")
         unit = bag.embeddings / np.linalg.norm(bag.embeddings, axis=1, keepdims=True)
         acts = unit @ cs.embeddings.T
         tumor_mask = np.array([p.in_tumor for p in bag.patches])
@@ -113,8 +119,10 @@ class TestGenBag:
 
     def test_label_iff_tumor_patch(self):
         for seed in range(12):
-            bag = gen_bag(DESK, np.random.default_rng(seed))
-            assert (bag.label == 1) == any(p.in_tumor for p in bag.patches)
+            for label in (0, 1):
+                bag = desk_bag(seed, label)
+                assert bag.label == label
+                assert (bag.label == 1) == any(p.in_tumor for p in bag.patches)
 
 
 class TestGenDataset:

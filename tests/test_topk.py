@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmil.autodiff import Tensor, zero_grads
+from cmil.autodiff import Tensor, reduce_sum
 from cmil.errors import ConfigError, ShapeError
 from cmil.topk import Selection, TopKConfig, gather_concepts, hard_topk, perturbed_topk, select
 
@@ -70,7 +70,7 @@ class TestPerturbedForward:
         alpha = Tensor(np.array([0.2, 0.5, 0.3]))
         soft = perturbed_topk(alpha, TopKConfig(K=3, num_noise_samples=10, noise_sigma=0.05))
         np.testing.assert_array_equal(soft.data, 1.0)
-        soft.sum().backward()
+        reduce_sum(soft).backward()
         assert alpha.grad is None or not np.any(alpha.grad)
 
     def test_symmetric_pair_splits_evenly(self):
@@ -118,7 +118,7 @@ class TestPerturbedForward:
 class TestPerturbedBackward:
     def _grad(self, alpha, cfg, noise, upstream):
         t = Tensor(np.asarray(alpha, float))
-        loss = (perturbed_topk(t, cfg, noise=noise) * Tensor(upstream)).sum()
+        loss = reduce_sum(perturbed_topk(t, cfg, noise=noise) * Tensor(upstream))
         loss.backward()
         return t.grad
 
@@ -231,7 +231,7 @@ class TestGatherConcepts:
         f = self._f(n=4, c=2)
         soft = Tensor(np.array([0.5, 0.25, 0.8, 0.1]))
         sel = Selection(hard_indices=np.array([1, 2]), soft_indicator=soft)
-        gather_concepts(f, sel).sum().backward()
+        reduce_sum(gather_concepts(f, sel)).backward()
         expected = np.zeros(4)
         expected[1] = f[1].sum()
         expected[2] = f[2].sum()

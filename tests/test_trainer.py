@@ -147,17 +147,23 @@ class PerParameterAdamW:
             p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.wd * p.data)
 
 
+def adamw(params, weight_decay):
+    """AdamW at learning rate 0.1 with TrainConfig's default moment settings."""
+    d = TrainConfig()
+    return AdamW(params, 0.1, weight_decay, d.beta1, d.beta2, d.eps)
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+        opt = adamw({"p": p}, 0.0)
         p.grad = np.zeros(3)
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_zero_grad_decay_scales(self):
         p = Tensor(np.array([1.0, -2.0]))
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.01)
+        opt = adamw({"p": p}, 0.01)
         p.grad = np.zeros(2)
         opt.step()
         np.testing.assert_allclose(p.data, np.array([1.0, -2.0]) * (1 - 0.1 * 0.01), atol=1e-15)
@@ -174,7 +180,7 @@ class TestAdamW:
 
     def test_nan_gradient_aborts(self):
         p = Tensor(np.array([1.0]))
-        opt = AdamW({"p": p}, lr=0.1)
+        opt = adamw({"p": p}, 0.0)
         p.grad = np.array([np.nan])
         with pytest.raises(TrainingDivergedError, match="p"):
             opt.step()
@@ -182,7 +188,7 @@ class TestAdamW:
     def test_nan_gradient_leaves_parameters_untouched(self):
         first = Tensor(np.array([1.0, -2.0]))
         second = Tensor(np.array([[0.5, 0.25]]))
-        opt = AdamW({"first": first, "second": second}, lr=0.1, weight_decay=0.01)
+        opt = adamw({"first": first, "second": second}, 0.01)
         before = first.data.tobytes()
         first.grad = np.array([0.3, -0.7])
         second.grad = np.array([[0.1, np.nan]])
@@ -235,8 +241,8 @@ def train_hand_listed(split, concepts, cfg):
     train_bags = [read_bag(p) for p in split.train]
     val_bags = [read_bag(p) for p in split.val]
     model = init_model(cfg, concepts, train_bags[0].dim)
-    f_train = [project(b.embeddings, concepts).values for b in train_bags]
-    f_val = [project(b.embeddings, concepts).values for b in val_bags]
+    f_train = [project(b.embeddings, concepts) for b in train_bags]
+    f_val = [project(b.embeddings, concepts) for b in val_bags]
     prefix = {"dual": "", "image-only": "image.", "concept-only": "concept."}[cfg.mode]
     tensors = model.parameters()
     opt = AdamW({n: tensors[n] for n in HAND_LISTED_NAMES if n.startswith(prefix)},
@@ -430,7 +436,7 @@ class TestConstantLeaves:
         monkeypatch.setattr(cmil.trainer, "image_forward", capture)
         model = init_model(dataclasses.replace(TINY_TRAIN, mode=mode), concepts, TINY_SYNTH.D)
         bag = read_bag(split.train[0])
-        fwd = joint_forward(model, bag.embeddings, project(bag.embeddings, concepts).values,
+        fwd = joint_forward(model, bag.embeddings, project(bag.embeddings, concepts),
                             rng=np.random.default_rng(0))
         loss = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
                           TINY_TRAIN.lam, mode=mode).total
@@ -507,7 +513,7 @@ class TestPredict:
         # and concept-only takes the first K patches without drawing noise
         split, concepts, model = trained
         bag = read_bag(split.test[0])
-        f_values = project(bag.embeddings, concepts).values
+        f_values = project(bag.embeddings, concepts)
         for mode in ("dual", "image-only", "concept-only"):
             m = dataclasses.replace(model, mode=mode)
             a = predict(bag, m)
@@ -758,6 +764,26 @@ class TestCheckpointAgainstModel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("edit", [{"d_a": 4.0}, {"seed": 1.5}, {"topk": 7}], ids=str)
+    def test_wrongly_typed_config_value_is_a_format_error(self, saved, tmp_path, edit):
+        header, blobs = read_checkpoint_parts(saved[1])
+        out = tmp_path / "typed.cmck"
+        write_checkpoint_parts(out, dict(header, train_config=dict(header["train_config"],
+                                                                   **edit)), blobs)
+        with pytest.raises(FormatError, match="invalid embedded train config"):
+            load_checkpoint(out)
+
+    @pytest.mark.parametrize("name, value", [("data.concept_embeddings", math.nan),
+                                             ("image.attn_w", math.inf),
+                                             ("concept.clf_b", -math.inf)])
+    def test_non_finite_blob_value_is_a_format_error(self, saved, tmp_path, name, value):
+        def poison(blobs):
+            return [(e, struct.pack("<d", value) + b[8:]) if e["name"] == name else (e, b)
+                    for e, b in blobs]
+
+        with pytest.raises(FormatError, match=f"non-finite values in blob {name}"):
+            load_checkpoint(self.edited(saved, tmp_path, poison))
 
     def test_legacy_rng_digest_key_still_loads(self, saved, tmp_path):
         header, blobs = read_checkpoint_parts(saved[1])
