@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is a dynamic tape: every operation returns a new ``Tensor``
-holding its value, its parent nodes, and a closure that scatters the
-upstream gradient onto the parents. ``backward()`` visits the tape once
-in reverse topological order. Broadcasting is deliberately narrow
+The graph is a dynamic tape: every operation returns its result through
+``node``, which records the inputs and one vector-Jacobian product (vjp)
+per input, mapping the upstream gradient to that input's gradient. A node
+whose inputs are all constant is constant itself. ``backward()`` visits
+the tape once in reverse topological order and is the only code that
+writes gradients: it applies the vjp of every input that is not constant
+and skips the rest. Broadcasting is deliberately narrow
 (scalar-with-tensor and equal shapes, plus dedicated row helpers), so
 shape bugs fail at op construction rather than producing silent garbage.
 """
@@ -27,19 +30,20 @@ class Tensor:
     mutable: ``AdamW`` rebinds each parameter's ``data`` to a view of its
     one flat vector and ``step`` updates that vector in place, and
     finite-difference gradient checks nudge one coordinate and restore it.
-    Backward closures read ``data`` when they run, so a graph built before
-    such a write must be rebuilt, not reused. ``grad`` is populated by
-    ``backward`` and has the same shape as ``data``; a leaf built with
-    ``constant`` is never differentiated and its ``grad`` stays None.
+    Vjps read ``data`` when they run, so a graph built before such a write
+    must be rebuilt, not reused. ``grad`` is populated by ``backward`` and
+    has the same shape as ``data``. A leaf built with ``constant``, and any
+    node whose inputs are all constant, is never differentiated and its
+    ``grad`` stays None.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_const")
+    __slots__ = ("data", "grad", "_parents", "_vjps", "_const")
 
-    def __init__(self, data, _parents: tuple = (), _backward: Callable | None = None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents: tuple[Tensor, ...] = ()
+        self._vjps: tuple[Callable[[Array], Array], ...] = ()
         self._const = False
 
     @property
@@ -85,27 +89,29 @@ class Tensor:
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
-            node, expanded = stack.pop()
+            t, expanded = stack.pop()
             if expanded:
-                topo.append(node)
+                topo.append(t)
                 continue
-            if id(node) in visited:
+            if id(t) in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
+            visited.add(id(t))
+            stack.append((t, True))
+            for parent in t._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        for t in reversed(topo):
+            if t.grad is not None:
+                for parent, vjp in zip(t._parents, t._vjps):
+                    if not parent._const:
+                        _accumulate(parent, vjp(t.grad))
 
 
 def _wrap(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x)
+    return constant(x)
 
 
 def constant(data) -> Tensor:
@@ -115,9 +121,15 @@ def constant(data) -> Tensor:
     return t
 
 
+def node(value, *inputs: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
+    """An op's result: ``inputs`` pairs each input tensor with its vjp, in input order."""
+    t = Tensor(value)
+    t._parents, t._vjps = zip(*inputs)
+    t._const = all(parent._const for parent in t._parents)
+    return t
+
+
 def _accumulate(t: Tensor, g: Array) -> None:
-    if t._const:
-        return
     if t.grad is None:
         # a copy, because g may be another node's grad; + 0.0 stores -0.0 as +0.0
         t.grad = g + 0.0
@@ -143,78 +155,51 @@ def _check_elementwise(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "add")
-
-    def bwd(g):
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(g, b.shape))
-
-    return Tensor(a.data + b.data, (a, b), bwd)
+    return node(a.data + b.data,
+                (a, lambda g: _reduce_to(g, a.shape)),
+                (b, lambda g: _reduce_to(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "sub")
-
-    def bwd(g):
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(-g, b.shape))
-
-    return Tensor(a.data - b.data, (a, b), bwd)
+    return node(a.data - b.data,
+                (a, lambda g: _reduce_to(g, a.shape)),
+                (b, lambda g: _reduce_to(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "mul")
-
-    def bwd(g):
-        _accumulate(a, _reduce_to(g * b.data, a.shape))
-        _accumulate(b, _reduce_to(g * a.data, b.shape))
-
-    return Tensor(a.data * b.data, (a, b), bwd)
+    return node(a.data * b.data,
+                (a, lambda g: _reduce_to(g * b.data, a.shape)),
+                (b, lambda g: _reduce_to(g * a.data, b.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "div")
-
-    def bwd(g):
-        _accumulate(a, _reduce_to(g / b.data, a.shape))
-        _accumulate(b, _reduce_to(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor(a.data / b.data, (a, b), bwd)
+    return node(a.data / b.data,
+                (a, lambda g: _reduce_to(g / b.data, a.shape)),
+                (b, lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accumulate(a, -g)
-
-    return Tensor(-a.data, (a,), bwd)
+    return node(-a.data, (a, lambda g: -g))
 
 
 def relu(a: Tensor) -> Tensor:
     # fmax maps NaN to 0 and may keep -0.0, which `+= 0.0` turns into +0.0
     y = np.fmax(a.data, 0.0)
     y += 0.0
-
-    def bwd(g):
-        _accumulate(a, g * (y > 0.0))  # subgradient at 0 is 0
-
-    return Tensor(y, (a,), bwd)
+    return node(y, (a, lambda g: g * (y > 0.0)))  # subgradient at 0 is 0
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * (1.0 - y * y))
-
-    return Tensor(y, (a,), bwd)
+    return node(y, (a, lambda g: g * (1.0 - y * y)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     y = sigmoid_value(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * y * (1.0 - y))
-
-    return Tensor(y, (a,), bwd)
+    return node(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def sigmoid_value(x: Array | float) -> Array:
@@ -225,29 +210,18 @@ def sigmoid_value(x: Array | float) -> Array:
 
 
 def log(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accumulate(a, g / a.data)
-
-    return Tensor(np.log(a.data), (a,), bwd)
+    return node(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def sqrt(a: Tensor) -> Tensor:
     y = np.sqrt(a.data)
-
-    def bwd(g):
-        _accumulate(a, g / (2.0 * y))
-
-    return Tensor(y, (a,), bwd)
+    return node(y, (a, lambda g: g / (2.0 * y)))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     # gradient passes through wherever the value was not clipped
     inside = (a.data >= lo) & (a.data <= hi)
-
-    def bwd(g):
-        _accumulate(a, g * inside)
-
-    return Tensor(np.clip(a.data, lo, hi), (a,), bwd)
+    return node(np.clip(a.data, lo, hi), (a, lambda g: g * inside))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -259,60 +233,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul supports 1-D and 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    y = a.data @ b.data
 
-    def bwd(g):
-        # a constant operand gets no product; g is a scalar for a 1-D dot product
-        if not a._const:
-            if bn == 2:
-                _accumulate(a, g @ b.data.T if an == 2 else b.data @ g)
-            else:
-                _accumulate(a, np.outer(g, b.data) if an == 2 else g * b.data)
-        if not b._const:
-            if an == 2:
-                _accumulate(b, a.data.T @ g)
-            else:
-                _accumulate(b, np.outer(a.data, g) if bn == 2 else g * a.data)
+    # g is a scalar for a 1-D dot product
+    def vjp_a(g):
+        if bn == 2:
+            return g @ b.data.T if an == 2 else b.data @ g
+        return np.outer(g, b.data) if an == 2 else g * b.data
 
-    return Tensor(y, (a, b), bwd)
+    def vjp_b(g):
+        if an == 2:
+            return a.data.T @ g
+        return np.outer(a.data, g) if bn == 2 else g * a.data
+
+    return node(a.data @ b.data, (a, vjp_a), (b, vjp_b))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose requires a 2-D tensor, got shape {a.shape}")
-    if a._const:
-        return constant(a.data.T)  # so products with it skip its gradient too
-
-    def bwd(g):
-        _accumulate(a, g.T)
-
-    return Tensor(a.data.T, (a,), bwd)
+    return node(a.data.T, (a, lambda g: g.T))
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Add a length-c vector to every row of an r-by-c matrix."""
     if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
         raise ShapeError(f"add_rowvec: incompatible shapes {m.shape} and {v.shape}")
-
-    def bwd(g):
-        _accumulate(m, g)
-        _accumulate(v, g.sum(axis=0))
-
-    return Tensor(m.data + v.data[None, :], (m, v), bwd)
+    return node(m.data + v.data[None, :], (m, lambda g: g), (v, lambda g: g.sum(axis=0)))
 
 
 def scale_rows(m: Tensor, v: Tensor) -> Tensor:
     """Scale row r of an r-by-c matrix by v[r]."""
     if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[0] != v.shape[0]:
         raise ShapeError(f"scale_rows: incompatible shapes {m.shape} and {v.shape}")
-
-    def bwd(g):
-        if not m._const:
-            _accumulate(m, g * v.data[:, None])
-        if not v._const:
-            _accumulate(v, (g * m.data).sum(axis=1))
-
-    return Tensor(m.data * v.data[:, None], (m, v), bwd)
+    return node(m.data * v.data[:, None],
+                (m, lambda g: g * v.data[:, None]),
+                (v, lambda g: (g * m.data).sum(axis=1)))
 
 
 def gather(a: Tensor, indices) -> Tensor:
@@ -323,12 +278,12 @@ def gather(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather index out of range for length {a.shape[0]}")
 
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return full
 
-    return Tensor(a.data[idx], (a,), bwd)
+    return node(a.data[idx], (a, vjp))
 
 
 # -- softmax and reductions ---------------------------------------------------
@@ -340,43 +295,27 @@ def softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max()
     e = np.exp(shifted)
     y = e / e.sum()
-
-    def bwd(g):
-        _accumulate(a, y * (g - np.dot(g, y)))
-
-    return Tensor(y, (a,), bwd)
+    return node(y, (a, lambda g: y * (g - np.dot(g, y))))
 
 
 def reduce_sum(a: Tensor) -> Tensor:
     if a.data.size == 0:
         raise ShapeError("sum of an empty tensor")
-
-    def bwd(g):
-        _accumulate(a, np.full_like(a.data, float(g)))
-
-    return Tensor(a.data.sum(), (a,), bwd)
+    return node(a.data.sum(), (a, lambda g: np.full_like(a.data, float(g))))
 
 
 def reduce_mean(a: Tensor) -> Tensor:
     if a.data.size == 0:
         raise ShapeError("mean of an empty tensor")
     n = a.data.size
-
-    def bwd(g):
-        _accumulate(a, np.full_like(a.data, float(g) / n))
-
-    return Tensor(a.data.mean(), (a,), bwd)
+    return node(a.data.mean(), (a, lambda g: np.full_like(a.data, float(g) / n)))
 
 
 def sq_l2(a: Tensor) -> Tensor:
     """Sum of squared entries."""
     if a.data.size == 0:
         raise ShapeError("sq_l2 of an empty tensor")
-
-    def bwd(g):
-        _accumulate(a, 2.0 * float(g) * a.data)
-
-    return Tensor(np.sum(a.data * a.data), (a,), bwd)
+    return node(np.sum(a.data * a.data), (a, lambda g: 2.0 * float(g) * a.data))
 
 
 def percentile(a: Tensor, q: float) -> Tensor:
@@ -398,14 +337,14 @@ def percentile(a: Tensor, q: float) -> Tensor:
     frac = rank - lo
     value = (1.0 - frac) * a.data[order[lo]] + frac * a.data[order[hi]]
 
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[order[lo]] += (1.0 - frac) * float(g)
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[order[lo]] += (1.0 - frac) * float(g)
         if hi != lo:
-            a.grad[order[hi]] += frac * float(g)
+            full[order[hi]] += frac * float(g)
+        return full
 
-    return Tensor(value, (a,), bwd)
+    return node(value, (a, vjp))
 
 
 # -- utilities ----------------------------------------------------------------

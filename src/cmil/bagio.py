@@ -89,6 +89,9 @@ class ConceptSet:
             raise DataValidationError("duplicate concept names")
         if any(not n for n in self.names):
             raise DataValidationError("empty concept name")
+        if not isinstance(self.prompt_template, str):
+            raise DataValidationError(
+                f"prompt_template must be a string, got {self.prompt_template!r}")
         if (self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.names)
                 or self.embeddings.shape[1] < 1):
             raise DataValidationError(

@@ -14,8 +14,7 @@ from pathlib import Path
 
 from .bagio import (content_hash, dump_json, file_hash, read_bag,
                     read_concepts, read_split)
-from .errors import (CmilError, ConfigError, DataValidationError,
-                     DegenerateEmbeddingError, FormatError, ShapeError,
+from .errors import (CmilError, ConfigError, DataValidationError, ShapeError,
                      TrainingDivergedError)
 from .evaluation import evaluate_split
 from .explain import SCHEMA_VERSION, explain_slide
@@ -28,6 +27,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_SHAPE = 5
+EXIT_CODES = ((ConfigError, EXIT_CONFIG), (TrainingDivergedError, EXIT_DIVERGED),
+              (ShapeError, EXIT_SHAPE))
 
 
 def _parse_set(pairs) -> dict:
@@ -192,8 +193,9 @@ def cmd_explain(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.seed < 0 or args.max_patch_points < 0:
-        raise ConfigError(f"--seed and --max-patch-points must be >= 0, got "
+    # a 2-D projection needs at least 3 patch points
+    if args.seed < 0 or args.max_patch_points < 3:
+        raise ConfigError(f"--seed must be >= 0 and --max-patch-points >= 3, got "
                           f"{args.seed} and {args.max_patch_points}")
     model, cfg, header = load_checkpoint(args.ckpt)
     data = Path(args.data)
@@ -289,21 +291,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (CmilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except (FormatError, DataValidationError, DegenerateEmbeddingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CmilError as exc:  # any future package error: treat as data problem
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        # any other package error, and an OSError, is an I/O or data problem
+        return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -82,8 +82,8 @@ def scale_attention(raw: Tensor, gamma: float, temperature: float) -> ConceptAtt
             RuntimeWarning,
         )
         c = raw.shape[0]
-        scaled = Tensor(np.zeros(c))
-        return ConceptAttention(raw, scaled, Tensor(np.full(c, 0.5)), degenerate=True)
+        scaled = ad.constant(np.zeros(c))
+        return ConceptAttention(raw, scaled, ad.constant(np.full(c, 0.5)), degenerate=True)
     scaled = (raw - ad.percentile(raw, gamma)) / std
     gated = ad.sigmoid(scaled * temperature)
     return ConceptAttention(raw, scaled, gated)

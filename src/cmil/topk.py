@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, constant, gather, scale_rows
+from .autodiff import Tensor, constant, gather, node, scale_rows
 from .errors import ConfigError, ShapeError, check_field_types
 
 
@@ -74,8 +74,8 @@ def perturbed_topk(
     if cfg.K > n:
         raise ShapeError(f"K={cfg.K} exceeds bag size N={n}")
     if cfg.K == n:
-        # every perturbation selects everything: constant ones, zero gradient
-        return Tensor(np.ones(n), (alpha,), None)
+        # every perturbation selects everything: constant ones, no gradient
+        return constant(np.ones(n))
 
     if noise is None:
         noise = rng.normal(size=(cfg.num_noise_samples, n))
@@ -87,14 +87,12 @@ def perturbed_topk(
     m = noise.shape[0]
     perturbed = alpha.data[None, :] + cfg.noise_sigma * noise
     ind = _topk_indicators(perturbed, cfg.K)
-    out = Tensor(ind.mean(axis=0), (alpha,), None)
 
-    def bwd(g):
+    def vjp(g):
         per_sample = ind @ g  # upstream mass landing on each sample's selected set
-        _accumulate(alpha, (per_sample @ noise) / (m * cfg.noise_sigma))
+        return (per_sample @ noise) / (m * cfg.noise_sigma)
 
-    out._backward = bwd
-    return out
+    return node(ind.mean(axis=0), (alpha, vjp))
 
 
 def select(

@@ -191,6 +191,29 @@ class TestAccumulate:
         assert not np.signbit(x.grad).any()
 
 
+class TestConstants:
+    """A node of constant inputs is constant, and backward gives constants no grad."""
+
+    def test_product_of_two_constants_is_constant(self):
+        a, b = ad.constant(np.ones(3)), ad.constant(np.full(3, 2.0))
+        assert ad.mul(a, b)._const
+        assert not ad.mul(a, Tensor(np.ones(3)))._const
+
+    def test_only_the_differentiable_leaf_gets_a_grad(self):
+        t = Tensor(np.arange(3.0))
+        loss = ad.reduce_sum(t * 2.0)
+        loss.backward()
+        leaves, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            stack.extend(node._parents)
+            if not node._parents:
+                leaves.append(node)
+        assert len(leaves) == 2  # t and the wrapped scalar
+        assert [leaf for leaf in leaves if leaf.grad is not None] == [t]
+        np.testing.assert_array_equal(t.grad, 2.0)
+
+
 class TestGatherScaleRows:
     def test_gather_values_and_duplicates(self):
         x = Tensor([10.0, 20.0, 30.0])

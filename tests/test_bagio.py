@@ -175,6 +175,13 @@ class TestConcepts:
         with pytest.raises(DataValidationError, match="duplicate"):
             ConceptSet(["a", "a"], np.eye(2))
 
+    def test_non_string_prompt_template_rejected(self, tmp_path):
+        write_concepts(ConceptSet(["a", "b"], np.eye(2, 3)), tmp_path / "c.ccpt")
+        sidecar = tmp_path / "c.json"
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), prompt_template=5)))
+        with pytest.raises(DataValidationError, match="prompt_template must be a string"):
+            read_concepts(tmp_path / "c.ccpt")
+
     def test_wrong_magic_for_kind(self, tmp_path):
         write_bag(make_bag(), tmp_path / "b.cmil")
         with pytest.raises(FormatError, match="magic"):

@@ -167,7 +167,7 @@ def test_train_unknown_mode_exits_2(data_dir, tmp_path):
     assert rc == EXIT_CONFIG
 
 
-# a setting of the wrong type, or a negative seed or cap, is a configuration error
+# a setting of the wrong type, a negative seed or a cap below 3 is a configuration error
 BAD_SETTINGS = [
     ["train", "--set", "epochs=1.5"],
     ["train", "--set", "topk.K=2.5"],
@@ -181,6 +181,8 @@ BAD_SETTINGS = [
     ["eval", "--seed", "-1", "--projection", "tsne"],
     ["eval", "--seed", "-1", "--projection", "pca", "--max-patch-points", "10"],
     ["eval", "--max-patch-points", "-1", "--projection", "pca"],
+    ["eval", "--max-patch-points", "0", "--projection", "pca"],
+    ["eval", "--max-patch-points", "2", "--projection", "tsne"],
 ]
 
 

@@ -70,6 +70,7 @@ class TestPerturbedForward:
         alpha = Tensor(np.array([0.2, 0.5, 0.3]))
         soft = perturbed_topk(alpha, TopKConfig(K=3, num_noise_samples=10, noise_sigma=0.05))
         np.testing.assert_array_equal(soft.data, 1.0)
+        assert soft._const and soft._parents == ()
         reduce_sum(soft).backward()
         assert alpha.grad is None or not np.any(alpha.grad)
 

@@ -460,8 +460,8 @@ class TestConstantLeaves:
         plain_grads, _, _, _ = self._step(monkeypatch, tiny_dataset, plain=True,
                                           mode="concept-only")
         assert f_topk._const
-        # the nodes on the tape that view the gathered rows
-        views, seen, stack = [], set(), [loss]
+        # the nodes on the tape that view the gathered rows, and those of constant inputs
+        views, derived, seen, stack = [], [], set(), [loss]
         while stack:
             node = stack.pop()
             if id(node) in seen:
@@ -469,10 +469,15 @@ class TestConstantLeaves:
             seen.add(id(node))
             if node is not f_topk and np.shares_memory(node.data, f_topk.data):
                 views.append(node)
+            if node._parents and all(p._const for p in node._parents):
+                derived.append(node)
             stack.extend(node._parents)
         # the attention input and the column-sum operand, both C x K
         assert [v.shape for v in views] == [f_topk.shape[::-1]] * 2
         assert all(v.grad is None for v in views)
+        # those two transposes and the column sums over them are constant, without a grad
+        assert len(derived) == 3
+        assert all(n._const and n.grad is None for n in derived)
         assert grads.keys() == plain_grads.keys()
         assert grads["concept.attn_v"] is not None
         for name, g in grads.items():
@@ -772,6 +777,14 @@ class TestCheckpointAgainstModel:
         write_checkpoint_parts(out, dict(header, train_config=dict(header["train_config"],
                                                                    **edit)), blobs)
         with pytest.raises(FormatError, match="invalid embedded train config"):
+            load_checkpoint(out)
+
+    def test_non_string_prompt_template_is_rejected(self, saved, tmp_path):
+        header, blobs = read_checkpoint_parts(saved[1])
+        out = tmp_path / "template.cmck"
+        write_checkpoint_parts(out, dict(header, concepts=dict(header["concepts"], prompt_template=5)),
+                               blobs)
+        with pytest.raises(DataValidationError, match="prompt_template must be a string"):
             load_checkpoint(out)
 
     @pytest.mark.parametrize("name, value", [("data.concept_embeddings", math.nan),
