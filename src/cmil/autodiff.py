@@ -5,8 +5,10 @@ The graph is a dynamic tape: every operation returns its result through
 per input, mapping the upstream gradient to that input's gradient. A node
 whose inputs are all constant is constant itself. ``backward()`` visits
 the tape once in reverse topological order and is the only code that
-writes gradients: it applies the vjp of every input that is not constant
-and skips the rest. Broadcasting is deliberately narrow
+computes gradients: it applies the vjp of every input that is not constant
+and skips the rest. ``AdamW`` binds each parameter's ``data`` and ``grad``
+to views of its two flat vectors, so ``backward`` accumulates straight into
+the optimizer's gradient buffer. Broadcasting is deliberately narrow
 (scalar-with-tensor and equal shapes, plus dedicated row helpers), so
 shape bugs fail at op construction rather than producing silent garbage.
 """
@@ -14,7 +16,7 @@ shape bugs fail at op construction rather than producing silent garbage.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -27,14 +29,15 @@ class Tensor:
     """Float64 array plus tape bookkeeping.
 
     Ops never write into their inputs' ``data``, but ``data`` itself is
-    mutable: ``AdamW`` rebinds each parameter's ``data`` to a view of its
-    one flat vector and ``step`` updates that vector in place, and
-    finite-difference gradient checks nudge one coordinate and restore it.
-    Vjps read ``data`` when they run, so a graph built before such a write
-    must be rebuilt, not reused. ``grad`` is populated by ``backward`` and
-    has the same shape as ``data``. A leaf built with ``constant``, and any
-    node whose inputs are all constant, is never differentiated and its
-    ``grad`` stays None.
+    mutable: ``AdamW`` rebinds each parameter's ``data`` and ``grad`` to
+    views of its flat parameter and gradient vectors, ``step`` updates the
+    parameter vector in place, and finite-difference gradient checks nudge
+    one coordinate and restore it. Vjps read ``data`` when they run, so a
+    graph built before such a write must be rebuilt, not reused. ``grad``
+    has the same shape as ``data``; ``backward`` creates it on a tensor whose
+    ``grad`` is None and adds into it in place otherwise. A leaf built with
+    ``constant``, and any node whose inputs are all constant, is never
+    differentiated and its ``grad`` stays None.
     """
 
     __slots__ = ("data", "grad", "_parents", "_vjps", "_const")
@@ -345,11 +348,3 @@ def percentile(a: Tensor, q: float) -> Tensor:
         return full
 
     return node(value, (a, vjp))
-
-
-# -- utilities ----------------------------------------------------------------
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None

@@ -269,17 +269,18 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     return TsneResult(points=cur.y, kl_trace=kl_trace, betas=betas)
 
 
-def project_2d(points: np.ndarray, method: str = "pca", **params) -> np.ndarray:
-    """Dispatch to PCA or t-SNE; returns an n x 2 array."""
+def project_2d(points: np.ndarray, method: str, seed: int) -> np.ndarray:
+    """Dispatch to PCA or t-SNE; returns an n x 2 array.
+
+    `seed` seeds the t-SNE start; PCA is deterministic and ignores it.
+    """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"expected an n x d matrix, got shape {x.shape}")
     if x.shape[0] < 3:
         raise DataValidationError(f"need at least 3 points, got {x.shape[0]}")
     if method == "pca":
-        if params:
-            raise ConfigError(f"pca takes no parameters, got {sorted(params)}")
         return pca_2d(x)
     if method == "tsne":
-        return tsne_2d(x, **params).points
+        return tsne_2d(x, seed=seed).points
     raise ConfigError(f"unknown projection method {method!r}")

@@ -188,9 +188,8 @@ def global_explanations(bags, model: CmilModel, predictions, group_by: str,
         patch_labels = [patch_labels[i] for i in keep]
         patch_refs = [patch_refs[i] for i in keep]
 
-    params = {} if projection == "pca" else {"seed": seed}
-    wsi_2d = project_2d(wsi_points, projection, **params)
-    patch_2d = project_2d(patch_points, projection, **params)
+    wsi_2d = project_2d(wsi_points, projection, seed)
+    patch_2d = project_2d(patch_points, projection, seed)
 
     return GlobalExplanation(
         group_by=group_by,

@@ -59,16 +59,10 @@ def _topk_indicators(perturbed: np.ndarray, k: int) -> np.ndarray:
     return ind
 
 
-def perturbed_topk(
-    alpha: Tensor,
-    cfg: TopKConfig,
-    rng: np.random.Generator | None = None,
-    noise: np.ndarray | None = None,
-) -> Tensor:
+def perturbed_topk(alpha: Tensor, cfg: TopKConfig, rng: np.random.Generator) -> Tensor:
     """Soft top-K indicator as an autodiff node over the attention vector.
 
-    `noise` pins the Gaussian samples explicitly (common-random-number tests);
-    otherwise they come from `rng`.
+    The M x N Gaussian samples, M = cfg.num_noise_samples, are drawn from `rng`.
     """
     n = alpha.shape[0]
     if cfg.K > n:
@@ -77,14 +71,8 @@ def perturbed_topk(
         # every perturbation selects everything: constant ones, no gradient
         return constant(np.ones(n))
 
-    if noise is None:
-        noise = rng.normal(size=(cfg.num_noise_samples, n))
-    else:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.ndim != 2 or noise.shape[1] != n:
-            raise ShapeError(f"noise must be M x {n}, got {noise.shape}")
-
-    m = noise.shape[0]
+    m = cfg.num_noise_samples
+    noise = rng.normal(size=(m, n))
     perturbed = alpha.data[None, :] + cfg.noise_sigma * noise
     ind = _topk_indicators(perturbed, cfg.K)
 
@@ -95,17 +83,12 @@ def perturbed_topk(
     return node(ind.mean(axis=0), (alpha, vjp))
 
 
-def select(
-    alpha: Tensor,
-    cfg: TopKConfig,
-    rng: np.random.Generator | None = None,
-    noise: np.ndarray | None = None,
-) -> Selection:
-    """Hard top-K of `alpha`, plus the perturbed soft indicator when given `rng` or `noise`."""
+def select(alpha: Tensor, cfg: TopKConfig, rng: np.random.Generator | None = None) -> Selection:
+    """Hard top-K of `alpha`, plus the perturbed soft indicator when given `rng`."""
     hard = hard_topk(alpha.data, cfg.K)
-    if rng is None and noise is None:
+    if rng is None:
         return Selection(hard)
-    return Selection(hard, perturbed_topk(alpha, cfg, rng=rng, noise=noise))
+    return Selection(hard, perturbed_topk(alpha, cfg, rng))
 
 
 def gather_concepts(f_values: np.ndarray, sel: Selection) -> Tensor:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, zero_grads
+from .autodiff import Tensor
 from .bagio import DEFAULT_PROMPT_TEMPLATE, Bag, ConceptSet, DatasetSplit, read_bag
 from .concept_branch import ConceptBranchParams, ConceptForward, concept_forward, init_concept_params
 from .errors import (ConfigError, DataValidationError, FormatError, ShapeError,
@@ -131,7 +131,7 @@ def bce_loss(y: int, p: Tensor) -> Tensor:
 
 
 def total_loss(y: int, img_prob: Tensor, concept_prob: Tensor, alpha: Tensor,
-               lam: float, mode: str = "dual") -> LossBreakdown:
+               lam: float, mode: str) -> LossBreakdown:
     bi = bce_loss(y, img_prob)
     bc = bce_loss(y, concept_prob)
     l2 = ad.sq_l2(alpha)
@@ -150,12 +150,14 @@ def total_loss(y: int, img_prob: Tensor, concept_prob: Tensor, alpha: Tensor,
 class AdamW:
     """Adaptive moments with decoupled weight decay (beta1/beta2/eps per config).
 
-    The optimized parameters live in one contiguous float64 vector: each
-    ``p.data`` is copied into it in dict order and rebound to a view of its
-    slice. A step gathers the gradients into one flat buffer and checks
-    them all before anything moves, then updates the moments and the vector
-    with in-place ufuncs in the operation order of the per-parameter
-    formula, so grouping the parameters changes no bit.
+    The optimized parameters live in one contiguous float64 vector and their
+    gradients in another: each ``p.data`` is copied into its slice in dict
+    order and rebound to a view of it, and each ``p.grad`` is bound to a view
+    of the same slice of the zeroed gradient vector, which ``backward``
+    accumulates into. A step checks all gradients before anything moves,
+    then updates the moments and the vector with in-place ufuncs in the
+    operation order of the per-parameter formula, so grouping the parameters
+    changes no bit.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float,
@@ -166,33 +168,26 @@ class AdamW:
         self.t = 0
         size = sum(p.data.size for p in self.params.values())
         self._x = np.empty(size)
-        self._g = np.empty(size)
+        self._g = np.zeros(size)
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._s = np.empty(size)
         self._r = np.empty(size)
-        self._grad_views: list[np.ndarray] = []
         offset = 0
         for p in self.params.values():
             end = offset + p.data.size
             self._x[offset:end] = p.data.ravel()
             p.data = self._x[offset:end].reshape(p.data.shape)
-            self._grad_views.append(self._g[offset:end].reshape(p.data.shape))
+            p.grad = self._g[offset:end].reshape(p.data.shape)
             offset = end
 
     def zero_grad(self):
-        zero_grads(self.params.values())
+        self._g.fill(0.0)
 
     def step(self):
-        for p, gv in zip(self.params.values(), self._grad_views):
-            if p.grad is None:
-                gv.fill(0.0)
-            else:
-                gv[...] = p.grad
         g = self._g
         if not np.isfinite(g).all():
-            bad = next(name for name, gv in zip(self.params, self._grad_views)
-                       if not np.isfinite(gv).all())
+            bad = next(name for name, p in self.params.items() if not np.isfinite(p.grad).all())
             raise TrainingDivergedError(f"non-finite gradient in {bad}")
         self.t += 1
         x, m, v, s, r = self._x, self._m, self._v, self._s, self._r
@@ -257,25 +252,19 @@ def joint_forward(
     embeddings: np.ndarray,
     f_values: np.ndarray,
     rng: np.random.Generator | None = None,
-    noise: np.ndarray | None = None,
-    fixed_indices: np.ndarray | None = None,
 ) -> JointForward:
     """Forward pass of both branches with the selection of the model's mode.
 
-    Selection is perturbed top-K when `rng` or `noise` is given (training) and
-    hard top-K otherwise. Concept-only models take the first K patches, and
-    `fixed_indices` overrides both. `prob` is the image head for image-only
-    models and the concept head otherwise.
+    Selection is perturbed top-K when `rng` is given (training) and hard top-K
+    otherwise; concept-only models take the first K patches. `prob` is the
+    image head for image-only models and the concept head otherwise.
     """
     img = image_forward(ad.constant(embeddings), model.image)
-    if fixed_indices is None and model.mode == "concept-only":
+    if model.mode == "concept-only":
         # hard top-K under untrained uniform attention = first K patches
-        fixed_indices = np.arange(model.topk.K)
-    if fixed_indices is not None:
-        # frozen support: selection treated as a constant, smooth everywhere
-        sel = Selection(np.asarray(fixed_indices, dtype=int))
+        sel = Selection(np.arange(model.topk.K))
     else:
-        sel = select(img.alpha, model.topk, rng=rng, noise=noise)
+        sel = select(img.alpha, model.topk, rng=rng)
     f_topk = gather_concepts(f_values, sel)
     con = concept_forward(f_topk, model.concept)
     prob = img.prob if model.mode == "image-only" else con.prob
@@ -466,20 +455,26 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
     entries = header.get("params")
     if not isinstance(entries, list):
         raise FormatError(f"{path}: missing or malformed 'params' blob directory")
-    offset = _CKPT_PREFIX.size + hlen
-    tensors: dict[str, np.ndarray] = {}
+    names: set[str] = set()
     for entry in entries:
         if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
                 or not isinstance(entry.get("shape"), list)
                 or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
                            for s in entry["shape"])):
             raise FormatError(f"{path}: malformed blob directory entry")
+        if entry["name"] in names:
+            raise FormatError(f"{path}: blob {entry['name']} is listed twice")
+        names.add(entry["name"])
+    # each blob is a read-only view of the file's bytes until it is copied into the model
+    offset = _CKPT_PREFIX.size + hlen
+    tensors: dict[str, np.ndarray] = {}
+    for entry in entries:
         shape = tuple(entry["shape"])
         count = math.prod(shape)
         end = offset + count * 8
         if end > len(data):
             raise FormatError(f"{path}: truncated blob {entry['name']}")
-        arr = np.frombuffer(data[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
+        arr = np.frombuffer(data, "<f8", count=count, offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: non-finite values in blob {entry['name']}")
         tensors[entry["name"]] = arr
@@ -494,7 +489,7 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
         raise FormatError(f"{path}: checkpoint missing blob 'data.concept_embeddings'")
     concepts = ConceptSet(
         cdoc["names"],
-        tensors.pop("data.concept_embeddings"),
+        tensors.pop("data.concept_embeddings").astype(np.float64),
         cdoc.get("prompt_template", DEFAULT_PROMPT_TEMPLATE),
     )
     # the config alone must not size the model: its largest blocks must fit in the file
@@ -517,5 +512,5 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
         if arr.shape != p.shape:
             raise FormatError(f"{path}: blob {name} has shape {list(arr.shape)}, "
                               f"the model expects {list(p.shape)}")
-        p.data = arr
+        p.data[...] = arr
     return model, cfg, header

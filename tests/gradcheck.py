@@ -1,17 +1,55 @@
-"""Central finite-difference gradient checks for the autodiff tape.
+"""Central finite-difference gradient checks for the autodiff tape, and the
+hooks that pin a forward pass for them.
 
 The check perturbs each coordinate of a leaf's ``data`` in place and puts
-the original value back before moving on.
+the original value back before moving on. A finite difference compares two
+forward passes, so both must see the same perturbed top-K noise
+(`PinnedNoise`) or the same frozen top-K support (`frozen_forward`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from cmil.autodiff import Array, Tensor, zero_grads
+from cmil import autodiff as ad
+from cmil.autodiff import Array, Tensor
+from cmil.concept_branch import concept_forward
 from cmil.errors import ShapeError
+from cmil.image_branch import image_forward
+from cmil.topk import Selection, gather_concepts
+from cmil.trainer import CmilModel, JointForward
+
+
+def zero_grads(tensors: Iterable[Tensor]) -> None:
+    for t in tensors:
+        t.grad = None
+
+
+class PinnedNoise:
+    """Stands in for the generator `perturbed_topk` draws from: every
+    `normal(size=...)` returns the same array, after checking the shape."""
+
+    def __init__(self, noise: np.ndarray):
+        self.noise = noise
+
+    def normal(self, size):
+        if tuple(size) != self.noise.shape:
+            raise ShapeError(f"pinned noise is {self.noise.shape}, the draw asks for {size}")
+        return self.noise
+
+
+def frozen_forward(model: CmilModel, emb: np.ndarray, f_values: np.ndarray,
+                   fixed) -> JointForward:
+    """`joint_forward` with the top-K support frozen to `fixed`: the selection
+    is a constant, so the loss is smooth in every parameter."""
+    img = image_forward(ad.constant(emb), model.image)
+    sel = Selection(np.asarray(fixed, dtype=int))
+    f_topk = gather_concepts(f_values, sel)
+    con = concept_forward(f_topk, model.concept)
+    prob = img.prob if model.mode == "image-only" else con.prob
+    return JointForward(img, sel, f_topk, con, prob)
 
 
 def relative_error(analytic: Array, numeric: Array) -> float:

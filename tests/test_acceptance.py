@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cmil import autodiff as ad
-from cmil.autodiff import Tensor, zero_grads
+from cmil.autodiff import Tensor
 from cmil.bagio import Bag, ConceptSet, PatchRecord, read_bag, read_concepts
 from cmil.cli import main as cli_main
 from cmil.concept_branch import scale_attention
@@ -29,7 +29,7 @@ from cmil.synthgen import SynthConfig, gen_dataset
 from cmil.topk import TopKConfig, hard_topk, perturbed_topk
 from cmil.trainer import (TrainConfig, init_model, joint_forward, load_checkpoint,
                           predict, total_loss, train)
-from gradcheck import grad_check_many
+from gradcheck import PinnedNoise, frozen_forward, grad_check_many, zero_grads
 
 DEFAULT_EPOCHS = 15  # converges well before this at the default data scale
 
@@ -213,8 +213,8 @@ def _smoothed_loss_crn_error():
     noise = np.random.default_rng(8).normal(size=(m_samples, n))
 
     def loss_value():
-        fwd = joint_forward(model, emb, f_values, noise=noise)
-        return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam).total
+        fwd = joint_forward(model, emb, f_values, rng=PinnedNoise(noise))
+        return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, "dual").total
 
     params = model.parameters()
     zero_grads(params.values())
@@ -265,8 +265,8 @@ def test_criterion_3_gradient_suite(capsys):
             joint_forward(model, emb, f_values).img.alpha.data, cfg.topk.K)
 
         def loss_value():
-            fwd = joint_forward(model, emb, f_values, fixed_indices=fixed)
-            return total_loss(y, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam).total
+            fwd = frozen_forward(model, emb, f_values, fixed)
+            return total_loss(y, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, "dual").total
 
         params = model.parameters()
         zero_grads(params.values())
@@ -296,7 +296,7 @@ def test_criterion_3_gradient_suite(capsys):
         noise = np.random.default_rng(seed).normal(size=(m, alpha.size))
         cfg = TopKConfig(K=k, num_noise_samples=m, noise_sigma=sigma)
         leaf = Tensor(alpha.copy())
-        out = ad.reduce_sum(ad.mul(perturbed_topk(leaf, cfg, noise=noise), Tensor(upstream)))
+        out = ad.reduce_sum(ad.mul(perturbed_topk(leaf, cfg, PinnedNoise(noise)), Tensor(upstream)))
         zero_grads([leaf])
         out.backward()
         analytic = leaf.grad.copy()
@@ -305,8 +305,8 @@ def test_criterion_3_gradient_suite(capsys):
             hi, lo = alpha.copy(), alpha.copy()
             hi[j] += h
             lo[j] -= h
-            f_hi = float(perturbed_topk(Tensor(hi), cfg, noise=noise).data @ upstream)
-            f_lo = float(perturbed_topk(Tensor(lo), cfg, noise=noise).data @ upstream)
+            f_hi = float(perturbed_topk(Tensor(hi), cfg, PinnedNoise(noise)).data @ upstream)
+            f_lo = float(perturbed_topk(Tensor(lo), cfg, PinnedNoise(noise)).data @ upstream)
             fd[j] = (f_hi - f_lo) / (2 * h)
         return float(np.linalg.norm(analytic - fd)
                      / (np.linalg.norm(analytic) + np.linalg.norm(fd) + 1e-12))

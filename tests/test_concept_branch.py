@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cmil.autodiff import Tensor, percentile, zero_grads
+from cmil.autodiff import Tensor, percentile
 from cmil.concept_branch import (
     ConceptBranchParams,
     _contributions,
@@ -15,7 +15,7 @@ from cmil.concept_branch import (
 )
 from cmil.errors import ConfigError, ShapeError
 from cmil.trainer import TrainConfig
-from gradcheck import relative_error
+from gradcheck import relative_error, zero_grads
 
 
 DEFAULTS = TrainConfig()

@@ -415,25 +415,26 @@ class TestTsneMatchesReference:
 class TestProject2d:
     def test_pca_dispatch_shape(self):
         rng = np.random.default_rng(2)
-        assert project_2d(rng.normal(size=(9, 5)), "pca").shape == (9, 2)
+        x = rng.normal(size=(9, 5))
+        out = project_2d(x, "pca", 0)
+        assert out.shape == (9, 2)
+        np.testing.assert_array_equal(out, project_2d(x, "pca", 1))  # PCA ignores the seed
 
     def test_tsne_dispatch_shape(self):
         rng = np.random.default_rng(2)
-        out = project_2d(rng.normal(size=(12, 5)), "tsne", iterations=40, seed=3)
+        x = rng.normal(size=(12, 5))
+        out = project_2d(x, "tsne", 3)
         assert out.shape == (12, 2)
+        np.testing.assert_array_equal(out, tsne_2d(x, seed=3).points)
 
     def test_too_few_points(self):
         with pytest.raises(DataValidationError, match="3 points"):
-            project_2d(np.eye(2), "pca")
+            project_2d(np.eye(2), "pca", 0)
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="unknown"):
-            project_2d(np.eye(4), "umap")
-
-    def test_pca_rejects_parameters(self):
-        with pytest.raises(ConfigError, match="no parameters"):
-            project_2d(np.eye(4), "pca", seed=1)
+            project_2d(np.eye(4), "umap", 0)
 
     def test_non_matrix_rejected(self):
         with pytest.raises(ShapeError):
-            project_2d(np.arange(8.0), "pca")
+            project_2d(np.arange(8.0), "pca", 0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmil.autodiff import Tensor, sigmoid_value, zero_grads
+from cmil.autodiff import Tensor, sigmoid_value
 from cmil.errors import ShapeError
 from cmil.image_branch import (
     attention_scores,
@@ -12,7 +12,7 @@ from cmil.image_branch import (
     init_image_params,
     project_features,
 )
-from gradcheck import relative_error
+from gradcheck import relative_error, zero_grads
 
 
 def small_params(seed=0, D=5, d_h=6, d_a=4):

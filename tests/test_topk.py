@@ -6,6 +6,7 @@ import pytest
 from cmil.autodiff import Tensor, reduce_sum
 from cmil.errors import ConfigError, ShapeError
 from cmil.topk import Selection, TopKConfig, gather_concepts, hard_topk, perturbed_topk, select
+from gradcheck import PinnedNoise
 
 # numpy < 2.0 has only the older name
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -68,7 +69,10 @@ class TestHardTopK:
 class TestPerturbedForward:
     def test_k_equals_n_is_exact_ones_with_zero_grad(self):
         alpha = Tensor(np.array([0.2, 0.5, 0.3]))
-        soft = perturbed_topk(alpha, TopKConfig(K=3, num_noise_samples=10, noise_sigma=0.05))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        soft = perturbed_topk(alpha, TopKConfig(K=3, num_noise_samples=10, noise_sigma=0.05), rng)
+        assert rng.bit_generator.state == state  # nothing drawn
         np.testing.assert_array_equal(soft.data, 1.0)
         assert soft._const and soft._parents == ()
         reduce_sum(soft).backward()
@@ -113,13 +117,13 @@ class TestPerturbedForward:
 
     def test_k_larger_than_bag_rejected(self):
         with pytest.raises(ShapeError, match="exceeds"):
-            perturbed_topk(Tensor(np.array([1.0, 2.0])), TopKConfig(K=5))
+            perturbed_topk(Tensor(np.array([1.0, 2.0])), TopKConfig(K=5), np.random.default_rng(0))
 
 
 class TestPerturbedBackward:
     def _grad(self, alpha, cfg, noise, upstream):
         t = Tensor(np.asarray(alpha, float))
-        loss = reduce_sum(perturbed_topk(t, cfg, noise=noise) * Tensor(upstream))
+        loss = reduce_sum(perturbed_topk(t, cfg, PinnedNoise(noise)) * Tensor(upstream))
         loss.backward()
         return t.grad
 
@@ -155,7 +159,7 @@ class TestPerturbedBackward:
         analytic = self._grad(alpha, cfg, noise, upstream)
 
         def f(a):
-            return float(perturbed_topk(Tensor(a), cfg, noise=noise).data @ upstream)
+            return float(perturbed_topk(Tensor(a), cfg, PinnedNoise(noise)).data @ upstream)
 
         fd = np.zeros(3)
         for j in range(3):
@@ -175,7 +179,7 @@ class TestPerturbedBackward:
         analytic = self._grad(alpha, cfg, noise, upstream)
 
         def f(a):
-            return float(perturbed_topk(Tensor(a), cfg, noise=noise).data @ upstream)
+            return float(perturbed_topk(Tensor(a), cfg, PinnedNoise(noise)).data @ upstream)
 
         fd = np.zeros(5)
         for j in range(5):
@@ -194,7 +198,7 @@ class TestPerturbedBackward:
         for delta in np.linspace(0.0, 0.6, 13):
             a = base.copy()
             a[3] += delta
-            val = perturbed_topk(Tensor(a), cfg, noise=noise).data[3]
+            val = perturbed_topk(Tensor(a), cfg, PinnedNoise(noise)).data[3]
             assert val >= prev - 1e-15
             prev = val
 

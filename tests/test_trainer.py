@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cmil import autodiff as ad
-from cmil.autodiff import Tensor, zero_grads
-from cmil.bagio import read_bag
+from cmil.autodiff import Tensor
+from cmil.bagio import ConceptSet, read_bag
 from cmil.errors import ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError
 from cmil.projection import project
 from cmil.synthgen import SynthConfig, gen_dataset
@@ -27,7 +27,7 @@ from cmil.trainer import (
     total_loss,
     train,
 )
-from gradcheck import relative_error
+from gradcheck import PinnedNoise, frozen_forward, relative_error, zero_grads
 
 # seed chosen so the 3-bag val and test slices each contain both classes
 TINY_SYNTH = SynthConfig(
@@ -99,13 +99,13 @@ class TestBceLoss:
 class TestTotalLoss:
     def test_lambda_zero_drops_regularizer(self):
         a = Tensor(np.full(4, 0.25))
-        lb = total_loss(1, Tensor(np.float64(0.7)), Tensor(np.float64(0.6)), a, 0.0)
+        lb = total_loss(1, Tensor(np.float64(0.7)), Tensor(np.float64(0.6)), a, 0.0, "dual")
         assert lb.total.item() == pytest.approx(lb.bce_img.item() + lb.bce_concept.item(), abs=1e-15)
 
     def test_uniform_alpha_l2_is_one_over_n(self):
         for n in (2, 5, 17):
             a = Tensor(np.full(n, 1.0 / n))
-            lb = total_loss(0, Tensor(np.float64(0.4)), Tensor(np.float64(0.5)), a, 0.05)
+            lb = total_loss(0, Tensor(np.float64(0.4)), Tensor(np.float64(0.5)), a, 0.05, "dual")
             assert lb.l2_alpha.item() == pytest.approx(1.0 / n, abs=1e-12)
 
     def test_breakdown_identity(self):
@@ -115,7 +115,7 @@ class TestTotalLoss:
             pi, pc = rng.uniform(0.01, 0.99, 2)
             lam = float(rng.uniform(0, 0.2))
             y = int(rng.integers(0, 2))
-            lb = total_loss(y, Tensor(np.float64(pi)), Tensor(np.float64(pc)), a, lam)
+            lb = total_loss(y, Tensor(np.float64(pi)), Tensor(np.float64(pc)), a, lam, "dual")
             recomputed = lb.bce_img.item() + lb.bce_concept.item() + lam * lb.l2_alpha.item()
             assert abs(lb.total.item() - recomputed) < 1e-12
 
@@ -157,21 +157,21 @@ class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))
         opt = adamw({"p": p}, 0.0)
-        p.grad = np.zeros(3)
+        p.grad[...] = 0.0
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_zero_grad_decay_scales(self):
         p = Tensor(np.array([1.0, -2.0]))
         opt = adamw({"p": p}, 0.01)
-        p.grad = np.zeros(2)
+        p.grad[...] = 0.0
         opt.step()
         np.testing.assert_allclose(p.data, np.array([1.0, -2.0]) * (1 - 0.1 * 0.01), atol=1e-15)
 
     def test_single_step_hand_oracle(self):
         p = Tensor(np.float64(1.0))
         opt = AdamW({"p": p}, lr=0.1, weight_decay=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-        p.grad = np.float64(0.5)
+        p.grad[...] = 0.5
         opt.step()
         m_hat = (0.1 * 0.5) / (1 - 0.9)
         v_hat = (0.001 * 0.25) / (1 - 0.999)
@@ -181,7 +181,7 @@ class TestAdamW:
     def test_nan_gradient_aborts(self):
         p = Tensor(np.array([1.0]))
         opt = adamw({"p": p}, 0.0)
-        p.grad = np.array([np.nan])
+        p.grad[...] = np.nan
         with pytest.raises(TrainingDivergedError, match="p"):
             opt.step()
 
@@ -190,17 +190,17 @@ class TestAdamW:
         second = Tensor(np.array([[0.5, 0.25]]))
         opt = adamw({"first": first, "second": second}, 0.01)
         before = first.data.tobytes()
-        first.grad = np.array([0.3, -0.7])
-        second.grad = np.array([[0.1, np.nan]])
+        first.grad[...] = [0.3, -0.7]
+        second.grad[...] = [[0.1, np.nan]]
         with pytest.raises(TrainingDivergedError, match="second"):
             opt.step()
         assert first.data.tobytes() == before
         # the failed step left no trace: the next one is the first step
-        second.grad = np.array([[0.1, 0.2]])
+        second.grad[...] = [[0.1, 0.2]]
         opt.step()
         oracle = {"first": Tensor(np.array([1.0, -2.0])), "second": Tensor(np.array([[0.5, 0.25]]))}
         ref = PerParameterAdamW(oracle, lr=0.1, weight_decay=0.01)
-        oracle["first"].grad, oracle["second"].grad = first.grad, second.grad
+        oracle["first"].grad, oracle["second"].grad = first.grad.copy(), second.grad.copy()
         ref.step()
         assert first.data.tobytes() == oracle["first"].data.tobytes()
         assert second.data.tobytes() == oracle["second"].data.tobytes()
@@ -217,9 +217,9 @@ class TestAdamW:
             opt.zero_grad()
             oracle.zero_grad()
             for k, shape in shapes.items():
-                if k != "unused":  # its grad stays None: a zero gradient, decay only
+                if k != "unused":  # its grad stays zero: decay only
                     g = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=shape)
-                    flat[k].grad, ref[k].grad = g.copy(), g.copy()
+                    flat[k].grad[...], ref[k].grad = g, g.copy()
             opt.step()
             oracle.step()
             for k in shapes:
@@ -335,8 +335,6 @@ class TestEndToEndGradients:
         f_values = np.clip(rng.normal(size=(n, 4)), -1, 1)
         cfg = TrainConfig(seed=3, d_h=5, d_a=4,
                           topk=TopKConfig(K=3, num_noise_samples=100, noise_sigma=0.05))
-        from cmil.bagio import ConceptSet
-
         concepts = ConceptSet([f"c{i}" for i in range(4)], rng.normal(size=(4, 6)))
         model = init_model(cfg, concepts, 6)
         return model, cfg, emb, f_values
@@ -350,8 +348,8 @@ class TestEndToEndGradients:
         )
 
         def loss_value():
-            fwd = joint_forward(model, emb, f_values, fixed_indices=fixed)
-            return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam)
+            fwd = frozen_forward(model, emb, f_values, fixed)
+            return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, "dual")
 
         params = model.parameters()
         zero_grads(params.values())
@@ -383,9 +381,11 @@ class TestEndToEndGradients:
         cfg2 = TrainConfig(seed=3, d_h=5, d_a=4,
                            topk=TopKConfig(K=3, num_noise_samples=m_samples, noise_sigma=0.05))
 
+        model = dataclasses.replace(model, topk=cfg2.topk)  # the same parameters, M = m_samples
+
         def loss_value():
-            fwd = joint_forward(model, emb, f_values, noise=noise)
-            return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg2.lam)
+            fwd = joint_forward(model, emb, f_values, rng=PinnedNoise(noise))
+            return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg2.lam, "dual")
 
         params = model.parameters()
         zero_grads(params.values())
@@ -616,6 +616,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated|trailing"):
             load_checkpoint(p)
 
+    def test_load_peak_stays_below_two_and_a_half_file_sizes(self, tmp_path):
+        # the file's bytes and the model are needed; a second copy of every blob is not
+        cfg = TrainConfig()
+        concepts = ConceptSet([f"c{i}" for i in range(12)],
+                              np.random.default_rng(0).normal(size=(12, 64)))
+        path = tmp_path / "default.cmck"
+        save_checkpoint(path, init_model(cfg, concepts, 64), cfg, epoch=0)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size, f"peak {peak / size:.2f}x the {size}-byte file"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self, tiny_dataset):
         split, concepts = tiny_dataset
@@ -716,6 +732,13 @@ class TestCheckpointAgainstModel:
 
         with pytest.raises(FormatError, match=r"unknown blobs \['image.extra'\]"):
             load_checkpoint(self.edited(saved, tmp_path, add))
+
+    def test_duplicate_blob_name_is_a_format_error(self, saved, tmp_path):
+        def duplicate(blobs):
+            return [({"name": "image.clf_b", "shape": []}, struct.pack("<d", 123.0))] + blobs
+
+        with pytest.raises(FormatError, match="blob image.clf_b is listed twice"):
+            load_checkpoint(self.edited(saved, tmp_path, duplicate))
 
     def test_missing_concept_embeddings_is_a_format_error(self, saved, tmp_path):
         def drop(blobs):
