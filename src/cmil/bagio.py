@@ -4,7 +4,8 @@ A bag on disk is a pair of files: a binary embedding blob (magic ``CMIL``,
 little-endian u32 version, u64 row and column counts, then float32 row-major
 payload) and a JSON sidecar manifest with the same basename and a ``.json``
 extension. Concept sets use the same binary layout under magic ``CCPT``.
-Embeddings are stored as float32 and promoted to float64 in memory.
+Bag embeddings stay float32 in memory, as stored; concept sets are promoted
+to float64.
 """
 
 from __future__ import annotations
@@ -28,39 +29,47 @@ DEFAULT_PROMPT_TEMPLATE = "an H & E image of CONCEPT"
 _HEADER = struct.Struct("<4sIQQ")
 
 
-@dataclass(frozen=True)
-class PatchRecord:
-    """Grid position of one patch, with an optional ground-truth tumor flag."""
-
-    grid_row: int
-    grid_col: int
-    in_tumor: bool | None = None
-
-
 @dataclass
 class Bag:
-    """One slide: N patch embeddings plus per-patch metadata and a binary label."""
+    """One slide: N patch embeddings, their grid positions and a binary label.
+
+    `embeddings` keeps a float32 or float64 matrix as given (a read bag holds
+    the file's float32 payload); any other dtype becomes float64.  `grid` is
+    the N x 2 int64 (row, col) of each patch, and `in_tumor` an N-long bool
+    array of ground-truth tumor flags, or None when the slide is unannotated.
+    """
 
     slide_id: str
     label: int
     embeddings: np.ndarray
-    patches: list[PatchRecord]
+    grid: np.ndarray
+    in_tumor: np.ndarray | None = None
 
     def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        self.embeddings = np.asarray(self.embeddings)
+        if self.embeddings.dtype not in (np.float32, np.float64):
+            self.embeddings = self.embeddings.astype(np.float64)
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] < 1:
             raise DataValidationError(f"bag {self.slide_id}: embeddings must be a nonempty N x D matrix")
         if self.label not in (0, 1):
             raise DataValidationError(f"bag {self.slide_id}: label must be 0 or 1, got {self.label!r}")
-        if self.embeddings.shape[0] != len(self.patches):
+        n = self.embeddings.shape[0]
+        self.grid = np.asarray(self.grid, dtype=np.int64)
+        if self.grid.ndim != 2 or self.grid.shape[1] != 2:
             raise DataValidationError(
-                f"bag {self.slide_id}: {self.embeddings.shape[0]} embedding rows "
-                f"but {len(self.patches)} patch records"
-            )
-        coords = [(p.grid_row, p.grid_col) for p in self.patches]
-        if len(set(coords)) != len(coords):
+                f"bag {self.slide_id}: grid must be N x 2 (row, col), got shape {self.grid.shape}")
+        if self.grid.shape[0] != n:
+            raise DataValidationError(
+                f"bag {self.slide_id}: {n} embedding rows but {self.grid.shape[0]} patch records")
+        if self.in_tumor is not None:
+            self.in_tumor = np.asarray(self.in_tumor, dtype=bool)
+            if self.in_tumor.shape != (n,):
+                raise DataValidationError(
+                    f"bag {self.slide_id}: {n} embedding rows but {self.in_tumor.size} tumor flags")
+        ordered = self.grid[np.lexsort((self.grid[:, 1], self.grid[:, 0]))]
+        if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
             raise DataValidationError(f"bag {self.slide_id}: duplicate patch grid coordinates")
-        if any(p.grid_row < 0 or p.grid_col < 0 for p in self.patches):
+        if np.any(self.grid < 0):
             raise DataValidationError(f"bag {self.slide_id}: negative grid coordinates")
         if not np.all(np.isfinite(self.embeddings)):
             raise DataValidationError(f"bag {self.slide_id}: non-finite embedding values")
@@ -68,9 +77,6 @@ class Bag:
     @property
     def dim(self) -> int:
         return self.embeddings.shape[1]
-
-    def has_tumor_flags(self) -> bool:
-        return all(p.in_tumor is not None for p in self.patches)
 
 
 @dataclass
@@ -132,7 +138,7 @@ def _write_blob(path: Path, magic: bytes, matrix: np.ndarray) -> None:
 
 
 def _read_blob(path: Path, magic: bytes) -> np.ndarray:
-    """Read a blob, promoting to float64. Never allocates beyond the declared payload."""
+    """Read a blob's float32 payload. Never allocates beyond the declared payload."""
     path = Path(path)
     try:
         size = path.stat().st_size
@@ -155,11 +161,9 @@ def _read_blob(path: Path, magic: bytes) -> np.ndarray:
             raise FormatError(
                 f"{path}: payload is {size - _HEADER.size} bytes, header declares {expected}"
             )
-        raw = f.read(expected)
-        if len(raw) != expected:
+        values = np.empty((rows, cols), dtype="<f4")
+        if f.readinto(values) != expected:
             raise FormatError(f"{path}: truncated payload")
-    with np.errstate(invalid="ignore"):  # signaling-NaN bit patterns warn on cast
-        values = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
     if not np.all(np.isfinite(values)):
         raise FormatError(f"{path}: non-finite values in payload")
     return values
@@ -195,46 +199,69 @@ def dump_json(obj, path: Path) -> None:
 def write_bag(bag: Bag, path: Path) -> None:
     path = Path(path)
     _write_blob(path, BAG_MAGIC, bag.embeddings)
-    patches = []
-    for p in bag.patches:
-        rec = {"row": p.grid_row, "col": p.grid_col}
-        if p.in_tumor is not None:
-            rec["in_tumor"] = bool(p.in_tumor)
-        patches.append(rec)
+    grid = bag.grid.tolist()
+    if bag.in_tumor is None:
+        patches = [{"row": r, "col": c} for r, c in grid]
+    else:
+        patches = [{"row": r, "col": c, "in_tumor": t} for (r, c), t in zip(grid, bag.in_tumor.tolist())]
     dump_json({"slide_id": bag.slide_id, "label": bag.label, "patches": patches}, _sidecar(path))
+
+
+def _patch_arrays(sidecar: Path, recs: list) -> tuple[np.ndarray, np.ndarray | None]:
+    """The grid and tumor-flag arrays of a sidecar's patch records.
+
+    Each record must be a dict with integer `row` and `col` and an optional
+    boolean `in_tumor`; the first bad record is named.  Flags on only some
+    patches are rejected.
+    """
+    rows, cols, flags = [], [], []
+    for i, rec in enumerate(recs):
+        if not isinstance(rec, dict) or "row" not in rec or "col" not in rec:
+            raise FormatError(f"{sidecar}: patch {i} must have 'row' and 'col'")
+        row, col = rec["row"], rec["col"]
+        if not isinstance(row, int) or not isinstance(col, int) or isinstance(row, bool) or isinstance(col, bool):
+            raise FormatError(f"{sidecar}: patch {i} coordinates must be integers")
+        flag = rec.get("in_tumor")
+        if flag is not None and not isinstance(flag, bool):
+            raise FormatError(f"{sidecar}: patch {i} 'in_tumor' must be a boolean")
+        rows.append(row)
+        cols.append(col)
+        flags.append(flag)
+    try:
+        grid = np.array((rows, cols), dtype=np.int64).T.copy()
+    except OverflowError as exc:
+        raise FormatError(f"{sidecar}: patch coordinates out of range") from exc
+    flagged = len(flags) - flags.count(None)
+    if flagged == 0:
+        return grid, None
+    if flagged != len(flags):
+        raise FormatError(f"{sidecar}: 'in_tumor' is set on {flagged} of {len(flags)} patches, "
+                          "expected all or none")
+    return grid, np.array(flags, dtype=bool)
 
 
 def read_bag(path: Path) -> Bag:
     path = Path(path)
     values = _read_blob(path, BAG_MAGIC)
-    doc = _read_json(_sidecar(path))
+    sidecar = _sidecar(path)
+    doc = _read_json(sidecar)
     for key in ("slide_id", "label", "patches"):
         if key not in doc:
-            raise FormatError(f"{_sidecar(path)}: missing manifest key {key!r}")
+            raise FormatError(f"{sidecar}: missing manifest key {key!r}")
     if not isinstance(doc["patches"], list):
-        raise FormatError(f"{_sidecar(path)}: 'patches' must be a list")
+        raise FormatError(f"{sidecar}: 'patches' must be a list")
     if len(doc["patches"]) != values.shape[0]:
         raise FormatError(
             f"{path}: blob has {values.shape[0]} rows but manifest lists {len(doc['patches'])} patches"
         )
-    patches = []
-    for i, rec in enumerate(doc["patches"]):
-        if not isinstance(rec, dict) or "row" not in rec or "col" not in rec:
-            raise FormatError(f"{_sidecar(path)}: patch {i} must have 'row' and 'col'")
-        row, col = rec["row"], rec["col"]
-        if not isinstance(row, int) or not isinstance(col, int) or isinstance(row, bool) or isinstance(col, bool):
-            raise FormatError(f"{_sidecar(path)}: patch {i} coordinates must be integers")
-        flag = rec.get("in_tumor")
-        if flag is not None and not isinstance(flag, bool):
-            raise FormatError(f"{_sidecar(path)}: patch {i} 'in_tumor' must be a boolean")
-        patches.append(PatchRecord(row, col, flag))
+    grid, in_tumor = _patch_arrays(sidecar, doc["patches"])
     label = doc["label"]
     if label not in (0, 1) or isinstance(label, bool):
-        raise FormatError(f"{_sidecar(path)}: label must be 0 or 1")
+        raise FormatError(f"{sidecar}: label must be 0 or 1")
     if not isinstance(doc["slide_id"], str):
-        raise FormatError(f"{_sidecar(path)}: slide_id must be a string")
+        raise FormatError(f"{sidecar}: slide_id must be a string")
     try:
-        return Bag(doc["slide_id"], label, values, patches)
+        return Bag(doc["slide_id"], label, values, grid, in_tumor)
     except DataValidationError as exc:
         raise FormatError(str(exc)) from exc
 

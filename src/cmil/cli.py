@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .bagio import (content_hash, dump_json, file_hash, read_bag,
                     read_concepts, read_split)
+from .embed2d import MIN_POINTS
 from .errors import (CmilError, ConfigError, DataValidationError, ShapeError,
                      TrainingDivergedError)
 from .evaluation import evaluate_split
@@ -193,10 +194,10 @@ def cmd_explain(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # a 2-D projection needs at least 3 patch points
-    if args.seed < 0 or args.max_patch_points < 3:
-        raise ConfigError(f"--seed must be >= 0 and --max-patch-points >= 3, got "
-                          f"{args.seed} and {args.max_patch_points}")
+    min_points = MIN_POINTS[args.projection]
+    if args.seed < 0 or args.max_patch_points < min_points:
+        raise ConfigError(f"--seed must be >= 0 and --max-patch-points >= {min_points} with "
+                          f"--projection {args.projection}, got {args.seed} and {args.max_patch_points}")
     model, cfg, header = load_checkpoint(args.ckpt)
     data = Path(args.data)
     split = read_split(data / "split.json")

@@ -10,6 +10,10 @@ from .errors import ConfigError, DataValidationError, ShapeError
 
 _P_FLOOR = 1e-12
 
+# The fewest points each projection accepts.  t-SNE's default perplexity,
+# min(30, (n - 1) // 3), is 0 below 4 points.
+MIN_POINTS = {"pca": 3, "tsne": 4}
+
 
 def pca_2d(points: np.ndarray) -> np.ndarray:
     """Project onto the top-2 principal components.
@@ -277,10 +281,10 @@ def project_2d(points: np.ndarray, method: str, seed: int) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"expected an n x d matrix, got shape {x.shape}")
-    if x.shape[0] < 3:
-        raise DataValidationError(f"need at least 3 points, got {x.shape[0]}")
+    if method not in MIN_POINTS:
+        raise ConfigError(f"unknown projection method {method!r}")
+    if x.shape[0] < MIN_POINTS[method]:
+        raise DataValidationError(f"{method} needs at least {MIN_POINTS[method]} points, got {x.shape[0]}")
     if method == "pca":
         return pca_2d(x)
-    if method == "tsne":
-        return tsne_2d(x, seed=seed).points
-    raise ConfigError(f"unknown projection method {method!r}")
+    return tsne_2d(x, seed=seed).points

@@ -31,7 +31,7 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
 
     # pointing game needs a target: score only slides with annotated tumor regions
     flagged = [(b, p) for b, p in zip(bags, preds)
-               if b.has_tumor_flags() and any(pt.in_tumor for pt in b.patches)]
+               if b.in_tumor is not None and b.in_tumor.any()]
     if flagged:
         loc_mean = float(np.mean(
             [disease_localization(p.hard_indices, b) for b, p in flagged]))

@@ -46,21 +46,19 @@ class LocalExplanation:
 
 def explain_slide(bag: Bag, model: CmilModel, pred: Prediction) -> LocalExplanation:
     """Assemble the local report from the bag's prediction."""
-    grid_shape = (
-        max(p.grid_row for p in bag.patches) + 1,
-        max(p.grid_col for p in bag.patches) + 1,
-    )
+    grid = bag.grid.tolist()
+    grid_shape = tuple(int(m) + 1 for m in bag.grid.max(axis=0))
     attention_grid = [
-        {"patch_index": i, "row": p.grid_row, "col": p.grid_col, "alpha": float(pred.alpha[i])}
-        for i, p in enumerate(bag.patches)
+        {"patch_index": i, "row": r, "col": c, "alpha": float(pred.alpha[i])}
+        for i, (r, c) in enumerate(grid)
     ]
     topk = []
     for k, j in enumerate(pred.hard_indices):
-        p = bag.patches[int(j)]
+        r, c = grid[int(j)]
         topk.append({
             "patch_index": int(j),
-            "row": p.grid_row,
-            "col": p.grid_col,
+            "row": r,
+            "col": c,
             "alpha": float(pred.alpha[int(j)]),
             "concept_values": [float(v) for v in pred.f_topk[k]],
         })

@@ -46,12 +46,12 @@ def auc(scores, labels) -> float:
 
 def disease_localization(selected_indices, bag: Bag) -> float:
     """Fraction of the selected patches lying in ground-truth tumor regions."""
-    if not bag.has_tumor_flags():
+    if bag.in_tumor is None:
         raise DataValidationError(f"bag {bag.slide_id} lacks in_tumor flags")
     idx = np.asarray(selected_indices, dtype=int)
     if idx.size == 0:
         raise DataValidationError("empty selection")
-    hits = sum(1 for i in idx if bag.patches[int(i)].in_tumor)
+    hits = int(np.count_nonzero(bag.in_tumor[idx]))
     return hits / idx.size
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bagio import Bag, ConceptSet, DatasetSplit, PatchRecord, write_bag, write_concepts, write_split
+from .bagio import Bag, ConceptSet, DatasetSplit, write_bag, write_concepts, write_split
 from .errors import ConfigError, check_field_types
 
 # stream ids far above any bag index
@@ -157,16 +157,18 @@ def gen_bag(
         emb += cfg.noise_std * rng.normal(size=emb.shape)
 
     _, cols = _grid_shape(n)
-    patches = [PatchRecord(i // cols, i % cols, i in tumor_idx) for i in range(n)]
-    return Bag(slide_id, label, emb, patches)
+    grid = np.stack(np.divmod(np.arange(n), cols), axis=1)
+    in_tumor = np.zeros(n, dtype=bool)
+    in_tumor[sorted(tumor_idx)] = True
+    return Bag(slide_id, label, emb, grid, in_tumor)
 
 
 def gen_dataset(cfg: SynthConfig, out_dir: Path) -> DatasetSplit:
     """Write bags, concept set and split JSON; returns the resolved split.
 
-    Embeddings are quantized to f32 on disk (the storage format), so reading
-    a written bag reproduces the file bytes but not the exact f64 values that
-    `gen_bag` returns in memory.
+    Embeddings are quantized to f32 on disk (the storage format), and
+    `read_bag` keeps them as f32: reading a written bag reproduces the file
+    bytes, not the exact f64 values that `gen_bag` returns in memory.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ import pytest
 
 from cmil import autodiff as ad
 from cmil.autodiff import Tensor
-from cmil.bagio import Bag, ConceptSet, PatchRecord, read_bag, read_concepts
+from cmil.bagio import Bag, ConceptSet, read_bag, read_concepts
 from cmil.cli import main as cli_main
 from cmil.concept_branch import scale_attention
 from cmil.errors import (ConfigError, DataValidationError, DegenerateEmbeddingError,
@@ -96,7 +96,7 @@ def test_criterion_2_additive_decomposition_identity(capsys):
                           topk=TopKConfig(K=k))
         model = init_model(cfg, concepts, d)
         bag = Bag(f"t{trial}", int(rng.integers(0, 2)), rng.normal(size=(n, d)),
-                  [PatchRecord(i, 0) for i in range(n)])
+                  [(i, 0) for i in range(n)])
         pred = predict(bag, model)
         gap = abs(_sigmoid(float(pred.kappa.sum()) + pred.bias) - pred.prob_concept)
         worst = max(worst, gap)

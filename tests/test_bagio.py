@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from cmil.bagio import (
     Bag,
     ConceptSet,
-    PatchRecord,
     content_hash,
     read_bag,
     read_concepts,
@@ -19,14 +19,22 @@ from cmil.bagio import (
     write_split,
 )
 from cmil.errors import DataValidationError, FormatError, ShapeError
-from cmil.trainer import TrainConfig, train
+from cmil.synthgen import SynthConfig, gen_bag, gen_concepts, gen_dataset
+from cmil.trainer import TrainConfig, init_model, predict, train
 
 
 def make_bag(n=5, d=8, seed=0, label=1, slide_id="s0", flags=True):
     rng = np.random.default_rng(seed)
     emb = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
-    patches = [PatchRecord(i // 3, i % 3, bool(i % 2) if flags else None) for i in range(n)]
-    return Bag(slide_id, label, emb, patches)
+    grid = [(i // 3, i % 3) for i in range(n)]
+    return Bag(slide_id, label, emb, grid, [bool(i % 2) for i in range(n)] if flags else None)
+
+
+def assert_same_patches(a: Bag, b: Bag):
+    np.testing.assert_array_equal(a.grid, b.grid)
+    assert (a.in_tumor is None) == (b.in_tumor is None)
+    if a.in_tumor is not None:
+        np.testing.assert_array_equal(a.in_tumor, b.in_tumor)
 
 
 class TestBagModel:
@@ -37,23 +45,40 @@ class TestBagModel:
     def test_patch_count_must_match_rows(self):
         emb = np.zeros((3, 4))
         with pytest.raises(DataValidationError, match="patch records"):
-            Bag("s", 0, emb, [PatchRecord(0, 0)])
+            Bag("s", 0, emb, [(0, 0)])
 
     def test_duplicate_grid_coords_rejected(self):
         emb = np.zeros((2, 4))
         with pytest.raises(DataValidationError, match="duplicate"):
-            Bag("s", 0, emb, [PatchRecord(1, 1), PatchRecord(1, 1)])
+            Bag("s", 0, emb, [(1, 1), (1, 1)])
+
+    def test_duplicates_found_wherever_they_sit(self):
+        emb = np.zeros((4, 4))
+        with pytest.raises(DataValidationError, match="duplicate"):
+            Bag("s", 0, emb, [(1, 1), (0, 2), (2, 0), (1, 1)])
+        Bag("s", 0, emb, [(1, 1), (1, 0), (0, 1), (0, 0)])  # shared rows or cols are fine
+
+    def test_negative_grid_coords_rejected(self):
+        with pytest.raises(DataValidationError, match="negative"):
+            Bag("s", 0, np.zeros((2, 4)), [(0, 0), (3, -1)])
 
     def test_non_finite_rejected(self):
         emb = np.zeros((2, 4))
         emb[1, 2] = np.nan
         with pytest.raises(DataValidationError, match="finite"):
-            Bag("s", 0, emb, [PatchRecord(0, 0), PatchRecord(0, 1)])
+            Bag("s", 0, emb, [(0, 0), (0, 1)])
 
     def test_tumor_flags_all_or_nothing_detection(self):
         bag = make_bag(flags=True)
-        assert bag.has_tumor_flags()
-        assert not make_bag(flags=False).has_tumor_flags()
+        assert bag.in_tumor is not None
+        assert make_bag(flags=False).in_tumor is None
+
+    def test_float32_kept_other_dtypes_become_float64(self):
+        grid = [(0, 0), (0, 1)]
+        for dtype in (np.float32, np.float64):
+            assert Bag("s", 0, np.ones((2, 3), dtype), grid).embeddings.dtype == dtype
+        for emb in (np.ones((2, 3), np.float16), np.ones((2, 3), np.int32), [[1, 2], [3, 4]]):
+            assert Bag("s", 0, emb, grid).embeddings.dtype == np.float64
 
 
 class TestBagRoundTrip:
@@ -65,7 +90,7 @@ class TestBagRoundTrip:
         assert back.slide_id == bag.slide_id
         assert back.label == bag.label
         np.testing.assert_array_equal(back.embeddings, bag.embeddings)
-        assert back.patches == bag.patches
+        assert_same_patches(back, bag)
 
     def test_write_is_deterministic(self, tmp_path):
         bag = make_bag(n=4, d=6, seed=9)
@@ -139,7 +164,7 @@ class TestBagRoundTrip:
         write_bag(make_bag(flags=False), p)
         doc = json.loads((tmp_path / "bag.json").read_text())
         assert all("in_tumor" not in rec for rec in doc["patches"])
-        assert read_bag(p).patches[0].in_tumor is None
+        assert read_bag(p).in_tumor is None
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -152,12 +177,75 @@ class TestBagRoundTrip:
         tmp = tmp_path_factory.mktemp("rt")
         rng = np.random.default_rng(seed)
         emb = (rng.normal(size=(n, d)) * 10).astype(np.float32).astype(np.float64)
-        patches = [PatchRecord(i, 0) for i in range(n)]
-        bag = Bag(f"s{seed}", label, emb, patches)
+        bag = Bag(f"s{seed}", label, emb, [(i, 0) for i in range(n)])
         write_bag(bag, tmp / "b.cmil")
         back = read_bag(tmp / "b.cmil")
         np.testing.assert_array_equal(back.embeddings, bag.embeddings)
-        assert (back.slide_id, back.label, back.patches) == (bag.slide_id, bag.label, bag.patches)
+        assert (back.slide_id, back.label) == (bag.slide_id, bag.label)
+        assert_same_patches(back, bag)
+
+
+# (new patch 1 of a flagged 5-patch sidecar, built from the old one; expected message)
+BAD_PATCHES = {
+    "not a dict": (lambda rec: [rec["row"], rec["col"]], "patch 1 must have 'row' and 'col'"),
+    "no row": (lambda rec: {"col": rec["col"]}, "patch 1 must have 'row' and 'col'"),
+    "bool coordinate": (lambda rec: {**rec, "row": True}, "patch 1 coordinates must be integers"),
+    "float coordinate": (lambda rec: {**rec, "col": 1.0}, "patch 1 coordinates must be integers"),
+    "string in_tumor": (lambda rec: {**rec, "in_tumor": "yes"}, "patch 1 'in_tumor' must be a boolean"),
+    "flags on only some patches": (lambda rec: {"row": rec["row"], "col": rec["col"]},
+                                   "set on 4 of 5 patches"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PATCHES))
+def test_bad_sidecar_record_names_the_sidecar(case, tmp_path):
+    edit, message = BAD_PATCHES[case]
+    write_bag(make_bag(n=5), tmp_path / "bag.cmil")
+    sidecar = tmp_path / "bag.json"
+    doc = json.loads(sidecar.read_text())
+    doc["patches"][1] = edit(doc["patches"][1])
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=message) as info:
+        read_bag(tmp_path / "bag.cmil")
+    assert str(info.value).startswith(f"{sidecar}: ")
+
+
+def test_read_bag_list_holds_little_more_than_its_payload(tmp_path):
+    # 200 default bags: the list once held 2.4x the blobs' float32 payload
+    split = gen_dataset(SynthConfig(seed=1), tmp_path)
+    paths = split.all_paths()
+    payload = sum(p.stat().st_size - 24 for p in paths)  # minus the 24-byte header
+    tracemalloc.start()
+    try:
+        bags = [read_bag(p) for p in paths]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(bags) == 200
+    assert held <= 1.25 * payload, f"{held / payload:.2f}x the payload"
+
+
+class TestFloat32Exactness:
+    """A read bag keeps the file's float32; promoting it first changes no predicted bit."""
+
+    @pytest.mark.parametrize("mode", ["dual", "image-only"])
+    def test_predict_matches_float64_promotion(self, mode, tmp_path):
+        cfg = SynthConfig(seed=4, N_range=(30, 40), D=16, C=5, tumor_concept_count=2)
+        concepts = gen_concepts(cfg)
+        in_memory = gen_bag(cfg, np.random.default_rng(2), force_label=1, concepts=concepts,
+                            slide_id="s")
+        assert in_memory.embeddings.dtype == np.float64
+        write_bag(in_memory, tmp_path / "b.cmil")
+        bag = read_bag(tmp_path / "b.cmil")
+        assert bag.embeddings.dtype == np.float32
+        promoted = Bag(bag.slide_id, bag.label, bag.embeddings.astype(np.float64),
+                       bag.grid, bag.in_tumor)
+        model = init_model(TrainConfig(d_h=8, d_a=6, mode=mode), concepts, cfg.D)
+        a, b = predict(bag, model), predict(promoted, model)
+        for field in ("alpha", "kappa", "beta", "f_topk"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        for field in ("prob", "prob_concept", "prob_image"):
+            assert getattr(a, field) == getattr(b, field), field
 
 
 class TestConcepts:

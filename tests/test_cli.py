@@ -167,7 +167,8 @@ def test_train_unknown_mode_exits_2(data_dir, tmp_path):
     assert rc == EXIT_CONFIG
 
 
-# a setting of the wrong type, a negative seed or a cap below 3 is a configuration error
+# a setting of the wrong type, a negative seed or a cap below 3 (4 for t-SNE) is a
+# configuration error
 BAD_SETTINGS = [
     ["train", "--set", "epochs=1.5"],
     ["train", "--set", "topk.K=2.5"],
@@ -183,6 +184,7 @@ BAD_SETTINGS = [
     ["eval", "--max-patch-points", "-1", "--projection", "pca"],
     ["eval", "--max-patch-points", "0", "--projection", "pca"],
     ["eval", "--max-patch-points", "2", "--projection", "tsne"],
+    ["eval", "--max-patch-points", "3", "--projection", "tsne"],
 ]
 
 
@@ -198,6 +200,17 @@ def test_bad_setting_exits_2_with_an_error_line(argv, data_dir, ckpt, tmp_path, 
     assert main([command] + where + flags) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tsne_cap_below_4_fails_before_reading_a_bag(ckpt, data_dir, tmp_path, capsys,
+                                                     monkeypatch):
+    reads = []
+    monkeypatch.setattr("cmil.cli.read_bag", lambda p: reads.append(p))
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--out",
+               str(tmp_path / "eval.json"), "--projection", "tsne", "--max-patch-points", "3"])
+    assert rc == EXIT_CONFIG
+    assert "--max-patch-points" in capsys.readouterr().err
+    assert reads == []
 
 
 # -- predict / explain -------------------------------------------------------------

@@ -430,6 +430,8 @@ class TestProject2d:
     def test_too_few_points(self):
         with pytest.raises(DataValidationError, match="3 points"):
             project_2d(np.eye(2), "pca", 0)
+        with pytest.raises(DataValidationError, match="4 points"):
+            project_2d(np.eye(3), "tsne", 0)  # default perplexity would be 0
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="unknown"):

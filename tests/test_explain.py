@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmil.autodiff import sigmoid_value
-from cmil.bagio import Bag, PatchRecord, read_bag, read_concepts, read_split
+from cmil.bagio import Bag, read_bag, read_concepts, read_split
 from cmil.errors import DataValidationError
 from cmil.evaluation import evaluate_split
 from cmil.explain import (SCHEMA_VERSION, explain_slide, global_explanations,
@@ -76,8 +76,7 @@ class TestLocalExplanation:
         pred = predict(bag, model)
         assert [e["patch_index"] for e in exp.topk] == [int(j) for j in pred.hard_indices]
         for k, e in enumerate(exp.topk):
-            patch = bag.patches[e["patch_index"]]
-            assert (e["row"], e["col"]) == (patch.grid_row, patch.grid_col)
+            assert [e["row"], e["col"]] == bag.grid[e["patch_index"]].tolist()
             np.testing.assert_array_equal(e["concept_values"], pred.f_topk[k])
             assert e["alpha"] == pred.alpha[e["patch_index"]]
 
@@ -140,8 +139,8 @@ class TestGlobalExplanation:
         bags, concepts, model = fitted
         rng = np.random.default_rng(3)
         emb_t, emb_n = rng.normal(size=(8, 16)), rng.normal(size=(8, 16))
-        patches = [PatchRecord(i, 0) for i in range(8)]
-        mk = lambda sid, label, emb: Bag(sid, label, emb.copy(), list(patches))
+        grid = [(i, 0) for i in range(8)]
+        mk = lambda sid, label, emb: Bag(sid, label, emb.copy(), grid)
         four = [mk("t1", 1, emb_t), mk("t2", 1, emb_t),
                 mk("n1", 0, emb_n), mk("n2", 0, emb_n)]
         g = global_pca(four, model, group_by="truth")
@@ -264,8 +263,7 @@ class TestEvaluation:
     def test_localization_null_without_flags(self, fitted):
         bags, _, model = fitted
         stripped = [
-            Bag(b.slide_id, b.label, b.embeddings,
-                [PatchRecord(p.grid_row, p.grid_col) for p in b.patches])
+            Bag(b.slide_id, b.label, b.embeddings, b.grid)
             for b in bags
         ]
         with pytest.warns(UserWarning, match="localization"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmil.bagio import Bag, PatchRecord
+from cmil.bagio import Bag
 from cmil.embed2d import _ROWS as ROWS
 from cmil.errors import DataValidationError
 from cmil.metrics import (
@@ -150,7 +150,7 @@ class TestAverageRanks:
 def make_flagged_bag(flags):
     n = len(flags)
     emb = np.ones((n, 3))
-    return Bag("s", int(any(flags)), emb, [PatchRecord(i, 0, bool(f)) for i, f in enumerate(flags)])
+    return Bag("s", int(any(flags)), emb, [(i, 0) for i in range(n)], [bool(f) for f in flags])
 
 
 class TestLocalization:
@@ -172,7 +172,7 @@ class TestLocalization:
         assert disease_localization(idx, bag) == disease_localization(list(reversed(idx)), bag)
 
     def test_missing_flags_rejected(self):
-        bag = Bag("s", 0, np.ones((2, 3)), [PatchRecord(0, 0), PatchRecord(0, 1)])
+        bag = Bag("s", 0, np.ones((2, 3)), [(0, 0), (0, 1)])
         with pytest.raises(DataValidationError, match="flags"):
             disease_localization([0], bag)
 

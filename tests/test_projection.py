@@ -99,7 +99,7 @@ def test_tumor_concepts_retrieve_only_tumor_patches(tmp_path):
                 root)
     concepts = read_concepts(root / "concepts.ccpt")
     bags = [read_bag(p) for p in read_split(root / "split.json").all_paths()]
-    in_tumor = np.concatenate([[p.in_tumor for p in b.patches] for b in bags])
+    in_tumor = np.concatenate([b.in_tumor for b in bags])
     acts = np.vstack([project(b.embeddings, concepts) for b in bags])
     for c, name in enumerate(concepts.names):
         if name.startswith("tumor"):

@@ -70,20 +70,20 @@ class TestGenBag:
     def test_force_negative_has_no_tumor_flags(self):
         bag = desk_bag(0, 0)
         assert bag.label == 0
-        assert all(p.in_tumor is False for p in bag.patches)
+        assert bag.in_tumor is not None and not bag.in_tumor.any()
 
     def test_force_positive_fraction_in_range(self):
         for seed in range(8):
             bag = desk_bag(seed, 1)
-            n = len(bag.patches)
-            frac = sum(p.in_tumor for p in bag.patches) / n
+            n = len(bag.in_tumor)
+            frac = int(bag.in_tumor.sum()) / n
             lo, hi = DESK.tumor_fraction_range
             assert lo - 1 / n <= frac <= hi + 1 / n
 
     def test_tumor_block_connected(self):
         bag = desk_bag(3, 1)
-        cols = max(p.grid_col for p in bag.patches) + 1
-        tumor = {i for i, p in enumerate(bag.patches) if p.in_tumor}
+        cols = int(bag.grid[:, 1].max()) + 1
+        tumor = set(np.flatnonzero(bag.in_tumor).tolist())
         # BFS over 4-adjacency must reach the whole block
         start = next(iter(tumor))
         seen, frontier = {start}, [start]
@@ -100,7 +100,7 @@ class TestGenBag:
                           noise_std=0.0, signal_strength=1.0)
         cs = gen_concepts(cfg)
         bag = gen_bag(cfg, np.random.default_rng(5), force_label=1, concepts=cs, slide_id="synth")
-        tumor_rows = bag.embeddings[[p.in_tumor for p in bag.patches]]
+        tumor_rows = bag.embeddings[bag.in_tumor]
         # all tumor patches share the bag mixture; cosine vs that mixture is 1
         mix = tumor_rows[0]
         for row in tumor_rows:
@@ -113,7 +113,7 @@ class TestGenBag:
         bag = gen_bag(cfg, np.random.default_rng(11), force_label=1, concepts=cs, slide_id="synth")
         unit = bag.embeddings / np.linalg.norm(bag.embeddings, axis=1, keepdims=True)
         acts = unit @ cs.embeddings.T
-        tumor_mask = np.array([p.in_tumor for p in bag.patches])
+        tumor_mask = bag.in_tumor
         assert np.max(np.abs(acts[tumor_mask][:, 3:])) <= 1e-9
         assert np.max(np.abs(acts[~tumor_mask][:, :3])) <= 1e-9
 
@@ -122,7 +122,7 @@ class TestGenBag:
             for label in (0, 1):
                 bag = desk_bag(seed, label)
                 assert bag.label == label
-                assert (bag.label == 1) == any(p.in_tumor for p in bag.patches)
+                assert (bag.label == 1) == bool(bag.in_tumor.any())
 
 
 class TestGenDataset:

@@ -541,10 +541,10 @@ class TestPredict:
     def test_bag_with_n_equal_k_selects_everything(self, trained):
         _, concepts, model = trained
         rng = np.random.default_rng(0)
-        from cmil.bagio import Bag, PatchRecord
+        from cmil.bagio import Bag
 
         k = model.topk.K
-        bag = Bag("tiny", 0, rng.normal(size=(k, 16)), [PatchRecord(i, 0) for i in range(k)])
+        bag = Bag("tiny", 0, rng.normal(size=(k, 16)), [(i, 0) for i in range(k)])
         out = predict(bag, model)
         assert list(out.hard_indices) == list(range(k))
 
@@ -557,9 +557,9 @@ class TestPredict:
 
     def test_dimension_mismatch_rejected(self, trained):
         _, _, model = trained
-        from cmil.bagio import Bag, PatchRecord
+        from cmil.bagio import Bag
 
-        bag = Bag("bad", 0, np.zeros((6, 9)) + 1.0, [PatchRecord(i, 0) for i in range(6)])
+        bag = Bag("bad", 0, np.zeros((6, 9)) + 1.0, [(i, 0) for i in range(6)])
         with pytest.raises(ShapeError, match="D=9"):
             predict(bag, model)
 
