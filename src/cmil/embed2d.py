@@ -1,7 +1,6 @@
 """2-D projections for the global explanation views: PCA and an exact t-SNE."""
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -119,12 +118,13 @@ def calibrate_conditionals(points: np.ndarray, perplexity: float,
 
 
 class _Iterate(NamedTuple):
-    """One t-SNE map y with KL(P || Q) at y and the two kernel products its
-    gradient is made from: pn = (P o num) @ [y | 1], nn = (num o num) @ [y | 1],
-    where num = 1 / (1 + d^2) with a zero diagonal and Z = sum(num)."""
+    """One t-SNE map y with KL(P || Q) at y, or None where the pass was not
+    asked for it, and the two kernel products its gradient is made from:
+    pn = (P o num) @ [y | 1], nn = (num o num) @ [y | 1], where
+    num = 1 / (1 + d^2) with a zero diagonal and Z = sum(num)."""
 
     y: np.ndarray
-    kl: float
+    kl: float | None
     z: float
     pn: np.ndarray
     nn: np.ndarray
@@ -136,13 +136,15 @@ class _Iterate(NamedTuple):
 
 
 class _Objective:
-    """KL(P || Q) of exact t-SNE and the parts of its gradient, from one pass
-    over blocks of _ROWS rows, so that P is the only n x n array held.
+    """The parts of exact t-SNE's gradient, and KL(P || Q) on request, from
+    one pass over blocks of _ROWS rows, so that P is the only n x n array held.
 
     KL = sum p log p + sum p log(1 + d^2) + log Z * sum p, each sum over
     i != j.  Q = num / Z needs no floor: off the diagonal it is positive for
     any finite y, and the diagonal, where q is 0, is skipped exactly (its
-    log(1 + d^2) is 0 and num is zeroed there).
+    log(1 + d^2) is 0 and num is zeroed there).  A pass without the KL skips
+    the n^2 log and its dot product with P; Z, pn and nn are the same bits
+    either way.
     """
 
     def __init__(self, p: np.ndarray):
@@ -161,7 +163,7 @@ class _Objective:
             self._plogp += float(np.vdot(p[lo:lo + rows], t))
         self._p_off = float(p.sum() - np.trace(p))
 
-    def at(self, y: np.ndarray) -> _Iterate:
+    def at(self, y: np.ndarray, with_kl: bool) -> _Iterate:
         p, n = self._p, y.shape[0]
         rows = self._den.shape[0]
         yt1 = self._yt1
@@ -173,8 +175,9 @@ class _Objective:
             den, t = self._den[:hi - lo], self._tmp[:hi - lo]
             # 1 + squared distances: exactly 1 on the diagonal
             np.add(sq_dist_rows(yt1[:2], lo, den, t), 1.0, out=den)
-            np.log(den, out=t)
-            p_log_den += float(np.vdot(p[lo:hi], t))
+            if with_kl:
+                np.log(den, out=t)
+                p_log_den += float(np.vdot(p[lo:hi], t))
             np.divide(1.0, den, out=den)  # num
             den.ravel()[lo::n + 1] = 0.0
             z += float(den.sum())
@@ -182,25 +185,18 @@ class _Objective:
             np.matmul(t, yt1.T, out=pn[lo:hi])
             np.multiply(den, den, out=t)
             np.matmul(t, yt1.T, out=nn[lo:hi])
-        kl = self._plogp + p_log_den + math.log(z) * self._p_off
+        kl = self._plogp + p_log_den + math.log(z) * self._p_off if with_kl else None
         return _Iterate(y, kl, z, pn, nn)
 
 
-@dataclass
-class TsneResult:
-    points: np.ndarray
-    kl_trace: list = field(default_factory=list)
-    betas: np.ndarray = None
-
-
 def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
-            iterations: int = 500, learning_rate: float = None) -> TsneResult:
+            iterations: int = 500, learning_rate: float = None) -> np.ndarray:
     """Exact O(n^2) symmetric-SNE embedding into two dimensions.
 
     Schedule: early exaggeration x12 while momentum is 0.5, momentum 0.8
     afterwards, per-parameter adaptive gains as in the reference
     implementation; the last 100 iterations switch to plain descent with step
-    backtracking so the KL trace over that window is non-increasing.
+    backtracking, so the KL never rises over that window.
 
     The default learning rate is max(n / 48, min(n / 12, 50)).  n / 48 is the
     rate of Belkina et al. (2019) for exaggeration 12 with this gradient's
@@ -209,10 +205,11 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     within 4x each point's neighbour offset: at 30 points a floor of 50 ends
     in a poor local minimum for some seeds.
 
-    kl_trace[i] is the KL divergence (nats) of the iterate after step i.  Each
-    iterate, a step or a line-search candidate, gets its KL and gradient from
-    one pass over row blocks (see _Objective).  P is made in place from the
-    conditional matrix: the only n x n array held.
+    Returns the n x 2 map.  Each iterate, a step or a line-search candidate,
+    gets its gradient from one pass over row blocks (see _Objective).  Only the
+    line search reads a KL, so a pass computes it only for the iterate that
+    enters the last 100 iterations and for each candidate there.  P is made in
+    place from the conditional matrix: the only n x n array held.
     """
     x = np.asarray(points, dtype=float)
     n = x.shape[0]
@@ -231,7 +228,7 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
 
     if np.all(x == x[0]):
         raise DataValidationError("cannot project: all points are identical")
-    p, betas = calibrate_conditionals(x, perplexity)
+    p, _ = calibrate_conditionals(x, perplexity)
     for lo in range(0, n, _ROWS):  # p_ij = c_ij + c_ji, a strip of rows at a time
         row, col = p[lo:lo + _ROWS, lo:], p[lo:, lo:lo + _ROWS]
         np.add(row, col.T, out=row)  # numpy reads the overlapping block before writing
@@ -240,37 +237,35 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     np.maximum(p, _P_FLOOR, out=p)
     objective = _Objective(p)
 
-    rng = np.random.default_rng(seed)
-    cur = objective.at(rng.normal(scale=1e-4, size=(n, 2)))
-    vel = np.zeros((n, 2))
-    gains = np.ones((n, 2))
     # exaggeration runs while momentum is low; both end at the same switch
     switch = min(250, iterations // 2)
-    tail = min(100, iterations)
-    kl_trace = []
+    head = iterations - min(100, iterations)  # momentum steps before the line search
+    rng = np.random.default_rng(seed)
+    cur = objective.at(rng.normal(scale=1e-4, size=(n, 2)), head == 0)
+    vel = np.zeros((n, 2))
+    gains = np.ones((n, 2))
 
     for it in range(iterations):
-        if it < iterations - tail:
+        if it < head:
             grad = cur.grad(12.0 if it < switch else 1.0)
             momentum = 0.5 if it < switch else 0.8
             flipped = np.sign(grad) != np.sign(vel)
             gains = np.maximum(np.where(flipped, gains + 0.2, gains * 0.8), 0.01)
             vel = momentum * vel - learning_rate * (gains * grad)
             y = cur.y + vel
-            cur = objective.at(y - y.mean(axis=0))
+            cur = objective.at(y - y.mean(axis=0), it == head - 1)
         else:
             grad = cur.grad(1.0)
             step = learning_rate
             for _ in range(40):
                 y = cur.y - step * grad
-                cand = objective.at(y - y.mean(axis=0))
+                cand = objective.at(y - y.mean(axis=0), True)
                 if cand.kl <= cur.kl:
                     cur = cand
                     break
                 step *= 0.5
-        kl_trace.append(cur.kl)
 
-    return TsneResult(points=cur.y, kl_trace=kl_trace, betas=betas)
+    return cur.y
 
 
 def project_2d(points: np.ndarray, method: str, seed: int) -> np.ndarray:
@@ -287,4 +282,4 @@ def project_2d(points: np.ndarray, method: str, seed: int) -> np.ndarray:
         raise DataValidationError(f"{method} needs at least {MIN_POINTS[method]} points, got {x.shape[0]}")
     if method == "pca":
         return pca_2d(x)
-    return tsne_2d(x, seed=seed).points
+    return tsne_2d(x, seed=seed)

@@ -18,7 +18,8 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
     ground-truth labels; the explanation artifact groups slides by predicted
     class unless group_by says otherwise.  Localization averages over slides
     with annotated tumor regions; when no slide has any the fields are null
-    and a warning is emitted.  Ablation models score the head their mode
+    and a warning is emitted.  So are the patch silhouettes when the patch
+    subsample holds one class.  Ablation models score the head their mode
     decides on.
     """
     bags = list(bags)
@@ -56,6 +57,9 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
 
     slide_truth = {b.slide_id: b.label for b in bags}
     patch_truth = np.asarray([slide_truth[sid] for sid, _ in g.patch_refs])
+    two_classes = bool(np.any(patch_truth != patch_truth[0]))
+    if not two_classes:
+        warnings.warn("the patch subsample holds one class; patch silhouettes skipped")
     result = EvalResult(
         accuracy=acc,
         auc=auc_val,
@@ -65,9 +69,9 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
         jsd_per_concept=jsd_per_concept,
         jsd_mean=jsd_mean,
         silhouette_wsi=silhouette(g.wsi_points, truth),
-        silhouette_patch=silhouette(g.patch_points, patch_truth),
+        silhouette_patch=silhouette(g.patch_points, patch_truth) if two_classes else None,
         silhouette_wsi_2d=silhouette(g.wsi_points_2d, truth),
-        silhouette_patch_2d=silhouette(g.patch_points_2d, patch_truth),
+        silhouette_patch_2d=silhouette(g.patch_points_2d, patch_truth) if two_classes else None,
         counts={
             "slides": len(bags),
             "tumor": int(truth.sum()),

@@ -365,6 +365,23 @@ def test_eval_without_flags_reports_null_localization(ckpt, data_dir, tmp_path):
     jsonschema.validate(doc, schema)
 
 
+def test_one_class_patch_subsample_reports_null_patch_silhouettes(tmp_path):
+    data, ckpt, out = tmp_path / "data", tmp_path / "model.cmck", tmp_path / "eval.json"
+    assert main(["gen-data", "--seed", "7", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--epochs", "2", "--seed", "1"]) == EXIT_OK
+    with pytest.warns(UserWarning, match="patch silhouettes skipped"):
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out),
+                   "--projection", "pca", "--max-patch-points", "3", "--seed", "2"])
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    sil = doc["results"]["silhouette"]
+    assert sil["patch_concept_space"] is None and sil["patch_projected_2d"] is None
+    assert sil["wsi_concept_space"] is not None  # the slide-level ones stay
+    schema = json.loads(files("cmil").joinpath("schemas/eval.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+
+
 @pytest.mark.parametrize("mode", ["image-only", "concept-only"])
 def test_ablation_modes_flow_through_checkpoint_to_eval(data_dir, tmp_path, mode, capsys):
     out = tmp_path / "m.cmck"

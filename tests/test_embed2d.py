@@ -257,44 +257,90 @@ def dense_grad(p, q, num, y):
     return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
 
 
+class LoggedRun:
+    """tsne_2d with every block pass made to compute its KL.
+
+    passes holds (whether tsne_2d asked for the KL, the iterate) for each pass
+    in order; steps holds the current iterate at the start of each step, the
+    one whose gradient the step takes; betas holds the calibrated precisions."""
+
+    def __init__(self, points, **kwargs):
+        self.passes, self.steps = [], []
+        at, grad = cmil.embed2d._Objective.at, cmil.embed2d._Iterate.grad
+        calibrate = cmil.embed2d.calibrate_conditionals
+
+        def logged_at(objective, y, with_kl):
+            it = at(objective, y, True)
+            self.passes.append((with_kl, it))
+            return it
+
+        def logged_grad(it, exaggeration):
+            self.steps.append(it)
+            return grad(it, exaggeration)
+
+        def logged_calibrate(x, perplexity):
+            cond, self.betas = calibrate(x, perplexity)
+            return cond, self.betas
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cmil.embed2d._Objective, "at", logged_at)
+            mp.setattr(cmil.embed2d._Iterate, "grad", logged_grad)
+            mp.setattr(cmil.embed2d, "calibrate_conditionals", logged_calibrate)
+            self.map = tsne_2d(points, **kwargs)
+        # the iterate whose map tsne_2d returned
+        self.final = next(it for _, it in self.passes if it.y is self.map)
+
+    @property
+    def kl_trace(self):
+        """KL (nats) of the current iterate after each step."""
+        return [it.kl for it in self.steps[1:]] + [self.final.kl]
+
+
 @pytest.fixture(scope="module")
 def two_clusters():
     rng = np.random.default_rng(7)
     points = np.vstack([rng.normal(size=(15, 10)), rng.normal(size=(15, 10)) + 2.2])
     labels = np.array([0] * 15 + [1] * 15)
-    return points, labels, tsne_2d(points, seed=0)
+    return points, labels, LoggedRun(points, seed=0)
 
 
 class TestTsne:
     def test_kl_non_increasing_over_final_100_iterations(self, two_clusters):
-        _, _, res = two_clusters
-        tail = res.kl_trace[-100:]
+        _, _, run = two_clusters
+        tail = run.kl_trace[-100:]
         assert len(tail) == 100
         for a, b in zip(tail, tail[1:]):
             assert b <= a + 1e-12
 
     def test_kl_improves_overall(self, two_clusters):
-        _, _, res = two_clusters
-        assert res.kl_trace[-1] < res.kl_trace[0]
+        _, _, run = two_clusters
+        assert run.kl_trace[-1] < run.kl_trace[0]
 
     def test_silhouette_improves_after_projection(self, two_clusters):
-        points, labels, res = two_clusters
-        assert silhouette(res.points, labels) > silhouette(points, labels)
+        points, labels, run = two_clusters
+        assert silhouette(run.map, labels) > silhouette(points, labels)
 
     def test_default_learning_rate_improves_every_seed(self, two_clusters):
         points, labels, _ = two_clusters
         before = silhouette(points, labels)
         for seed in range(8):
-            res = tsne_2d(points, seed=seed)
-            assert res.kl_trace[-1] < res.kl_trace[0], seed
-            assert silhouette(res.points, labels) > before, seed
+            run = LoggedRun(points, seed=seed)
+            assert run.kl_trace[-1] < run.kl_trace[0], seed
+            assert silhouette(run.map, labels) > before, seed
 
     def test_deterministic_given_seed(self, two_clusters):
-        points, _, res = two_clusters
-        again = tsne_2d(points, seed=0)
-        np.testing.assert_array_equal(res.points, again.points)
-        other = tsne_2d(points, seed=1)
-        assert not np.array_equal(res.points, other.points)
+        points, _, _ = two_clusters
+        first = tsne_2d(points, seed=0)
+        np.testing.assert_array_equal(first, tsne_2d(points, seed=0))
+        assert not np.array_equal(first, tsne_2d(points, seed=1))
+
+    def test_skipping_the_kl_changes_no_bit(self, two_clusters):
+        points = two_clusters[0]
+        for seed in range(8):
+            forced = LoggedRun(points, seed=seed).map
+            assert tsne_2d(points, seed=seed).tobytes() == forced.tobytes(), seed
+        x = np.random.default_rng(300).standard_normal((300, 12))
+        assert tsne_2d(x).tobytes() == LoggedRun(x).map.tobytes()
 
     def test_identical_points_rejected(self):
         with pytest.raises(DataValidationError, match="identical"):
@@ -312,9 +358,9 @@ class TestTsne:
 
     def test_default_perplexity_respects_small_n(self):
         rng = np.random.default_rng(1)
-        res = tsne_2d(rng.normal(size=(10, 4)), iterations=60)
-        assert res.points.shape == (10, 2)
-        assert len(res.kl_trace) == 60
+        run = LoggedRun(rng.normal(size=(10, 4)), iterations=60)
+        assert run.map.shape == (10, 2)
+        assert len(run.kl_trace) == 60
 
 
 def _small_points():
@@ -325,67 +371,100 @@ def _rel(a, b):
     return float(np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b))
 
 
-class TestTsneMatchesReference:
-    # the 1e-4 start, a spread map and a converged map; n straddles the
-    # 64-row block boundary
-    @pytest.mark.parametrize("kind", ["start", "spread", "converged"])
-    @pytest.mark.parametrize("n", [10, 63, 64, 65, 300])
-    def test_objective_matches_dense(self, n, kind):
-        x = np.random.default_rng(n).normal(size=(n, 6))
-        p, _ = dense_p(x)
-        if kind == "start":
-            y = np.random.default_rng(1).normal(scale=1e-4, size=(n, 2))
-        elif kind == "spread":
-            y = np.random.default_rng(2).normal(scale=5.0, size=(n, 2))
+def _objective_case(n, kind):
+    """P of n standard-normal 6-d points and a map y: the 1e-4 start, a
+    spread map or a converged map."""
+    x = np.random.default_rng(n).normal(size=(n, 6))
+    p, _ = dense_p(x)
+    if kind == "start":
+        y = np.random.default_rng(1).normal(scale=1e-4, size=(n, 2))
+    elif kind == "spread":
+        y = np.random.default_rng(2).normal(scale=5.0, size=(n, 2))
+    else:
+        y = tsne_2d(x)
+    return p, y
+
+
+# n straddles the 64-row block boundary
+objective_cases = pytest.mark.parametrize("n, kind", [
+    (n, kind) for n in [10, 63, 64, 65, 300] for kind in ["start", "spread", "converged"]])
+
+# rate 200: the line search rejects candidates; 1: a single step; 40:
+# the backtracking tail covers every iteration
+line_search_cases = pytest.mark.parametrize("points, iterations, rate", [
+    ("two_clusters", 500, None), ("small", 60, 200.0), ("small", 1, None),
+    ("small", 40, None)])
+
+
+def _line_search(passes, head):
+    """Replays the line search on the passes after the one that enters it:
+    a candidate is kept iff its KL is not above the current one.  Returns
+    (kept iterates, rejected count)."""
+    current, kept, rejected = passes[head][1], [], 0
+    for _, it in passes[head + 1:]:
+        if it.kl <= current.kl:
+            current = it
+            kept.append(it)
         else:
-            y = tsne_2d(x).points
+            rejected += 1
+    return kept, rejected
+
+
+class TestTsneMatchesReference:
+    @objective_cases
+    def test_objective_matches_dense(self, n, kind):
+        p, y = _objective_case(n, kind)
         q, num = dense_q_matrix(y)
         assert np.min(num / num.sum() + np.eye(n)) >= 1e-12  # the floor is idle
-        it = cmil.embed2d._Objective(p).at(y)
+        it = cmil.embed2d._Objective(p).at(y, True)
         assert abs(it.kl - dense_kl(p, q)) <= 1e-12 * abs(dense_kl(p, q))
         for a in (1.0, 12.0):
             assert _rel(it.grad(a), dense_grad(a * p, q, num, y)) <= 1e-12, a
 
+    @objective_cases
+    def test_pass_without_kl_keeps_every_other_bit(self, n, kind):
+        p, y = _objective_case(n, kind)
+        objective = cmil.embed2d._Objective(p)
+        full, bare = objective.at(y, True), objective.at(y, False)
+        assert bare.kl is None and full.kl is not None
+        assert np.float64(bare.z).tobytes() == np.float64(full.z).tobytes()
+        assert bare.pn.tobytes() == full.pn.tobytes()
+        assert bare.nn.tobytes() == full.nn.tobytes()
+
     def test_betas_match_calibration(self, two_clusters):
-        points, _, res = two_clusters
-        assert np.array_equal(res.betas, dense_p(points)[1])
+        points, _, run = two_clusters
+        assert np.array_equal(run.betas, dense_p(points)[1])
         small = _small_points()
-        assert np.array_equal(tsne_2d(small, iterations=1).betas, dense_p(small)[1])
+        assert np.array_equal(LoggedRun(small, iterations=1).betas, dense_p(small)[1])
 
-    # rate 200: the line search rejects candidates; 1: a single step; 40:
-    # the backtracking tail covers every iteration
-    @pytest.mark.parametrize("points, iterations, rate", [
-        ("two_clusters", 500, None), ("small", 60, 200.0), ("small", 1, None),
-        ("small", 40, None)])
-    def test_one_block_pass_per_iterate(self, two_clusters, monkeypatch,
-                                        points, iterations, rate):
+    @line_search_cases
+    def test_one_block_pass_per_iterate(self, two_clusters, points, iterations, rate):
         x = two_clusters[0] if points == "two_clusters" else _small_points()
-        passes = []  # KL of every pass, in order
-        original = cmil.embed2d._Objective.at
-
-        def counting(self, y):
-            it = original(self, y)
-            passes.append(it.kl)
-            return it
-
-        monkeypatch.setattr(cmil.embed2d._Objective, "at", counting)
-        res = tsne_2d(x, iterations=iterations, learning_rate=rate)
+        run = LoggedRun(x, iterations=iterations, learning_rate=rate)
         head = iterations - min(100, iterations)
-        # the start, then one pass per momentum step, each traced
-        assert passes[1:head + 1] == res.kl_trace[:head]
-        # the line search: a candidate is kept iff its KL is not above the
-        # current one, and each kept candidate is the next traced value
-        current, rejected, kept = passes[head], 0, []
-        for kl in passes[head + 1:]:
-            if kl <= current:
-                current = kl
-                kept.append(kl)
-            else:
-                rejected += 1
-        assert kept == res.kl_trace[head:]
-        assert len(passes) == 1 + iterations + rejected
+        # the start, then one pass per momentum step, each the next step's iterate
+        assert all(s is it for s, (_, it) in zip(run.steps[:head + 1], run.passes))
+        # each kept candidate is the iterate the next step starts from, and
+        # the last one is the map
+        kept, rejected = _line_search(run.passes, head)
+        assert [id(it) for it in kept] == [id(it) for it in run.steps[head + 1:] + [run.final]]
+        assert len(run.passes) == 1 + iterations + rejected
         if rate is not None:
             assert rejected > 0
+
+    @line_search_cases
+    def test_kl_only_where_the_line_search_compares(self, two_clusters, points,
+                                                    iterations, rate):
+        x = two_clusters[0] if points == "two_clusters" else _small_points()
+        run = LoggedRun(x, iterations=iterations, learning_rate=rate)
+        head = iterations - min(100, iterations)
+        _, rejected = _line_search(run.passes, head)
+        asked = [with_kl for with_kl, _ in run.passes]
+        # the iterate that enters the line search, then every candidate
+        assert asked == [False] * head + [True] * (len(asked) - head)
+        assert sum(asked) == 1 + min(100, iterations) + rejected
+        if iterations == 500:  # no candidate is rejected on this data
+            assert (len(asked), sum(asked), rejected) == (501, 101, 0)
 
     def test_one_iterate_peak_memory(self):
         n = 2000
@@ -395,7 +474,7 @@ class TestTsneMatchesReference:
         y = rng.normal(size=(n, 2))
         tracemalloc.start()
         try:
-            cmil.embed2d._Objective(p).at(y).grad(12.0)
+            cmil.embed2d._Objective(p).at(y, True).grad(12.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,7 +504,7 @@ class TestProject2d:
         x = rng.normal(size=(12, 5))
         out = project_2d(x, "tsne", 3)
         assert out.shape == (12, 2)
-        np.testing.assert_array_equal(out, tsne_2d(x, seed=3).points)
+        np.testing.assert_array_equal(out, tsne_2d(x, seed=3))
 
     def test_too_few_points(self):
         with pytest.raises(DataValidationError, match="3 points"):
