@@ -42,7 +42,9 @@ _ROWS = 64  # rows per block of the squared distances, in silhouette and t-SNE
 def sq_dist_rows(xt: np.ndarray, lo: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Fill the b x n `out` with the squared distances from points lo .. lo+b-1
     to all n points, the columns of `xt` (d x n, d >= 1), summed one coordinate
-    at a time with `tmp` as scratch: exactly symmetric, exactly 0 on the diagonal."""
+    at a time with `tmp` as scratch: exactly symmetric, exactly 0 on the diagonal.
+    Called on the columns from lo on, with lo = 0, it builds a block's upper
+    strip (see sq_dist_strips)."""
     hi = lo + out.shape[0]
     out[:] = xt[0]
     np.subtract(out, xt[0, lo:hi, None], out=out)
@@ -53,6 +55,34 @@ def sq_dist_rows(xt: np.ndarray, lo: int, out: np.ndarray, tmp: np.ndarray) -> n
         np.multiply(tmp, tmp, out=tmp)
         np.add(out, tmp, out=out)
     return out
+
+
+def sq_dist_strips(xt: np.ndarray, buf: np.ndarray):
+    """Yield (lo, strip) for each block of _ROWS rows lo .. lo+b-1 of the n
+    points, the columns of `xt`: strip is a 2 x b x (n - lo) view of the
+    flat buffer `buf` (2 min(_ROWS, n) n floats), whose strip[1] is the
+    block's upper strip of squared distances, to points lo .. n-1
+    (strip[1][r, r] = 0), built by sq_dist_rows with strip[0] as scratch."""
+    n = xt.shape[1]
+    for lo in range(0, n, _ROWS):
+        strip = buf[:2 * min(_ROWS, n - lo) * (n - lo)].reshape(2, -1, n - lo)
+        sq_dist_rows(xt[:, lo:], 0, strip[1], strip[0])
+        yield lo, strip
+
+
+def add_strip_product(s: np.ndarray, lo: int, right: np.ndarray,
+                      own: np.ndarray, mirrored: np.ndarray) -> None:
+    """Add strip s's share of S @ right, for a symmetric n x n S or a stack
+    of k of them (s is [k x] b x (n - lo); own and mirrored are [k x] n x c).
+
+    s holds rows lo .. lo+b-1 of S from column lo on: s @ right[lo:] is
+    written to those rows of own, and the part right of the b x b diagonal
+    block, transposed, is added to the rows after them in mirrored.  Over
+    every block's strip, own + mirrored = S @ right, each pair built once.
+    """
+    b = s.shape[-2]
+    np.matmul(s, right[lo:], out=own[..., lo:lo + b, :])
+    mirrored[..., lo + b:, :] += s[..., b:].swapaxes(-1, -2) @ right[lo:lo + b]
 
 
 def calibrate_conditionals(points: np.ndarray, perplexity: float,
@@ -135,56 +165,63 @@ class _Iterate(NamedTuple):
         return 4.0 * (w[:, 2:] * self.y - w[:, :2])
 
 
+def _pair_sum(s: np.ndarray) -> float:
+    """The sum of a symmetric S over the pairs its strip s holds: the
+    diagonal block once, the part right of it twice."""
+    return 2.0 * float(s.sum()) - float(s[:, :s.shape[0]].sum())
+
+
 class _Objective:
     """The parts of exact t-SNE's gradient, and KL(P || Q) on request, from
-    one pass over blocks of _ROWS rows, so that P is the only n x n array held.
+    one pass over blocks of _ROWS rows, so that the symmetric P is the only
+    n x n array held.
+
+    Every product the pass forms from d^2 (P o num, num o num) is symmetric,
+    so rows lo .. hi build only the strip of columns lo .. n, and each pair
+    is built once (see add_strip_product and _pair_sum).
 
     KL = sum p log p + sum p log(1 + d^2) + log Z * sum p, each sum over
     i != j.  Q = num / Z needs no floor: off the diagonal it is positive for
     any finite y, and the diagonal, where q is 0, is skipped exactly (its
     log(1 + d^2) is 0 and num is zeroed there).  A pass without the KL skips
-    the n^2 log and its dot product with P; Z, pn and nn are the same bits
+    the log and its dot product with P; Z, pn and nn are the same bits
     either way.
     """
 
     def __init__(self, p: np.ndarray):
         n = p.shape[0]
-        rows = min(_ROWS, n)
         self._p = p
-        self._den = np.empty((rows, n))
-        self._tmp = np.empty((rows, n))
+        self._buf = np.empty(2 * min(_ROWS, n) * n)
         self._yt1 = np.ones((3, n))  # [y | 1] transposed: rows x, y, 1
         # the y-independent part of KL: sum of p log p, and of p, over i != j
         self._plogp = 0.0
-        for lo in range(0, n, rows):
-            t = self._tmp[:min(n - lo, rows)]
-            np.log(p[lo:lo + rows], out=t)
-            t.ravel()[lo::n + 1] = 0.0
-            self._plogp += float(np.vdot(p[lo:lo + rows], t))
+        for lo in range(0, n, _ROWS):
+            ps = p[lo:lo + _ROWS, lo:]
+            t = np.log(ps, out=self._buf[:ps.size].reshape(ps.shape))
+            t.ravel()[::t.shape[1] + 1] = 0.0
+            self._plogp += _pair_sum(np.multiply(ps, t, out=t))
         self._p_off = float(p.sum() - np.trace(p))
 
     def at(self, y: np.ndarray, with_kl: bool) -> _Iterate:
         p, n = self._p, y.shape[0]
-        rows = self._den.shape[0]
         yt1 = self._yt1
         yt1[:2] = y.T
-        pn, nn = np.empty((n, 3)), np.empty((n, 3))
+        own, mirrored = np.empty((2, n, 3)), np.zeros((2, n, 3))
         p_log_den, z = 0.0, 0.0
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            den, t = self._den[:hi - lo], self._tmp[:hi - lo]
-            # 1 + squared distances: exactly 1 on the diagonal
-            np.add(sq_dist_rows(yt1[:2], lo, den, t), 1.0, out=den)
+        for lo, strip in sq_dist_strips(yt1[:2], self._buf):
+            t, den = strip
+            ps = p[lo:lo + den.shape[0], lo:]
+            np.add(den, 1.0, out=den)  # 1 + d^2: exactly 1 on the diagonal
             if with_kl:
                 np.log(den, out=t)
-                p_log_den += float(np.vdot(p[lo:hi], t))
+                p_log_den += _pair_sum(np.multiply(ps, t, out=t))
             np.divide(1.0, den, out=den)  # num
-            den.ravel()[lo::n + 1] = 0.0
-            z += float(den.sum())
-            np.multiply(p[lo:hi], den, out=t)
-            np.matmul(t, yt1.T, out=pn[lo:hi])
-            np.multiply(den, den, out=t)
-            np.matmul(t, yt1.T, out=nn[lo:hi])
+            den.ravel()[::den.shape[1] + 1] = 0.0
+            z += _pair_sum(den)
+            np.multiply(ps, den, out=t)
+            np.multiply(den, den, out=den)  # the strip stacks P o num over num o num
+            add_strip_product(strip, lo, yt1.T, own, mirrored)
+        pn, nn = own + mirrored
         kl = self._plogp + p_log_den + math.log(z) * self._p_off if with_kl else None
         return _Iterate(y, kl, z, pn, nn)
 

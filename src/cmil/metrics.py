@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bagio import Bag
-from .embed2d import _ROWS, sq_dist_rows
+from .embed2d import _ROWS, add_strip_product, sq_dist_strips
 from .errors import DataValidationError
 
 
@@ -88,8 +88,11 @@ def js_divergence(samples_a, samples_b) -> float:
 def silhouette(points, labels) -> float:
     """Mean silhouette over points, Euclidean distance, singletons score 0.
 
-    Distances are built _ROWS rows at a time by embed2d.sq_dist_rows, so
-    memory stays O(rows x n) and dist[i, i] is exactly 0.
+    Distances are built a block of _ROWS rows at a time, each pair once:
+    embed2d.sq_dist_strips gives the block's upper strip, exactly 0 on the
+    diagonal, and embed2d.add_strip_product adds its distance sums to each
+    cluster for the block's rows and the mirrored rows after them.  Memory
+    stays O(rows x n), and each row is scored after the last strip.
     """
     pts = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -103,27 +106,21 @@ def silhouette(points, labels) -> float:
     n = pts.shape[0]
     onehot = np.zeros((n, classes.size))
     onehot[np.arange(n), cluster] = 1.0
-    rows = min(_ROWS, n)
-    pts_t = np.ascontiguousarray(pts.T)
-    dist_buf = np.empty((rows, n))
-    diff_buf = np.empty((rows, n))
-    scores = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        dist = sq_dist_rows(pts_t, start, dist_buf[: stop - start], diff_buf[: stop - start])
-        np.sqrt(dist, out=dist)
-        per_cluster = dist @ onehot  # distance sums to each cluster
-        own = cluster[start:stop]
-        block_rows = np.arange(stop - start)
-        own_count = counts[own]
-        a = per_cluster[block_rows, own] / np.maximum(own_count - 1, 1)
-        per_cluster /= counts  # mean distance to each cluster
-        per_cluster[block_rows, own] = np.inf
-        b = per_cluster.min(axis=1)
-        denom = np.maximum(a, b)
-        # singleton convention; max(a, b) == 0 only for coincident points
-        scored = (own_count > 1) & (denom > 0)
-        scores[start:stop] = np.divide(b - a, denom, out=np.zeros_like(denom), where=scored)
+    per_cluster, mirrored = np.empty((n, classes.size)), np.zeros((n, classes.size))
+    buf = np.empty(2 * min(_ROWS, n) * n)
+    for lo, strip in sq_dist_strips(np.ascontiguousarray(pts.T), buf):
+        add_strip_product(np.sqrt(strip[1], out=strip[1]), lo, onehot, per_cluster, mirrored)
+    per_cluster += mirrored  # distance sums to each cluster
+    rows = np.arange(n)
+    own_count = counts[cluster]
+    a = per_cluster[rows, cluster] / np.maximum(own_count - 1, 1)
+    per_cluster /= counts  # mean distance to each cluster
+    per_cluster[rows, cluster] = np.inf
+    b = per_cluster.min(axis=1)
+    denom = np.maximum(a, b)
+    # singleton convention; max(a, b) == 0 only for coincident points
+    scored = (own_count > 1) & (denom > 0)
+    scores = np.divide(b - a, denom, out=np.zeros_like(denom), where=scored)
     return float(scores.mean())
 
 

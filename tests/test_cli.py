@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.metadata
+import io
 import json
 import math
 import pkgutil
@@ -15,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cmil.bagio import content_hash, read_bag, read_split
+from cmil.bagio import content_hash, dump_json, read_bag, read_split
 from cmil.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
                       EXIT_SHAPE, main)
 from cmil.explain import explain_slide
@@ -110,6 +111,27 @@ def test_run_json_embeds_config_and_dataset_hash(data_dir):
     expected = content_hash(split.all_paths()
                             + [data_dir / "concepts.ccpt", data_dir / "split.json"])
     assert doc["dataset_hash"] == expected
+
+
+def _streamed(doc) -> bytes:
+    """What json.dump streams for a canonical document."""
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue().encode("utf-8")
+
+
+def test_dump_json_writes_the_bytes_json_dump_streams(data_dir, tmp_path):
+    for name in ("run.json", "split.json", "concepts.json"):
+        raw = (data_dir / name).read_bytes()
+        assert raw == _streamed(json.loads(raw)), name
+    # a document the size of a global report: 2,200 entries
+    report = {"patches": [{"slide_id": f"synth_{i:04d}", "x": i / 7, "y": -i * 1e-300,
+                           "concept": "nécrose" if i % 3 else "tumor", "flags": [i % 2 == 0, None]}
+                          for i in range(2200)],
+              "counts": {"n": 2200, "mean": 2199 / 14}}
+    dump_json(report, tmp_path / "global.json")
+    assert (tmp_path / "global.json").read_bytes() == _streamed(report)
 
 
 def test_unknown_subcommand_is_a_usage_error():

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmil.embed2d
+import cmil.metrics
+from cmil.embed2d import _ROWS as ROWS
 from cmil.embed2d import calibrate_conditionals, pca_2d, project_2d, sq_dist_rows, tsne_2d
 from cmil.errors import ConfigError, DataValidationError, ShapeError
 from cmil.metrics import silhouette
@@ -385,9 +387,32 @@ def _objective_case(n, kind):
     return p, y
 
 
-# n straddles the 64-row block boundary
+# n straddles the 64-row block boundary; at 128 and 129 the last strip has
+# 0 and 1 mirrored columns
 objective_cases = pytest.mark.parametrize("n, kind", [
-    (n, kind) for n in [10, 63, 64, 65, 300] for kind in ["start", "spread", "converged"]])
+    (n, kind) for n in [10, 63, 64, 65, 128, 129, 300]
+    for kind in ["start", "spread", "converged"]])
+
+
+def strip_entries(n):
+    """The distances the upper strips hold: b (n - lo) for the block of
+    rows lo .. lo+b-1."""
+    return sum(min(ROWS, n - lo) * (n - lo) for lo in range(0, n, ROWS))
+
+
+def count_built_distances(monkeypatch):
+    """Wraps sq_dist_rows in each module that binds it; the returned list
+    gets the size of each block of distances it builds."""
+    sizes, build = [], cmil.embed2d.sq_dist_rows
+
+    def counted(xt, lo, out, tmp):
+        sizes.append(out.size)
+        return build(xt, lo, out, tmp)
+
+    for module in (cmil.embed2d, cmil.metrics):
+        if hasattr(module, "sq_dist_rows"):
+            monkeypatch.setattr(module, "sq_dist_rows", counted)
+    return sizes
 
 # rate 200: the line search rejects candidates; 1: a single step; 40:
 # the backtracking tail covers every iteration
@@ -430,6 +455,15 @@ class TestTsneMatchesReference:
         assert np.float64(bare.z).tobytes() == np.float64(full.z).tobytes()
         assert bare.pn.tobytes() == full.pn.tobytes()
         assert bare.nn.tobytes() == full.nn.tobytes()
+
+    @pytest.mark.parametrize("n", [65, 129, 300, 2000])
+    def test_each_pair_built_once(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        p = rng.random((n, n))
+        objective = cmil.embed2d._Objective((p + p.T) / (2.0 * p.sum()))
+        sizes = count_built_distances(monkeypatch)
+        objective.at(rng.normal(size=(n, 2)), True)
+        assert sum(sizes) == strip_entries(n) < n * n
 
     def test_betas_match_calibration(self, two_clusters):
         points, _, run = two_clusters

@@ -18,6 +18,7 @@ from cmil.metrics import (
     jsd_from_histograms,
     silhouette,
 )
+from test_embed2d import count_built_distances, strip_entries
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -258,6 +259,29 @@ class TestSilhouette:
         assert silhouette(pts, np.array(labels)) == pytest.approx(
             silhouette_oracle(pts.tolist(), labels), abs=1e-12
         )
+
+    @pytest.mark.parametrize("n", [2 * ROWS, 2 * ROWS + 1])
+    def test_matches_brute_force_across_the_second_block_boundary(self, n):
+        """The last strip has no mirrored columns (2 ROWS) or is a single
+        row (2 ROWS + 1), and a run of coincident points in two clusters
+        reaches the boundary after the second block."""
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 3))
+        labels = [["normal", "tumor", "stroma"][i] for i in rng.integers(0, 3, size=n)]
+        labels[:3] = ["normal", "tumor", "stroma"]
+        for i in range(2 * ROWS - 4, min(n, 2 * ROWS + 4)):
+            pts[i] = pts[2 * ROWS - 4]
+            labels[i] = ["tumor", "normal"][i % 2]
+        assert silhouette(pts, np.array(labels)) == pytest.approx(
+            silhouette_oracle(pts.tolist(), labels), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [65, 129, 300, 2000])
+    def test_each_pair_built_once(self, n, monkeypatch):
+        sizes = count_built_distances(monkeypatch)
+        rng = np.random.default_rng(n)
+        silhouette(rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
+        assert sum(sizes) == strip_entries(n) < n * n
 
     def test_peak_memory_stays_within_row_blocks(self):
         rng = np.random.default_rng(6)
