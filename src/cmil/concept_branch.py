@@ -57,10 +57,8 @@ def init_concept_params(
 
 @dataclass
 class ConceptAttention:
-    raw: Tensor
     scaled: Tensor
     gated: Tensor
-    degenerate: bool = False
 
 
 def concept_attention(f_topk: Tensor, params: ConceptBranchParams) -> Tensor:
@@ -83,10 +81,9 @@ def scale_attention(raw: Tensor, gamma: float, temperature: float) -> ConceptAtt
         )
         c = raw.shape[0]
         scaled = ad.constant(np.zeros(c))
-        return ConceptAttention(raw, scaled, ad.constant(np.full(c, 0.5)), degenerate=True)
+        return ConceptAttention(scaled, ad.constant(np.full(c, 0.5)))
     scaled = (raw - ad.percentile(raw, gamma)) / std
-    gated = ad.sigmoid(scaled * temperature)
-    return ConceptAttention(raw, scaled, gated)
+    return ConceptAttention(scaled, ad.sigmoid(scaled * temperature))
 
 
 def _contributions(f_topk: Tensor, beta: Tensor, params: ConceptBranchParams) -> Tensor:
@@ -103,7 +100,6 @@ def _contributions(f_topk: Tensor, beta: Tensor, params: ConceptBranchParams) ->
 class ConceptForward:
     attention: ConceptAttention
     kappa: Tensor
-    logit: Tensor
     prob: Tensor
 
 
@@ -111,5 +107,4 @@ def concept_forward(f_topk: Tensor, params: ConceptBranchParams) -> ConceptForwa
     att = scale_attention(concept_attention(f_topk, params), params.gamma, params.temperature)
     kappa = _contributions(f_topk, att.gated, params)
     # the logit IS the contribution sum, so the decomposition identity is exact
-    logit = ad.reduce_sum(kappa) + params.clf_b
-    return ConceptForward(att, kappa, logit, ad.sigmoid(logit))
+    return ConceptForward(att, kappa, ad.sigmoid(ad.reduce_sum(kappa) + params.clf_b))

@@ -9,7 +9,7 @@ from .errors import ConfigError, DataValidationError, ShapeError
 
 _P_FLOOR = 1e-12
 
-# The fewest points each projection accepts.  t-SNE's default perplexity,
+# The fewest points each projection accepts.  t-SNE's perplexity,
 # min(30, (n - 1) // 3), is 0 below 4 points.
 MIN_POINTS = {"pca": 3, "tsne": 4}
 
@@ -39,34 +39,46 @@ def pca_2d(points: np.ndarray) -> np.ndarray:
 _ROWS = 64  # rows per block of the squared distances, in silhouette and t-SNE
 
 
-def sq_dist_rows(xt: np.ndarray, lo: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Fill the b x n `out` with the squared distances from points lo .. lo+b-1
-    to all n points, the columns of `xt` (d x n, d >= 1), summed one coordinate
-    at a time with `tmp` as scratch: exactly symmetric, exactly 0 on the diagonal.
-    Called on the columns from lo on, with lo = 0, it builds a block's upper
-    strip (see sq_dist_strips)."""
-    hi = lo + out.shape[0]
-    out[:] = xt[0]
-    np.subtract(out, xt[0, lo:hi, None], out=out)
+def lift(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n x d points lifted for sq_dist_rows: n x 2d columns with [-x_k, 1]
+    and 2d x n rows with [1; x_k] at 2k and 2k + 1, so row i of column pair
+    k times row pair k is x_k[j] - x_k[i] for every j."""
+    x = np.asarray(points, dtype=float)
+    cols, rows = np.ones((x.shape[0], 2 * x.shape[1])), np.ones((2 * x.shape[1], x.shape[0]))
+    np.negative(x, out=cols[:, ::2])
+    rows[1::2] = x.T
+    return cols, rows
+
+
+def sq_dist_rows(cols: np.ndarray, rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill the b x m `out` with the squared distances from the b points whose
+    lifted columns are `cols` (b x 2d, d >= 1) to the m points whose lifted
+    rows are `rows` (2d x m; see lift), summed one coordinate at a time with
+    `tmp` as scratch.  Each difference is one K = 2 matmul whose products
+    are by 1, so it is rounded once, as a subtraction is: the distances are
+    exactly symmetric and exactly 0 between coincident points.  Called with
+    the rows from point lo on, it builds a block's upper strip (see
+    sq_dist_strips)."""
+    np.matmul(cols[:, :2], rows[:2], out=out)
     np.multiply(out, out, out=out)
-    for xk in xt[1:]:
-        tmp[:] = xk
-        np.subtract(tmp, xk[lo:hi, None], out=tmp)
+    for k in range(2, cols.shape[1], 2):
+        np.matmul(cols[:, k:k + 2], rows[k:k + 2], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(out, tmp, out=out)
     return out
 
 
-def sq_dist_strips(xt: np.ndarray, buf: np.ndarray):
-    """Yield (lo, strip) for each block of _ROWS rows lo .. lo+b-1 of the n
-    points, the columns of `xt`: strip is a 2 x b x (n - lo) view of the
-    flat buffer `buf` (2 min(_ROWS, n) n floats), whose strip[1] is the
-    block's upper strip of squared distances, to points lo .. n-1
-    (strip[1][r, r] = 0), built by sq_dist_rows with strip[0] as scratch."""
-    n = xt.shape[1]
+def sq_dist_strips(points: np.ndarray, buf: np.ndarray):
+    """Yield (lo, strip) for each block of _ROWS rows lo .. lo+b-1 of the n x d
+    points: strip is a 2 x b x (n - lo) view of the flat buffer `buf`
+    (2 min(_ROWS, n) n floats), whose strip[1] is the block's upper strip of
+    squared distances, to points lo .. n-1 (strip[1][r, r] = 0), built by
+    sq_dist_rows with strip[0] as scratch."""
+    cols, rows = lift(points)
+    n = cols.shape[0]
     for lo in range(0, n, _ROWS):
         strip = buf[:2 * min(_ROWS, n - lo) * (n - lo)].reshape(2, -1, n - lo)
-        sq_dist_rows(xt[:, lo:], 0, strip[1], strip[0])
+        sq_dist_rows(cols[lo:lo + _ROWS], rows[:, lo:], strip[1], strip[0])
         yield lo, strip
 
 
@@ -85,26 +97,29 @@ def add_strip_product(s: np.ndarray, lo: int, right: np.ndarray,
     mirrored[..., lo + b:, :] += s[..., b:].swapaxes(-1, -2) @ right[lo:lo + b]
 
 
-def calibrate_conditionals(points: np.ndarray, perplexity: float,
-                           tol: float = 1e-5, max_iter: int = 200):
+_TOL, _MAX_ITER = 1e-5, 200  # the calibration's entropy tolerance (bits) and bisection steps
+
+
+def calibrate_conditionals(points: np.ndarray, perplexity: float):
     """Per-row bisection on the Gaussian precision so that each conditional
-    distribution's Shannon entropy matches log2(perplexity) bits within tol,
-    for n x d points (d >= 1).
+    distribution's Shannon entropy matches log2(perplexity) bits within
+    _TOL, for n x d points (d >= 1).
 
     Returns (conditional matrix with zero diagonal, precisions).  Rows with
     equidistant neighbours stay uniform at any bandwidth; bisection then stops
-    at max_iter and the uniform row is kept.
+    after _MAX_ITER steps and the uniform row is kept.
 
-    Each block of _ROWS rows of squared distances is built by sq_dist_rows, so
-    the returned matrix is the only n x n array, and its rows are bisected
-    together, each until its own last step.  With t = -beta * d, w = exp(t) and
-    S = sum(w), the entropy is ln S - sum(w t) / S nats, so zero weights need
-    no mask, and each row's distribution w / S is formed once.
+    Each block of _ROWS rows of squared distances is built by sq_dist_rows
+    from the points lifted once, so the returned matrix is the only n x n
+    array, and its rows are bisected together, each until its own last
+    step.  With t = -beta * d, w = exp(t) and S = sum(w), the entropy is
+    ln S - sum(w t) / S nats, so zero weights need no mask, and each row's
+    distribution w / S is formed once.
     """
-    xt = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-    n = xt.shape[1]
+    xcols, xrows = lift(points)
+    n = xcols.shape[0]
     target = math.log2(perplexity) * math.log(2.0)  # nats
-    tol = tol * math.log(2.0)
+    tol_nats = _TOL * math.log(2.0)
     cond = np.zeros((n, n))
     betas = np.ones(n)
     rows = min(_ROWS, n)
@@ -115,22 +130,20 @@ def calibrate_conditionals(points: np.ndarray, perplexity: float,
         block = np.arange(b)
         off = np.ones((b, n), dtype=bool)  # the block's off-diagonal entries
         off[block, lo + block] = False
-        d = sq_dist_rows(xt, lo, d2[:b], tmp[:b])[off].reshape(b, n - 1)
+        d = sq_dist_rows(xcols[lo:lo + b], xrows, d2[:b], tmp[:b])[off].reshape(b, n - 1)
         d -= d.min(axis=1, keepdims=True)  # shift-invariant; keeps exp() from underflowing
-        if max_iter < 1:
-            d[:] = 1.0 / (n - 1)
         beta = betas[lo:lo + b]
         beta_lo, beta_hi = np.zeros(b), np.full(b, math.inf)
         active = block
-        for step in range(max_iter):
+        for step in range(_MAX_ITER):
             tk, wk = t[:active.size], w[:active.size]
             np.take(d, active, axis=0, out=tk)
             np.multiply(tk, -beta[active, None], out=tk)
             np.exp(tk, out=wk)
             s = wk.sum(axis=1)
             entropy = np.log(s) - np.einsum("ij,ij->i", wk, tk) / s
-            done = np.abs(entropy - target) <= tol
-            last = done | (step == max_iter - 1)
+            done = np.abs(entropy - target) <= tol_nats
+            last = done | (step == _MAX_ITER - 1)
             for r in np.flatnonzero(last):
                 # a finished row's distances are not read again: its distribution replaces them
                 np.divide(wk[r], s[r], out=d[active[r]])
@@ -208,7 +221,7 @@ class _Objective:
         yt1[:2] = y.T
         own, mirrored = np.empty((2, n, 3)), np.zeros((2, n, 3))
         p_log_den, z = 0.0, 0.0
-        for lo, strip in sq_dist_strips(yt1[:2], self._buf):
+        for lo, strip in sq_dist_strips(y, self._buf):
             t, den = strip
             ps = p[lo:lo + den.shape[0], lo:]
             np.add(den, 1.0, out=den)  # 1 + d^2: exactly 1 on the diagonal
@@ -226,21 +239,29 @@ class _Objective:
         return _Iterate(y, kl, z, pn, nn)
 
 
-def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
-            iterations: int = 500, learning_rate: float = None) -> np.ndarray:
-    """Exact O(n^2) symmetric-SNE embedding into two dimensions.
+_ITERATIONS = 500  # gradient steps of every map
+
+
+def _learning_rate(n: int) -> float:
+    return max(n / 48.0, min(n / 12.0, 50.0))
+
+
+def tsne_2d(points: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Exact O(n^2) symmetric-SNE embedding of n >= 4 points into two
+    dimensions, at perplexity min(30, (n - 1) // 3), over _ITERATIONS steps
+    from a start drawn with `seed`.
 
     Schedule: early exaggeration x12 while momentum is 0.5, momentum 0.8
     afterwards, per-parameter adaptive gains as in the reference
     implementation; the last 100 iterations switch to plain descent with step
     backtracking, so the KL never rises over that window.
 
-    The default learning rate is max(n / 48, min(n / 12, 50)).  n / 48 is the
-    rate of Belkina et al. (2019) for exaggeration 12 with this gradient's
-    factor 4; scikit-learn's "auto" rule floors it at 50.  Below 600 points
-    the floor here is n / 12, which keeps the exaggerated attraction step
-    within 4x each point's neighbour offset: at 30 points a floor of 50 ends
-    in a poor local minimum for some seeds.
+    The learning rate (_learning_rate) is max(n / 48, min(n / 12, 50)).
+    n / 48 is the rate of Belkina et al. (2019) for exaggeration 12 with this
+    gradient's factor 4; scikit-learn's "auto" rule floors it at 50.  Below
+    600 points the floor here is n / 12, which keeps the exaggerated
+    attraction step within 4x each point's neighbour offset: at 30 points a
+    floor of 50 ends in a poor local minimum for some seeds.
 
     Returns the n x 2 map.  Each iterate, a step or a line-search candidate,
     gets its gradient from one pass over row blocks (see _Objective).  Only the
@@ -250,22 +271,9 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     """
     x = np.asarray(points, dtype=float)
     n = x.shape[0]
-    if perplexity is None:
-        perplexity = min(30, (n - 1) // 3)
-    if perplexity < 1:
-        raise ConfigError(f"perplexity must be >= 1, got {perplexity}")
-    if perplexity > (n - 1) / 3:
-        raise ConfigError(
-            f"perplexity {perplexity} too large for {n} points (limit {(n - 1) / 3:.2f})"
-        )
-    if iterations < 1:
-        raise ConfigError("iterations must be positive")
-    if learning_rate is None:
-        learning_rate = max(n / 48.0, min(n / 12.0, 50.0))
-
     if np.all(x == x[0]):
         raise DataValidationError("cannot project: all points are identical")
-    p, _ = calibrate_conditionals(x, perplexity)
+    p, _ = calibrate_conditionals(x, min(30, (n - 1) // 3))
     for lo in range(0, n, _ROWS):  # p_ij = c_ij + c_ji, a strip of rows at a time
         row, col = p[lo:lo + _ROWS, lo:], p[lo:, lo:lo + _ROWS]
         np.add(row, col.T, out=row)  # numpy reads the overlapping block before writing
@@ -275,25 +283,26 @@ def tsne_2d(points: np.ndarray, perplexity: float = None, seed: int = 0,
     objective = _Objective(p)
 
     # exaggeration runs while momentum is low; both end at the same switch
-    switch = min(250, iterations // 2)
-    head = iterations - min(100, iterations)  # momentum steps before the line search
+    switch = min(250, _ITERATIONS // 2)
+    head = _ITERATIONS - min(100, _ITERATIONS)  # momentum steps before the line search
+    rate = _learning_rate(n)
     rng = np.random.default_rng(seed)
     cur = objective.at(rng.normal(scale=1e-4, size=(n, 2)), head == 0)
     vel = np.zeros((n, 2))
     gains = np.ones((n, 2))
 
-    for it in range(iterations):
+    for it in range(_ITERATIONS):
         if it < head:
             grad = cur.grad(12.0 if it < switch else 1.0)
             momentum = 0.5 if it < switch else 0.8
             flipped = np.sign(grad) != np.sign(vel)
             gains = np.maximum(np.where(flipped, gains + 0.2, gains * 0.8), 0.01)
-            vel = momentum * vel - learning_rate * (gains * grad)
+            vel = momentum * vel - rate * (gains * grad)
             y = cur.y + vel
             cur = objective.at(y - y.mean(axis=0), it == head - 1)
         else:
             grad = cur.grad(1.0)
-            step = learning_rate
+            step = rate
             for _ in range(40):
                 y = cur.y - step * grad
                 cand = objective.at(y - y.mean(axis=0), True)

@@ -68,22 +68,17 @@ def attention_scores(V: Tensor, params: ImageBranchParams) -> Tensor:
     return ad.softmax(gated_attention(V, params.attn_v, params.attn_u, params.attn_w))
 
 
-def image_logit(V: Tensor, alpha: Tensor, params: ImageBranchParams) -> tuple[Tensor, Tensor]:
-    scaled = ad.scale_rows(V, alpha)
-    logit = ad.reduce_sum(scaled @ params.clf_w) + params.clf_b
-    return logit, ad.sigmoid(logit)
+def image_logit(V: Tensor, alpha: Tensor, params: ImageBranchParams) -> Tensor:
+    return ad.reduce_sum(ad.scale_rows(V, alpha) @ params.clf_w) + params.clf_b
 
 
 @dataclass
 class ImageForward:
-    V: Tensor
     alpha: Tensor
-    logit: Tensor
     prob: Tensor
 
 
 def image_forward(I: Tensor, params: ImageBranchParams) -> ImageForward:
     V = project_features(I, params)
     alpha = attention_scores(V, params)
-    logit, prob = image_logit(V, alpha, params)
-    return ImageForward(V, alpha, logit, prob)
+    return ImageForward(alpha, ad.sigmoid(image_logit(V, alpha, params)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import cmil.embed2d
 import cmil.metrics
 from cmil.embed2d import _ROWS as ROWS
-from cmil.embed2d import calibrate_conditionals, pca_2d, project_2d, sq_dist_rows, tsne_2d
+from cmil.embed2d import calibrate_conditionals, lift, pca_2d, project_2d, sq_dist_rows, tsne_2d
 from cmil.errors import ConfigError, DataValidationError, ShapeError
 from cmil.metrics import silhouette
 
@@ -100,22 +100,33 @@ def dense_sq_dists(z):
 
 
 class TestSqDistRows:
+    # 1e-310 is subnormal, 1e-150 squares to a subnormal, 1e150 squares near overflow
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 200), dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_blocks_match_the_coordinate_loop(self, n, dim, seed):
-        x = np.random.default_rng(seed).normal(size=(n, dim))
+    @given(n=st.integers(1, 200), dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-310, 1e-150, 1.0, 1e150]))
+    def test_blocks_match_the_coordinate_loop(self, n, dim, seed, scale):
+        x = np.random.default_rng(seed).normal(size=(n, dim)) * scale
         x[n // 2:n // 2 + 3] = x[n // 2]  # coincident points
+        x[n // 3, 0], x[(2 * n) // 3, 0] = 0.0, -0.0
+        cols, rows = lift(x)
         d2, tmp = np.empty((n, n)), np.empty((64, n))
         for lo in range(0, n, 64):
             hi = min(lo + 64, n)
-            sq_dist_rows(x.T, lo, d2[lo:hi], tmp[:hi - lo])
+            sq_dist_rows(cols[lo:hi], rows, d2[lo:hi], tmp[:hi - lo])
         assert d2.tobytes() == dense_sq_dists(x).tobytes()
         assert np.all(d2 == d2.T)
         assert np.all(np.diag(d2) == 0.0)
 
+    def test_a_strip_takes_its_differences_from_matmul(self, monkeypatch):
+        log = NumpyCallLog({"subtract"})
+        monkeypatch.setattr(cmil.embed2d, "np", log)
+        x = np.random.default_rng(0).normal(size=(ROWS, 3))
+        next(cmil.embed2d.sq_dist_strips(x, np.empty(2 * ROWS * ROWS)))
+        assert [shape for _, shape in log.calls if len(shape) == 2] == []
+
 
 def dense_p(x):
-    """Symmetric P of tsne_2d at the default perplexity, and its precisions."""
+    """Symmetric P of tsne_2d at its perplexity, and its precisions."""
     n = x.shape[0]
     cond, betas = calibrate_conditionals(x, min(30, (n - 1) // 3))
     return np.maximum((cond + cond.T) / (2.0 * n), 1e-12), betas
@@ -153,7 +164,8 @@ def calibrate_per_row(d2, perplexity, tol=1e-5, max_iter=200):
 
 
 def assert_calibration_matches_per_row(x, perplexity, **kwargs):
-    cond, betas = calibrate_conditionals(x, perplexity, **kwargs)
+    """kwargs go to the oracle; a test that passes max_iter patches _MAX_ITER to match."""
+    cond, betas = calibrate_conditionals(x, perplexity)
     ref_cond, ref_betas = calibrate_per_row(dense_sq_dists(x), perplexity, **kwargs)
     assert cond.tobytes() == ref_cond.tobytes()
     assert betas.tobytes() == ref_betas.tobytes()
@@ -199,9 +211,10 @@ class TestCalibrationMatchesPerRow:
         assert_calibration_matches_per_row(np.eye(6), 1.5)
         assert log.calls == [("exp", (6, 5))] * 200  # every row stays active
 
-    # 0 steps keeps every row uniform; 1 and 3 stop rows short of the tolerance
-    @pytest.mark.parametrize("max_iter", [0, 1, 3])
-    def test_few_steps(self, max_iter):
+    # 1 and 3 steps stop rows short of the tolerance
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_few_steps(self, max_iter, monkeypatch):
+        monkeypatch.setattr(cmil.embed2d, "_MAX_ITER", max_iter)
         x = np.random.default_rng(8).normal(size=(70, 5))
         assert_calibration_matches_per_row(x, 10.0, max_iter=max_iter)
 
@@ -260,13 +273,14 @@ def dense_grad(p, q, num, y):
 
 
 class LoggedRun:
-    """tsne_2d with every block pass made to compute its KL.
+    """tsne_2d with every block pass made to compute its KL, over `iterations`
+    steps (_ITERATIONS) and at `learning_rate` (_learning_rate) where given.
 
     passes holds (whether tsne_2d asked for the KL, the iterate) for each pass
     in order; steps holds the current iterate at the start of each step, the
     one whose gradient the step takes; betas holds the calibrated precisions."""
 
-    def __init__(self, points, **kwargs):
+    def __init__(self, points, seed=0, iterations=None, learning_rate=None):
         self.passes, self.steps = [], []
         at, grad = cmil.embed2d._Objective.at, cmil.embed2d._Iterate.grad
         calibrate = cmil.embed2d.calibrate_conditionals
@@ -288,7 +302,11 @@ class LoggedRun:
             mp.setattr(cmil.embed2d._Objective, "at", logged_at)
             mp.setattr(cmil.embed2d._Iterate, "grad", logged_grad)
             mp.setattr(cmil.embed2d, "calibrate_conditionals", logged_calibrate)
-            self.map = tsne_2d(points, **kwargs)
+            if iterations is not None:
+                mp.setattr(cmil.embed2d, "_ITERATIONS", iterations)
+            if learning_rate is not None:
+                mp.setattr(cmil.embed2d, "_learning_rate", lambda n: learning_rate)
+            self.map = tsne_2d(points, seed=seed)
         # the iterate whose map tsne_2d returned
         self.final = next(it for _, it in self.passes if it.y is self.map)
 
@@ -348,16 +366,6 @@ class TestTsne:
         with pytest.raises(DataValidationError, match="identical"):
             tsne_2d(np.zeros((8, 3)))
 
-    def test_perplexity_too_large_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError, match="perplexity"):
-            tsne_2d(rng.normal(size=(30, 4)), perplexity=10)
-
-    def test_perplexity_below_one_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError, match="perplexity"):
-            tsne_2d(rng.normal(size=(30, 4)), perplexity=0.5)
-
     def test_default_perplexity_respects_small_n(self):
         rng = np.random.default_rng(1)
         run = LoggedRun(rng.normal(size=(10, 4)), iterations=60)
@@ -405,9 +413,9 @@ def count_built_distances(monkeypatch):
     gets the size of each block of distances it builds."""
     sizes, build = [], cmil.embed2d.sq_dist_rows
 
-    def counted(xt, lo, out, tmp):
+    def counted(cols, rows, out, tmp):
         sizes.append(out.size)
-        return build(xt, lo, out, tmp)
+        return build(cols, rows, out, tmp)
 
     for module in (cmil.embed2d, cmil.metrics):
         if hasattr(module, "sq_dist_rows"):
@@ -514,11 +522,12 @@ class TestTsneMatchesReference:
             tracemalloc.stop()
         assert peak < 8 * 2**20  # P alone is 32 MB
 
-    def test_set_up_peak_memory(self):
+    def test_set_up_peak_memory(self, monkeypatch):
+        monkeypatch.setattr(cmil.embed2d, "_ITERATIONS", 1)
         x = np.random.default_rng(0).standard_normal((2000, 12))
         tracemalloc.start()
         try:
-            tsne_2d(x, iterations=1)
+            tsne_2d(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

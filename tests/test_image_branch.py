@@ -9,6 +9,7 @@ from cmil.image_branch import (
     attention_scores,
     gated_attention,
     image_forward,
+    image_logit,
     init_image_params,
     project_features,
 )
@@ -122,20 +123,21 @@ class TestLogit:
         p = small_params(seed=15)
         I = np.random.default_rng(16).normal(size=(1, 5))
         fwd = image_forward(Tensor(I), p)
-        v = fwd.V.data[0]
-        logit = v @ p.clf_w.data + p.clf_b.data
+        V = project_features(Tensor(I), p)
+        logit = V.data[0] @ p.clf_w.data + p.clf_b.data
         assert fwd.alpha.data[0] == pytest.approx(1.0, abs=1e-12)
-        assert fwd.logit.item() == pytest.approx(float(logit), abs=1e-12)
+        assert image_logit(V, fwd.alpha, p).item() == pytest.approx(float(logit), abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         p = small_params(seed=17)
         I = np.random.default_rng(18).normal(size=(5, 5))
         fwd = image_forward(Tensor(I), p)
+        V = project_features(Tensor(I), p)
         acc = float(p.clf_b.data)
         for n in range(5):
             for d in range(6):
-                acc += p.clf_w.data[d] * fwd.V.data[n, d] * fwd.alpha.data[n]
-        assert fwd.logit.item() == pytest.approx(acc, abs=1e-12)
+                acc += p.clf_w.data[d] * V.data[n, d] * fwd.alpha.data[n]
+        assert image_logit(V, fwd.alpha, p).item() == pytest.approx(acc, abs=1e-12)
         assert 0.0 < fwd.prob.item() < 1.0
 
 
