@@ -1,9 +1,20 @@
 """Data model and bit-exact file formats for bags, concept sets and splits.
 
-A bag on disk is a pair of files: a binary embedding blob (magic ``CMIL``,
-little-endian u32 version, u64 row and column counts, then float32 row-major
-payload) and a JSON sidecar manifest with the same basename and a ``.json``
-extension. Concept sets use the same binary layout under magic ``CCPT``.
+A bag on disk is a pair of files: a binary blob and a JSON sidecar with the
+same basename and a ``.json`` extension.  The blob (format version 2) opens
+with a 32-byte little-endian header: magic ``CMIL``, u32 version, u64 rows N,
+u64 columns D, a u32 flags word and a u32 CRC-32.  Its sections follow,
+row-major: the N x D float32 embeddings, the N x 2 int64 (row, col) grid, and,
+when flags bit 0 is set, N uint8 tumor flags (0 or 1).  The sidecar holds
+``slide_id``, ``label`` and ``crc32``.  A concept set uses the same header
+under magic ``CCPT``, its C x D float32 embeddings as the only section, and
+``names``, ``prompt_template`` and ``crc32`` in its sidecar.
+
+The CRC-32 (zlib) runs over the header's first 28 bytes, then the sidecar's
+other fields as sorted-key ASCII JSON, then each section, and the sidecar's
+``crc32`` repeats it, so a change to either file fails the read with a
+FormatError.  Version 1 files, which kept each patch's position and tumor flag
+as a JSON record in the sidecar, are not read: re-run ``gen-data``.
 Bag embeddings stay float32 in memory, as stored; concept sets are promoted
 to float64.
 """
@@ -12,7 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -21,12 +34,16 @@ import numpy as np
 
 from .errors import DataValidationError, FormatError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 BAG_MAGIC = b"CMIL"
 CONCEPTS_MAGIC = b"CCPT"
 DEFAULT_PROMPT_TEMPLATE = "an H & E image of CONCEPT"
 
-_HEADER = struct.Struct("<4sIQQ")
+_MAGIC_VERSION = struct.Struct("<4sI")
+_HEADER = struct.Struct("<4sIQQII")  # magic, version, rows, cols, flags, CRC-32
+_CRC = struct.Struct("<I")
+_CRC_AT = _HEADER.size - _CRC.size  # the CRC covers the header bytes before it
+_IN_TUMOR = 1  # flags bit: the bag stores its tumor flags
 
 
 @dataclass
@@ -129,16 +146,34 @@ class DatasetSplit:
 # -- binary blob layer --------------------------------------------------------
 
 
-def _write_blob(path: Path, magic: bytes, matrix: np.ndarray) -> None:
-    rows, cols = matrix.shape
-    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
+def _crc(prefix: bytes, meta: dict, sections: list[np.ndarray]) -> int:
+    crc = zlib.crc32(json.dumps(meta, sort_keys=True).encode("ascii"), zlib.crc32(prefix))
+    for section in sections:
+        crc = zlib.crc32(section, crc)
+    return crc
+
+
+def _write_blob(path: Path, magic: bytes, sections: list[np.ndarray], flags: int, meta: dict) -> None:
+    """Write the blob of C-contiguous little-endian `sections`, the first
+    an N x D float32 matrix, and its sidecar of `meta` plus the CRC."""
+    rows, cols = sections[0].shape
+    prefix = _HEADER.pack(magic, FORMAT_VERSION, rows, cols, flags, 0)[:_CRC_AT]
+    crc = _crc(prefix, meta, sections)
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(magic, FORMAT_VERSION, rows, cols))
-        f.write(payload)
+        f.write(prefix + _CRC.pack(crc))
+        for section in sections:
+            f.write(section)
+    dump_json({**meta, "crc32": crc}, _sidecar(path))
 
 
-def _read_blob(path: Path, magic: bytes) -> np.ndarray:
-    """Read a blob's float32 payload. Never allocates beyond the declared payload."""
+def _read_blob(path: Path, magic: bytes, fields: tuple[str, ...], layout) -> tuple[dict, list[np.ndarray]]:
+    """Read a blob and its sidecar: the sidecar's `fields` and the sections.
+
+    `layout(rows, cols, flags)` gives the (dtype, shape) of each section the
+    header declares, or None for flags it does not know.  Each section is
+    read into its own array, none before the file's size matches the
+    header's, and the CRC is checked against both files before any value.
+    """
     path = Path(path)
     try:
         size = path.stat().st_size
@@ -147,26 +182,51 @@ def _read_blob(path: Path, magic: bytes) -> np.ndarray:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     with f:
         header = f.read(_HEADER.size)
-        if len(header) < _HEADER.size:
+        if len(header) < _MAGIC_VERSION.size:
             raise FormatError(f"{path}: truncated header")
-        got_magic, version, rows, cols = _HEADER.unpack(header)
+        got_magic, version = _MAGIC_VERSION.unpack_from(header)
         if got_magic != magic:
             raise FormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
+        if version == 1:
+            raise FormatError(f"{path}: format version 1 is no longer read; "
+                              f"re-run gen-data to write version {FORMAT_VERSION}")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        _, _, rows, cols, flags, crc = _HEADER.unpack(header)
         if rows < 1 or cols < 1:
             raise FormatError(f"{path}: degenerate shape {rows} x {cols}")
-        expected = rows * cols * 4  # exact Python ints, no overflow
+        shapes = layout(rows, cols, flags)
+        if shapes is None:
+            raise FormatError(f"{path}: unknown flags {flags:#x}")
+        # exact Python ints, no overflow
+        expected = sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in shapes)
         if size - _HEADER.size != expected:
             raise FormatError(
                 f"{path}: payload is {size - _HEADER.size} bytes, header declares {expected}"
             )
-        values = np.empty((rows, cols), dtype="<f4")
-        if f.readinto(values) != expected:
-            raise FormatError(f"{path}: truncated payload")
-    if not np.all(np.isfinite(values)):
+        sections = []
+        for dtype, shape in shapes:
+            section = np.empty(shape, dtype=dtype)
+            if f.readinto(section) != section.nbytes:
+                raise FormatError(f"{path}: truncated payload")
+            sections.append(section)
+    sidecar = _sidecar(path)
+    doc = _read_json(sidecar)
+    for key in (*fields, "crc32"):
+        if key not in doc:
+            raise FormatError(f"{sidecar}: missing manifest key {key!r}")
+    if len(doc) != len(fields) + 1:
+        raise FormatError(f"{sidecar}: unexpected manifest keys {sorted(set(doc) - {*fields, 'crc32'})}")
+    meta = {key: doc[key] for key in fields}
+    if type(doc["crc32"]) is not int or doc["crc32"] != crc:
+        raise FormatError(f"{sidecar}: crc32 {doc['crc32']!r} does not match its blob's {crc}")
+    if _crc(header[:_CRC_AT], meta, sections) != crc:
+        raise FormatError(f"{path}: CRC-32 mismatch: the blob or its sidecar has changed")
+    if not np.all(np.isfinite(sections[0])):
         raise FormatError(f"{path}: non-finite values in payload")
-    return values
+    return meta, sections
 
 
 def _sidecar(path: Path) -> Path:
@@ -196,96 +256,59 @@ def dump_json(obj, path: Path) -> None:
 # -- bags ----------------------------------------------------------------------
 
 
+def _bag_layout(rows: int, cols: int, flags: int):
+    if flags & ~_IN_TUMOR:
+        return None
+    return [("<f4", (rows, cols)), ("<i8", (rows, 2))] + ([("u1", (rows,))] if flags else [])
+
+
 def write_bag(bag: Bag, path: Path) -> None:
-    path = Path(path)
-    _write_blob(path, BAG_MAGIC, bag.embeddings)
-    grid = bag.grid.tolist()
-    if bag.in_tumor is None:
-        patches = [{"row": r, "col": c} for r, c in grid]
-    else:
-        patches = [{"row": r, "col": c, "in_tumor": t} for (r, c), t in zip(grid, bag.in_tumor.tolist())]
-    dump_json({"slide_id": bag.slide_id, "label": bag.label, "patches": patches}, _sidecar(path))
-
-
-def _patch_arrays(sidecar: Path, recs: list) -> tuple[np.ndarray, np.ndarray | None]:
-    """The grid and tumor-flag arrays of a sidecar's patch records.
-
-    Each record must be a dict with integer `row` and `col` and an optional
-    boolean `in_tumor`; the first bad record is named.  Flags on only some
-    patches are rejected.
-    """
-    rows, cols, flags = [], [], []
-    for i, rec in enumerate(recs):
-        if not isinstance(rec, dict) or "row" not in rec or "col" not in rec:
-            raise FormatError(f"{sidecar}: patch {i} must have 'row' and 'col'")
-        row, col = rec["row"], rec["col"]
-        if not isinstance(row, int) or not isinstance(col, int) or isinstance(row, bool) or isinstance(col, bool):
-            raise FormatError(f"{sidecar}: patch {i} coordinates must be integers")
-        flag = rec.get("in_tumor")
-        if flag is not None and not isinstance(flag, bool):
-            raise FormatError(f"{sidecar}: patch {i} 'in_tumor' must be a boolean")
-        rows.append(row)
-        cols.append(col)
-        flags.append(flag)
-    try:
-        grid = np.array((rows, cols), dtype=np.int64).T.copy()
-    except OverflowError as exc:
-        raise FormatError(f"{sidecar}: patch coordinates out of range") from exc
-    flagged = len(flags) - flags.count(None)
-    if flagged == 0:
-        return grid, None
-    if flagged != len(flags):
-        raise FormatError(f"{sidecar}: 'in_tumor' is set on {flagged} of {len(flags)} patches, "
-                          "expected all or none")
-    return grid, np.array(flags, dtype=bool)
+    sections = [np.ascontiguousarray(bag.embeddings, dtype="<f4"), np.ascontiguousarray(bag.grid, dtype="<i8")]
+    flags = 0
+    if bag.in_tumor is not None:
+        sections.append(np.ascontiguousarray(bag.in_tumor).view(np.uint8))
+        flags = _IN_TUMOR
+    _write_blob(Path(path), BAG_MAGIC, sections, flags, {"label": bag.label, "slide_id": bag.slide_id})
 
 
 def read_bag(path: Path) -> Bag:
     path = Path(path)
-    values = _read_blob(path, BAG_MAGIC)
-    sidecar = _sidecar(path)
-    doc = _read_json(sidecar)
-    for key in ("slide_id", "label", "patches"):
-        if key not in doc:
-            raise FormatError(f"{sidecar}: missing manifest key {key!r}")
-    if not isinstance(doc["patches"], list):
-        raise FormatError(f"{sidecar}: 'patches' must be a list")
-    if len(doc["patches"]) != values.shape[0]:
-        raise FormatError(
-            f"{path}: blob has {values.shape[0]} rows but manifest lists {len(doc['patches'])} patches"
-        )
-    grid, in_tumor = _patch_arrays(sidecar, doc["patches"])
-    label = doc["label"]
+    meta, (values, grid, *flags) = _read_blob(path, BAG_MAGIC, ("label", "slide_id"), _bag_layout)
+    label, slide_id = meta["label"], meta["slide_id"]
     if label not in (0, 1) or isinstance(label, bool):
-        raise FormatError(f"{sidecar}: label must be 0 or 1")
-    if not isinstance(doc["slide_id"], str):
-        raise FormatError(f"{sidecar}: slide_id must be a string")
+        raise FormatError(f"{_sidecar(path)}: label must be 0 or 1")
+    if not isinstance(slide_id, str):
+        raise FormatError(f"{_sidecar(path)}: slide_id must be a string")
+    in_tumor = None
+    if flags:
+        if flags[0].max() > 1:
+            raise FormatError(f"{path}: tumor flags must be 0 or 1")
+        in_tumor = flags[0].view(bool)
     try:
-        return Bag(doc["slide_id"], label, values, grid, in_tumor)
+        return Bag(slide_id, label, values, grid, in_tumor)
     except DataValidationError as exc:
-        raise FormatError(str(exc)) from exc
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # -- concept sets ---------------------------------------------------------------
 
 
+def _concepts_layout(rows: int, cols: int, flags: int):
+    return None if flags else [("<f4", (rows, cols))]
+
+
 def write_concepts(concepts: ConceptSet, path: Path) -> None:
-    path = Path(path)
-    _write_blob(path, CONCEPTS_MAGIC, concepts.embeddings)
-    dump_json(
-        {"names": list(concepts.names), "prompt_template": concepts.prompt_template},
-        _sidecar(path),
-    )
+    _write_blob(Path(path), CONCEPTS_MAGIC, [np.ascontiguousarray(concepts.embeddings, dtype="<f4")], 0,
+                {"names": list(concepts.names), "prompt_template": concepts.prompt_template})
 
 
 def read_concepts(path: Path) -> ConceptSet:
     path = Path(path)
-    values = _read_blob(path, CONCEPTS_MAGIC)
-    doc = _read_json(_sidecar(path))
-    names = doc.get("names")
+    meta, (values,) = _read_blob(path, CONCEPTS_MAGIC, ("names", "prompt_template"), _concepts_layout)
+    names = meta["names"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise FormatError(f"{_sidecar(path)}: 'names' must be a list of strings")
-    return ConceptSet(names, values, doc.get("prompt_template", DEFAULT_PROMPT_TEMPLATE))
+    return ConceptSet(names, values, meta["prompt_template"])
 
 
 # -- splits -----------------------------------------------------------------------

@@ -14,6 +14,11 @@ _P_FLOOR = 1e-12
 MIN_POINTS = {"pca": 3, "tsne": 4}
 
 
+def _check_count(method: str, n: int) -> None:
+    if n < MIN_POINTS[method]:
+        raise DataValidationError(f"{method} needs at least {MIN_POINTS[method]} points, got {n}")
+
+
 def pca_2d(points: np.ndarray) -> np.ndarray:
     """Project onto the top-2 principal components.
 
@@ -45,9 +50,14 @@ def lift(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k times row pair k is x_k[j] - x_k[i] for every j."""
     x = np.asarray(points, dtype=float)
     cols, rows = np.ones((x.shape[0], 2 * x.shape[1])), np.ones((2 * x.shape[1], x.shape[0]))
-    np.negative(x, out=cols[:, ::2])
-    rows[1::2] = x.T
+    relift(x, cols, rows)
     return cols, rows
+
+
+def relift(points: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> None:
+    """Refill lift's cols and rows in place with the n x d points' coordinates."""
+    np.negative(points, out=cols[:, ::2])
+    rows[1::2] = points.T
 
 
 def sq_dist_rows(cols: np.ndarray, rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -68,13 +78,12 @@ def sq_dist_rows(cols: np.ndarray, rows: np.ndarray, out: np.ndarray, tmp: np.nd
     return out
 
 
-def sq_dist_strips(points: np.ndarray, buf: np.ndarray):
-    """Yield (lo, strip) for each block of _ROWS rows lo .. lo+b-1 of the n x d
-    points: strip is a 2 x b x (n - lo) view of the flat buffer `buf`
-    (2 min(_ROWS, n) n floats), whose strip[1] is the block's upper strip of
-    squared distances, to points lo .. n-1 (strip[1][r, r] = 0), built by
-    sq_dist_rows with strip[0] as scratch."""
-    cols, rows = lift(points)
+def sq_dist_strips(cols: np.ndarray, rows: np.ndarray, buf: np.ndarray):
+    """Yield (lo, strip) for each block of _ROWS rows lo .. lo+b-1 of the n
+    points lifted to `cols` and `rows` (see lift): strip is a 2 x b x (n - lo)
+    view of the flat buffer `buf` (2 min(_ROWS, n) n floats), whose strip[1]
+    is the block's upper strip of squared distances, to points lo .. n-1
+    (strip[1][r, r] = 0), built by sq_dist_rows with strip[0] as scratch."""
     n = cols.shape[0]
     for lo in range(0, n, _ROWS):
         strip = buf[:2 * min(_ROWS, n - lo) * (n - lo)].reshape(2, -1, n - lo)
@@ -206,6 +215,7 @@ class _Objective:
         self._p = p
         self._buf = np.empty(2 * min(_ROWS, n) * n)
         self._yt1 = np.ones((3, n))  # [y | 1] transposed: rows x, y, 1
+        self._lifted = lift(np.zeros((n, 2)))  # refilled from y on each pass
         # the y-independent part of KL: sum of p log p, and of p, over i != j
         self._plogp = 0.0
         for lo in range(0, n, _ROWS):
@@ -221,7 +231,8 @@ class _Objective:
         yt1[:2] = y.T
         own, mirrored = np.empty((2, n, 3)), np.zeros((2, n, 3))
         p_log_den, z = 0.0, 0.0
-        for lo, strip in sq_dist_strips(y, self._buf):
+        relift(y, *self._lifted)
+        for lo, strip in sq_dist_strips(*self._lifted, self._buf):
             t, den = strip
             ps = p[lo:lo + den.shape[0], lo:]
             np.add(den, 1.0, out=den)  # 1 + d^2: exactly 1 on the diagonal
@@ -271,6 +282,7 @@ def tsne_2d(points: np.ndarray, seed: int = 0) -> np.ndarray:
     """
     x = np.asarray(points, dtype=float)
     n = x.shape[0]
+    _check_count("tsne", n)
     if np.all(x == x[0]):
         raise DataValidationError("cannot project: all points are identical")
     p, _ = calibrate_conditionals(x, min(30, (n - 1) // 3))
@@ -324,8 +336,7 @@ def project_2d(points: np.ndarray, method: str, seed: int) -> np.ndarray:
         raise ShapeError(f"expected an n x d matrix, got shape {x.shape}")
     if method not in MIN_POINTS:
         raise ConfigError(f"unknown projection method {method!r}")
-    if x.shape[0] < MIN_POINTS[method]:
-        raise DataValidationError(f"{method} needs at least {MIN_POINTS[method]} points, got {x.shape[0]}")
+    _check_count(method, x.shape[0])
     if method == "pca":
         return pca_2d(x)
     return tsne_2d(x, seed=seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bagio import Bag
-from .embed2d import _ROWS, add_strip_product, sq_dist_strips
+from .embed2d import _ROWS, add_strip_product, lift, sq_dist_strips
 from .errors import DataValidationError
 
 
@@ -108,7 +108,7 @@ def silhouette(points, labels) -> float:
     onehot[np.arange(n), cluster] = 1.0
     per_cluster, mirrored = np.empty((n, classes.size)), np.zeros((n, classes.size))
     buf = np.empty(2 * min(_ROWS, n) * n)
-    for lo, strip in sq_dist_strips(pts, buf):
+    for lo, strip in sq_dist_strips(*lift(pts), buf):
         add_strip_product(np.sqrt(strip[1], out=strip[1]), lo, onehot, per_cluster, mirrored)
     per_cluster += mirrored  # distance sums to each cluster
     rows = np.arange(n)

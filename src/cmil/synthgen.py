@@ -93,7 +93,7 @@ def _grid_shape(n: int) -> tuple[int, int]:
     return rows, cols
 
 
-def _tumor_block(n: int, frac: float, lo: float, hi: float, rng) -> list[int]:
+def _tumor_block(n: int, frac: float, lo: float, hi: float, rng) -> np.ndarray:
     """Indices of a 4-connected block of ~frac·n cells in the row-major grid of n cells."""
     _, cols = _grid_shape(n)
     t_lo = max(1, math.ceil(lo * n))
@@ -102,7 +102,7 @@ def _tumor_block(n: int, frac: float, lo: float, hi: float, rng) -> list[int]:
     full_rows = n // cols
     if full_rows == 0:
         start = int(rng.integers(0, n - t + 1))
-        return list(range(start, start + t))
+        return np.arange(start, start + t)
     t = min(t, full_rows * cols)
     w = min(cols, math.ceil(math.sqrt(t)))
     h = math.ceil(t / w)
@@ -112,7 +112,8 @@ def _tumor_block(n: int, frac: float, lo: float, hi: float, rng) -> list[int]:
     r0 = int(rng.integers(0, full_rows - h + 1))
     c0 = int(rng.integers(0, cols - w + 1))
     # first t cells of the rectangle, row-major: stays 4-connected
-    return [(r0 + j // w) * cols + (c0 + j % w) for j in range(t)]
+    j = np.arange(t)
+    return (r0 + j // w) * cols + (c0 + j % w)
 
 
 def _convex_weights(rng, k: int) -> np.ndarray:
@@ -128,6 +129,12 @@ def gen_bag(
     concepts: ConceptSet,
     slide_id: str,
 ) -> Bag:
+    """One bag of n patches: a positive bag's tumor block shares one convex
+    mixture of the tumor concepts, and every other patch mixes two
+    background concepts with its own draws (or is the one background
+    concept).  Only the draws run per patch, in patch order; the mixing is
+    one stacked 1 x 2 @ 2 x D matmul, which gives each row the bits of a
+    per-patch `weights @ basis`."""
     tc = cfg.tumor_concept_count
     tumor_basis = concepts.embeddings[:tc]
     bg_basis = concepts.embeddings[tc:]
@@ -135,31 +142,29 @@ def gen_bag(
     n = int(rng.integers(cfg.N_range[0], cfg.N_range[1] + 1))
     label = int(force_label)
 
-    tumor_idx: set[int] = set()
-    tumor_dir = np.zeros(cfg.D)
+    in_tumor = np.zeros(n, dtype=bool)
+    emb = np.empty((n, cfg.D))
     if label == 1:
         frac = float(rng.uniform(*cfg.tumor_fraction_range))
-        tumor_idx = set(_tumor_block(n, frac, *cfg.tumor_fraction_range, rng))
-        tumor_dir = _convex_weights(rng, tc) @ tumor_basis
+        in_tumor[_tumor_block(n, frac, *cfg.tumor_fraction_range, rng)] = True
+        emb[in_tumor] = cfg.signal_strength * (_convex_weights(rng, tc) @ tumor_basis)
 
-    emb = np.empty((n, cfg.D))
-    for i in range(n):
-        if i in tumor_idx:
-            base = tumor_dir
-        else:
-            if bg_basis.shape[0] >= 2:
-                pick = rng.choice(bg_basis.shape[0], size=2, replace=False)
-                base = _convex_weights(rng, 2) @ bg_basis[pick]
-            else:
-                base = bg_basis[0]
-        emb[i] = cfg.signal_strength * base
+    background = ~in_tumor
+    if bg_basis.shape[0] >= 2:
+        m = n - int(in_tumor.sum())
+        picks, weights = np.empty((m, 2), dtype=np.int64), np.empty((m, 1, 2))
+        for j in range(m):
+            picks[j] = rng.choice(bg_basis.shape[0], size=2, replace=False)
+            weights[j, 0] = rng.uniform(0.5, 1.0, size=2)
+        weights /= weights.sum(axis=2, keepdims=True)
+        emb[background] = cfg.signal_strength * np.matmul(weights, bg_basis[picks])[:, 0]
+    else:
+        emb[background] = cfg.signal_strength * bg_basis[0]
     if cfg.noise_std > 0:
         emb += cfg.noise_std * rng.normal(size=emb.shape)
 
     _, cols = _grid_shape(n)
     grid = np.stack(np.divmod(np.arange(n), cols), axis=1)
-    in_tumor = np.zeros(n, dtype=bool)
-    in_tumor[sorted(tumor_idx)] = True
     return Bag(slide_id, label, emb, grid, in_tumor)
 
 

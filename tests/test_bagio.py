@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -28,6 +29,32 @@ def make_bag(n=5, d=8, seed=0, label=1, slide_id="s0", flags=True):
     emb = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
     grid = [(i // 3, i % 3) for i in range(n)]
     return Bag(slide_id, label, emb, grid, [bool(i % 2) for i in range(n)] if flags else None)
+
+
+HEADER = 32  # magic, u32 version, u64 rows, u64 cols, u32 flags, u32 CRC-32
+
+
+def reseal(blob):
+    """Recompute the CRC-32 of an edited blob and sidecar pair, as the
+    format defines it, so that a read gets past the checksum to the checks
+    behind it."""
+    sidecar = blob.with_suffix(".json")
+    raw = bytearray(blob.read_bytes())
+    doc = json.loads(sidecar.read_text())
+    meta = {k: v for k, v in doc.items() if k != "crc32"}
+    crc = zlib.crc32(json.dumps(meta, sort_keys=True).encode("ascii"), zlib.crc32(raw[:HEADER - 4]))
+    crc = zlib.crc32(raw[HEADER:], crc)
+    raw[HEADER - 4:HEADER] = struct.pack("<I", crc)
+    blob.write_bytes(bytes(raw))
+    sidecar.write_text(json.dumps({**doc, "crc32": crc}))
+
+
+def write_v1(blob, magic, matrix, sidecar_doc):
+    """A format-version-1 pair: 24-byte header, float32 payload, and the
+    sidecar the old writer made."""
+    rows, cols = matrix.shape
+    blob.write_bytes(struct.pack("<4sIQQ", magic, 1, rows, cols) + matrix.astype("<f4").tobytes())
+    blob.with_suffix(".json").write_text(json.dumps(sidecar_doc))
 
 
 def assert_same_patches(a: Bag, b: Bag):
@@ -136,85 +163,216 @@ class TestBagRoundTrip:
     def test_oversized_header_does_not_allocate(self, tmp_path):
         # header claims ~3.7 TiB; must fail on the length check, not MemoryError
         p = tmp_path / "huge.cmil"
-        p.write_bytes(struct.pack("<4sIQQ", b"CMIL", 1, 10**6, 10**6) + b"\x00" * 16)
+        p.write_bytes(struct.pack("<4sIQQII", b"CMIL", 2, 10**6, 10**6, 0, 0) + b"\x00" * 16)
         with pytest.raises(FormatError, match="declares"):
             read_bag(p)
 
     def test_manifest_row_mismatch(self, tmp_path):
-        p = tmp_path / "bag.cmil"
-        write_bag(make_bag(n=5), p)
-        doc = json.loads((tmp_path / "bag.json").read_text())
-        doc["patches"] = doc["patches"][:-1]
-        (tmp_path / "bag.json").write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="manifest"):
-            read_bag(p)
+        # another bag's sidecar, for 4 patches, beside a 5-patch blob
+        write_bag(make_bag(n=5), tmp_path / "bag.cmil")
+        write_bag(make_bag(n=4), tmp_path / "other.cmil")
+        (tmp_path / "bag.json").write_bytes((tmp_path / "other.json").read_bytes())
+        with pytest.raises(FormatError, match="crc32 .* does not match"):
+            read_bag(tmp_path / "bag.cmil")
 
     def test_nan_payload_rejected(self, tmp_path):
         p = tmp_path / "bag.cmil"
-        bag = make_bag(n=2, d=2)
-        write_bag(bag, p)
+        write_bag(make_bag(n=2, d=2), p)
         raw = bytearray(p.read_bytes())
-        raw[-4:] = struct.pack("<f", float("nan"))
+        raw[HEADER + 12:HEADER + 16] = struct.pack("<f", float("nan"))  # the last embedding value
         p.write_bytes(bytes(raw))
+        reseal(p)
         with pytest.raises(FormatError, match="finite"):
             read_bag(p)
 
     def test_optional_in_tumor_omitted(self, tmp_path):
         p = tmp_path / "bag.cmil"
-        write_bag(make_bag(flags=False), p)
-        doc = json.loads((tmp_path / "bag.json").read_text())
-        assert all("in_tumor" not in rec for rec in doc["patches"])
+        write_bag(make_bag(n=5, d=8, flags=False), p)
+        raw = p.read_bytes()
+        assert struct.unpack_from("<I", raw, 24) == (0,)  # the flags word
+        assert len(raw) == HEADER + 5 * 8 * 4 + 5 * 2 * 8  # embeddings and grid, no flag section
+        assert sorted(json.loads((tmp_path / "bag.json").read_text())) == ["crc32", "label", "slide_id"]
         assert read_bag(p).in_tumor is None
 
-    @settings(max_examples=25, deadline=None)
+    def test_flag_bytes_other_than_0_or_1_rejected(self, tmp_path):
+        p = tmp_path / "bag.cmil"
+        write_bag(make_bag(n=5, d=2), p)
+        raw = bytearray(p.read_bytes())
+        raw[-2] = 2  # patch 3's tumor flag
+        p.write_bytes(bytes(raw))
+        reseal(p)
+        with pytest.raises(FormatError, match="tumor flags must be 0 or 1"):
+            read_bag(p)
+
+    def test_unknown_flags_rejected(self, tmp_path):
+        p = tmp_path / "bag.cmil"
+        write_bag(make_bag(n=5, d=2), p)
+        raw = bytearray(p.read_bytes())
+        raw[24] |= 2
+        p.write_bytes(bytes(raw))
+        reseal(p)
+        with pytest.raises(FormatError, match="unknown flags 0x3"):
+            read_bag(p)
+
+    def test_version_1_bag_names_gen_data(self, tmp_path):
+        write_v1(tmp_path / "bag.cmil", b"CMIL", np.ones((2, 3)),
+                 {"slide_id": "s", "label": 0, "patches": [{"row": 0, "col": 0}, {"row": 0, "col": 1}]})
+        with pytest.raises(FormatError, match="version 1 is no longer read; re-run gen-data"):
+            read_bag(tmp_path / "bag.cmil")
+
+    def test_sections_are_read_in_place(self, tmp_path):
+        p = tmp_path / "bag.cmil"
+        write_bag(make_bag(n=5, d=3), p)
+        bag = read_bag(p)
+        # each array owns the buffer its section was read into: no slice of a whole-file copy
+        for array in (bag.embeddings, bag.grid):
+            assert array.base is None and array.flags.c_contiguous
+        assert bag.in_tumor.base.base is None and bag.in_tumor.base.dtype == np.uint8
+
+    @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(1, 12),
         d=st.integers(1, 9),
+        cells=st.sets(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), min_size=1, max_size=12),
+        flags=st.one_of(st.none(), st.lists(st.booleans(), min_size=12, max_size=12)),
+        slide_id=st.text(max_size=12),
         seed=st.integers(0, 2**16),
         label=st.integers(0, 1),
     )
-    def test_round_trip_property(self, tmp_path_factory, n, d, seed, label):
+    def test_round_trip_property(self, tmp_path_factory, d, cells, flags, slide_id, seed, label):
         tmp = tmp_path_factory.mktemp("rt")
+        grid = sorted(cells)
+        n = len(grid)
         rng = np.random.default_rng(seed)
-        emb = (rng.normal(size=(n, d)) * 10).astype(np.float32).astype(np.float64)
-        bag = Bag(f"s{seed}", label, emb, [(i, 0) for i in range(n)])
+        emb = (rng.normal(size=(n, d)) * 10).astype(np.float32)
+        bag = Bag(slide_id, label, emb, grid, None if flags is None else flags[:n])
         write_bag(bag, tmp / "b.cmil")
         back = read_bag(tmp / "b.cmil")
-        np.testing.assert_array_equal(back.embeddings, bag.embeddings)
-        assert (back.slide_id, back.label) == (bag.slide_id, bag.label)
+        assert back.embeddings.tobytes() == emb.tobytes()
+        assert (back.slide_id, back.label) == (slide_id, label)
         assert_same_patches(back, bag)
 
 
-# (new patch 1 of a flagged 5-patch sidecar, built from the old one; expected message)
-BAD_PATCHES = {
-    "not a dict": (lambda rec: [rec["row"], rec["col"]], "patch 1 must have 'row' and 'col'"),
-    "no row": (lambda rec: {"col": rec["col"]}, "patch 1 must have 'row' and 'col'"),
-    "bool coordinate": (lambda rec: {**rec, "row": True}, "patch 1 coordinates must be integers"),
-    "float coordinate": (lambda rec: {**rec, "col": 1.0}, "patch 1 coordinates must be integers"),
-    "string in_tumor": (lambda rec: {**rec, "in_tumor": "yes"}, "patch 1 'in_tumor' must be a boolean"),
-    "flags on only some patches": (lambda rec: {"row": rec["row"], "col": rec["col"]},
-                                   "set on 4 of 5 patches"),
+def flip(path, offset):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 1
+    path.write_bytes(bytes(raw))
+
+
+def edit_sidecar(path, key, value):
+    sidecar = path.with_suffix(".json")
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **{key: value})))
+
+
+N, D = 5, 3
+# the first, a middle and the last byte of each part of a flagged 5 x 3 bag's blob
+BAG_PARTS = {"header": (0, HEADER), "embeddings": (HEADER, HEADER + 4 * N * D),
+             "grid": (HEADER + 4 * N * D, HEADER + 4 * N * D + 16 * N),
+             "tumor flags": (HEADER + 4 * N * D + 16 * N, HEADER + 4 * N * D + 17 * N)}
+BAG_FLIPS = [(part, i) for part, (lo, hi) in BAG_PARTS.items() for i in sorted({lo, (lo + hi) // 2, hi - 1})]
+
+
+class TestEveryChangeIsCaught:
+    @pytest.mark.parametrize("part,offset", BAG_FLIPS, ids=[f"{p}-{i}" for p, i in BAG_FLIPS])
+    def test_bag_blob_byte_flip(self, tmp_path, part, offset):
+        p = tmp_path / "bag.cmil"
+        write_bag(make_bag(n=N, d=D), p)
+        assert p.stat().st_size == BAG_PARTS["tumor flags"][1]
+        flip(p, offset)
+        with pytest.raises(FormatError):
+            read_bag(p)
+
+    def test_every_header_byte(self, tmp_path):
+        p = tmp_path / "bag.cmil"
+        write_bag(make_bag(n=N, d=D), p)
+        pristine = p.read_bytes()
+        for offset in range(HEADER):
+            p.write_bytes(pristine)
+            flip(p, offset)
+            with pytest.raises(FormatError):
+                read_bag(p)
+
+    @pytest.mark.parametrize("key,value", [("slide_id", "s1"), ("label", 0), ("crc32", 1)])
+    def test_bag_sidecar_edit(self, tmp_path, key, value):
+        p = tmp_path / "bag.cmil"
+        write_bag(make_bag(n=N, d=D, slide_id="s0", label=1), p)
+        edit_sidecar(p, key, value)
+        with pytest.raises(FormatError, match="crc32|CRC-32"):
+            read_bag(p)
+
+    @pytest.mark.parametrize("key,value", [("names", ["a", "c"]), ("prompt_template", "x CONCEPT"),
+                                           ("crc32", 1)])
+    def test_concept_sidecar_edit(self, tmp_path, key, value):
+        p = tmp_path / "c.ccpt"
+        write_concepts(ConceptSet(["a", "b"], np.eye(2, 3)), p)
+        edit_sidecar(p, key, value)
+        with pytest.raises(FormatError, match="crc32|CRC-32"):
+            read_concepts(p)
+
+    @pytest.mark.parametrize("offset", [0, 24, 28, HEADER, HEADER + 23])
+    def test_concept_blob_byte_flip(self, tmp_path, offset):
+        p = tmp_path / "c.ccpt"
+        write_concepts(ConceptSet(["a", "b"], np.eye(2, 3)), p)
+        flip(p, offset)
+        with pytest.raises(FormatError):
+            read_concepts(p)
+
+
+# (edited sidecar of a flagged 5-patch bag, CRC recomputed; expected message)
+BAD_SIDECARS = {
+    "not an object": (lambda doc: [doc], "manifest must be a JSON object"),
+    "no label": (lambda doc: {k: v for k, v in doc.items() if k != "label"}, "missing manifest key 'label'"),
+    "bool label": (lambda doc: {**doc, "label": True}, "label must be 0 or 1"),
+    "label 2": (lambda doc: {**doc, "label": 2}, "label must be 0 or 1"),
+    "integer slide_id": (lambda doc: {**doc, "slide_id": 7}, "slide_id must be a string"),
+    "string crc32": (lambda doc: {**doc, "crc32": str(doc["crc32"])}, "crc32 '[0-9]+' does not match"),
+    "unknown key": (lambda doc: {**doc, "patches": []}, r"unexpected manifest keys \['patches'\]"),
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_PATCHES))
+@pytest.mark.parametrize("case", list(BAD_SIDECARS))
 def test_bad_sidecar_record_names_the_sidecar(case, tmp_path):
-    edit, message = BAD_PATCHES[case]
+    edit, message = BAD_SIDECARS[case]
     write_bag(make_bag(n=5), tmp_path / "bag.cmil")
     sidecar = tmp_path / "bag.json"
-    doc = json.loads(sidecar.read_text())
-    doc["patches"][1] = edit(doc["patches"][1])
+    doc = edit(json.loads(sidecar.read_text()))
     sidecar.write_text(json.dumps(doc))
+    if isinstance(doc, dict) and isinstance(doc.get("crc32"), int):
+        reseal(tmp_path / "bag.cmil")
     with pytest.raises(FormatError, match=message) as info:
         read_bag(tmp_path / "bag.cmil")
     assert str(info.value).startswith(f"{sidecar}: ")
+
+
+# (grid and flags of a flagged 5 x 8 bag -> edited in place, CRC recomputed; expected message)
+BAD_SECTIONS = {
+    "negative coordinate": (lambda grid, flags: grid.__setitem__((1, 1), -1), "negative grid coordinates"),
+    "duplicate coordinate": (lambda grid, flags: grid.__setitem__(4, grid[0]), "duplicate patch grid"),
+    "flag byte 2": (lambda grid, flags: flags.__setitem__(1, 2), "tumor flags must be 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SECTIONS))
+def test_bad_patch_section_names_the_blob(case, tmp_path):
+    edit, message = BAD_SECTIONS[case]
+    p = tmp_path / "bag.cmil"
+    write_bag(make_bag(n=5, d=8), p)
+    raw = bytearray(p.read_bytes())
+    start = HEADER + 5 * 8 * 4
+    grid = np.frombuffer(raw, dtype="<i8", count=10, offset=start).reshape(5, 2)
+    flags = np.frombuffer(raw, dtype=np.uint8, count=5, offset=start + 80)
+    edit(grid, flags)
+    p.write_bytes(bytes(raw))
+    reseal(p)
+    with pytest.raises(FormatError, match=message) as info:
+        read_bag(p)
+    assert str(info.value).startswith(f"{p}: ")
 
 
 def test_read_bag_list_holds_little_more_than_its_payload(tmp_path):
     # 200 default bags: the list once held 2.4x the blobs' float32 payload
     split = gen_dataset(SynthConfig(seed=1), tmp_path)
     paths = split.all_paths()
-    payload = sum(p.stat().st_size - 24 for p in paths)  # minus the 24-byte header
+    payload = sum(p.stat().st_size - HEADER for p in paths)
     tracemalloc.start()
     try:
         bags = [read_bag(p) for p in paths]
@@ -265,9 +423,14 @@ class TestConcepts:
 
     def test_non_string_prompt_template_rejected(self, tmp_path):
         write_concepts(ConceptSet(["a", "b"], np.eye(2, 3)), tmp_path / "c.ccpt")
-        sidecar = tmp_path / "c.json"
-        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), prompt_template=5)))
+        edit_sidecar(tmp_path / "c.ccpt", "prompt_template", 5)
+        reseal(tmp_path / "c.ccpt")
         with pytest.raises(DataValidationError, match="prompt_template must be a string"):
+            read_concepts(tmp_path / "c.ccpt")
+
+    def test_version_1_concepts_name_gen_data(self, tmp_path):
+        write_v1(tmp_path / "c.ccpt", b"CCPT", np.eye(2, 3), {"names": ["a", "b"]})
+        with pytest.raises(FormatError, match="version 1 is no longer read; re-run gen-data"):
             read_concepts(tmp_path / "c.ccpt")
 
     def test_wrong_magic_for_kind(self, tmp_path):

@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cmil.bagio import content_hash, dump_json, read_bag, read_split
+from cmil.bagio import Bag, content_hash, dump_json, read_bag, read_split, write_bag
 from cmil.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
                       EXIT_SHAPE, main)
 from cmil.explain import explain_slide
@@ -369,11 +369,9 @@ def test_bag_in_two_splits_exits_3(ckpt, data_dir, tmp_path, capsys):
 def test_eval_without_flags_reports_null_localization(ckpt, data_dir, tmp_path):
     stripped = tmp_path / "noflags"
     shutil.copytree(data_dir, stripped)
-    for side in stripped.glob("bag_*.json"):
-        doc = json.loads(side.read_text())
-        for patch in doc["patches"]:
-            patch.pop("in_tumor", None)
-        side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for path in stripped.glob("bag_*.cmil"):
+        bag = read_bag(path)
+        write_bag(Bag(bag.slide_id, bag.label, bag.embeddings, bag.grid), path)
     out = tmp_path / "eval.json"
     with pytest.warns(UserWarning, match="localization skipped"):
         rc = main(["eval", "--ckpt", str(ckpt), "--data", str(stripped),

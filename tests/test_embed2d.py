@@ -121,7 +121,7 @@ class TestSqDistRows:
         log = NumpyCallLog({"subtract"})
         monkeypatch.setattr(cmil.embed2d, "np", log)
         x = np.random.default_rng(0).normal(size=(ROWS, 3))
-        next(cmil.embed2d.sq_dist_strips(x, np.empty(2 * ROWS * ROWS)))
+        next(cmil.embed2d.sq_dist_strips(*lift(x), np.empty(2 * ROWS * ROWS)))
         assert [shape for _, shape in log.calls if len(shape) == 2] == []
 
 
@@ -365,6 +365,12 @@ class TestTsne:
     def test_identical_points_rejected(self):
         with pytest.raises(DataValidationError, match="identical"):
             tsne_2d(np.zeros((8, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_too_few_points_rejected(self, n):
+        # the perplexity, min(30, (n - 1) // 3), would be 0
+        with pytest.raises(DataValidationError, match=f"^tsne needs at least 4 points, got {n}$"):
+            tsne_2d(np.eye(n, 3))
 
     def test_default_perplexity_respects_small_n(self):
         rng = np.random.default_rng(1)

@@ -3,7 +3,7 @@ import pytest
 
 from cmil.bagio import read_bag, read_concepts, read_split
 from cmil.errors import ConfigError
-from cmil.synthgen import SynthConfig, gen_bag, gen_concepts, gen_dataset
+from cmil.synthgen import SynthConfig, _grid_shape, _tumor_block, gen_bag, gen_concepts, gen_dataset
 
 DESK = SynthConfig(seed=7, num_bags=20, N_range=(30, 60), D=32, C=8, tumor_concept_count=3)
 DESK_CONCEPTS = gen_concepts(DESK)
@@ -123,6 +123,73 @@ class TestGenBag:
                 bag = desk_bag(seed, label)
                 assert bag.label == label
                 assert (bag.label == 1) == bool(bag.in_tumor.any())
+
+
+def per_patch_bag(cfg, rng, label, concepts):
+    """The generator as a per-patch loop: the reference gen_bag must match
+    byte for byte.  Returns (embeddings, grid, in_tumor)."""
+    tc = cfg.tumor_concept_count
+    tumor_basis, bg_basis = concepts.embeddings[:tc], concepts.embeddings[tc:]
+
+    def convex_weights(k):
+        w = rng.uniform(0.5, 1.0, size=k)
+        return w / w.sum()
+
+    n = int(rng.integers(cfg.N_range[0], cfg.N_range[1] + 1))
+    tumor_idx = set()
+    tumor_dir = np.zeros(cfg.D)
+    if label == 1:
+        frac = float(rng.uniform(*cfg.tumor_fraction_range))
+        tumor_idx = set(_tumor_block(n, frac, *cfg.tumor_fraction_range, rng).tolist())
+        tumor_dir = convex_weights(tc) @ tumor_basis
+    emb = np.empty((n, cfg.D))
+    for i in range(n):
+        if i in tumor_idx:
+            base = tumor_dir
+        elif bg_basis.shape[0] >= 2:
+            pick = rng.choice(bg_basis.shape[0], size=2, replace=False)
+            base = convex_weights(2) @ bg_basis[pick]
+        else:
+            base = bg_basis[0]
+        emb[i] = cfg.signal_strength * base
+    if cfg.noise_std > 0:
+        emb += cfg.noise_std * rng.normal(size=emb.shape)
+    cols = _grid_shape(n)[1]
+    grid = np.array([(i // cols, i % cols) for i in range(n)], dtype=np.int64)
+    in_tumor = np.array([i in tumor_idx for i in range(n)])
+    return emb, grid, in_tumor
+
+
+GEN_ORACLE_CONFIGS = {
+    "desk": DESK,
+    "one background concept": SynthConfig(seed=2, N_range=(20, 70), D=16, C=4, tumor_concept_count=3),
+    "noiseless": SynthConfig(seed=5, N_range=(1, 90), D=24, C=9, tumor_concept_count=2,
+                             noise_std=0.0, signal_strength=1.7),
+}
+
+
+class TestGenBagMatchesPerPatchLoop:
+    @pytest.mark.parametrize("name", list(GEN_ORACLE_CONFIGS))
+    def test_byte_equal(self, name):
+        cfg = GEN_ORACLE_CONFIGS[name]
+        concepts = gen_concepts(cfg)
+        for seed in range(8):
+            for label in (0, 1):
+                bag = gen_bag(cfg, np.random.default_rng(seed), force_label=label, concepts=concepts,
+                              slide_id="s")
+                emb, grid, in_tumor = per_patch_bag(cfg, np.random.default_rng(seed), label, concepts)
+                assert bag.embeddings.tobytes() == emb.tobytes(), (seed, label)
+                assert bag.grid.tobytes() == grid.tobytes(), (seed, label)
+                assert bag.in_tumor.tobytes() == in_tumor.tobytes(), (seed, label)
+
+    def test_default_scale(self):
+        cfg = SynthConfig(seed=11)
+        concepts = gen_concepts(cfg)
+        for seed in range(4):
+            bag = gen_bag(cfg, np.random.default_rng(seed), force_label=seed % 2, concepts=concepts,
+                          slide_id="s")
+            emb, _, _ = per_patch_bag(cfg, np.random.default_rng(seed), seed % 2, concepts)
+            assert bag.embeddings.tobytes() == emb.tobytes(), seed
 
 
 class TestGenDataset:
