@@ -51,7 +51,7 @@ class Bag:
     """One slide: N patch embeddings, their grid positions and a binary label.
 
     `embeddings` keeps a float32 or float64 matrix as given (a read bag holds
-    the file's float32 payload); any other dtype becomes float64.  `grid` is
+    its file's float32 embedding section); any other dtype becomes float64.  `grid` is
     the N x 2 int64 (row, col) of each patch, and `in_tumor` an N-long bool
     array of ground-truth tumor flags, or None when the slide is unannotated.
     """

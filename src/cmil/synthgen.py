@@ -132,9 +132,10 @@ def gen_bag(
     """One bag of n patches: a positive bag's tumor block shares one convex
     mixture of the tumor concepts, and every other patch mixes two
     background concepts with its own draws (or is the one background
-    concept).  Only the draws run per patch, in patch order; the mixing is
-    one stacked 1 x 2 @ 2 x D matmul, which gives each row the bits of a
-    per-patch `weights @ basis`."""
+    concept).  Only the draws run per patch, in patch order; the weights are
+    scaled and normalised on arrays, and the mixing is one stacked
+    1 x 2 @ 2 x D matmul, which gives each row the bits of a per-patch
+    `weights @ basis`."""
     tc = cfg.tumor_concept_count
     tumor_basis = concepts.embeddings[:tc]
     bg_basis = concepts.embeddings[tc:]
@@ -155,7 +156,9 @@ def gen_bag(
         picks, weights = np.empty((m, 2), dtype=np.int64), np.empty((m, 1, 2))
         for j in range(m):
             picks[j] = rng.choice(bg_basis.shape[0], size=2, replace=False)
-            weights[j, 0] = rng.uniform(0.5, 1.0, size=2)
+            weights[j, 0] = rng.random(2)
+        # rng.uniform(0.5, 1.0) is 0.5 + 0.5 u of the same u, and 0.5 u is exact
+        weights = 0.5 + 0.5 * weights
         weights /= weights.sum(axis=2, keepdims=True)
         emb[background] = cfg.signal_strength * np.matmul(weights, bg_basis[picks])[:, 0]
     else:
