@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmil.bagio import (
@@ -232,15 +232,17 @@ class TestBagRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(
         d=st.integers(1, 9),
-        cells=st.sets(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), min_size=1, max_size=12),
+        grid=st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), min_size=1, max_size=12,
+                      unique=True),
         flags=st.one_of(st.none(), st.lists(st.booleans(), min_size=12, max_size=12)),
         slide_id=st.text(max_size=12),
         seed=st.integers(0, 2**16),
         label=st.integers(0, 1),
     )
-    def test_round_trip_property(self, tmp_path_factory, d, cells, flags, slide_id, seed, label):
+    @example(d=3, grid=[(4, 1), (0, 0), (2**62, 7)], flags=[True, False, True] + [False] * 9,
+             slide_id="Schnitt \u00e4 \u5207\u7247 \U0001f52c", seed=0, label=1)
+    def test_round_trip_property(self, tmp_path_factory, d, grid, flags, slide_id, seed, label):
         tmp = tmp_path_factory.mktemp("rt")
-        grid = sorted(cells)
         n = len(grid)
         rng = np.random.default_rng(seed)
         emb = (rng.normal(size=(n, d)) * 10).astype(np.float32)
@@ -264,11 +266,11 @@ def edit_sidecar(path, key, value):
 
 
 N, D = 5, 3
-# the first, a middle and the last byte of each part of a flagged 5 x 3 bag's blob
-BAG_PARTS = {"header": (0, HEADER), "embeddings": (HEADER, HEADER + 4 * N * D),
-             "grid": (HEADER + 4 * N * D, HEADER + 4 * N * D + 16 * N),
-             "tumor flags": (HEADER + 4 * N * D + 16 * N, HEADER + 4 * N * D + 17 * N)}
-BAG_FLIPS = [(part, i) for part, (lo, hi) in BAG_PARTS.items() for i in sorted({lo, (lo + hi) // 2, hi - 1})]
+# the first, a middle and the last byte of each section of a flagged 5 x 3 bag's blob
+BAG_SECTIONS = {"embeddings": (HEADER, HEADER + 4 * N * D),
+                "grid": (HEADER + 4 * N * D, HEADER + 4 * N * D + 16 * N),
+                "tumor flags": (HEADER + 4 * N * D + 16 * N, HEADER + 4 * N * D + 17 * N)}
+BAG_FLIPS = [(part, i) for part, (lo, hi) in BAG_SECTIONS.items() for i in (lo, (lo + hi) // 2, hi - 1)]
 
 
 class TestEveryChangeIsCaught:
@@ -276,7 +278,7 @@ class TestEveryChangeIsCaught:
     def test_bag_blob_byte_flip(self, tmp_path, part, offset):
         p = tmp_path / "bag.cmil"
         write_bag(make_bag(n=N, d=D), p)
-        assert p.stat().st_size == BAG_PARTS["tumor flags"][1]
+        assert p.stat().st_size == BAG_SECTIONS["tumor flags"][1]
         flip(p, offset)
         with pytest.raises(FormatError):
             read_bag(p)

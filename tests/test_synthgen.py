@@ -140,7 +140,7 @@ def per_patch_bag(cfg, rng, label, concepts):
     tumor_dir = np.zeros(cfg.D)
     if label == 1:
         frac = float(rng.uniform(*cfg.tumor_fraction_range))
-        tumor_idx = set(_tumor_block(n, frac, *cfg.tumor_fraction_range, rng).tolist())
+        tumor_idx = {int(i) for i in _tumor_block(n, frac, *cfg.tumor_fraction_range, rng)}
         tumor_dir = convex_weights(tc) @ tumor_basis
     emb = np.empty((n, cfg.D))
     for i in range(n):
