@@ -1,26 +1,28 @@
-"""Data model and bit-exact file formats for bags, concept sets and splits.
+"""Data model and bit-exact file formats for bags, concept sets, checkpoints and splits.
 
-A bag on disk is a pair of files: a binary blob and a JSON sidecar with the
-same basename and a ``.json`` extension.  The blob (format version 2) opens
-with a 32-byte little-endian header: magic ``CMIL``, u32 version, u64 rows N,
-u64 columns D, a u32 flags word and a u32 CRC-32.  Its sections follow,
-row-major: the N x D float32 embeddings, the N x 2 int64 (row, col) grid, and,
-when flags bit 0 is set, N uint8 tumor flags (0 or 1).  The sidecar holds
-``slide_id``, ``label`` and ``crc32``.  A concept set uses the same header
-under magic ``CCPT``, its C x D float32 embeddings as the only section, and
-``names``, ``prompt_template`` and ``crc32`` in its sidecar.
+Every binary file is a pair: a blob and a JSON sidecar with the same basename
+and a ``.json`` extension.  The blob (format version 2) opens with a 32-byte
+little-endian header: a four-byte magic, u32 version, u64 rows, u64 columns, a
+u32 flags word and a u32 CRC-32.  Its sections follow, row-major.  A bag
+(magic ``CMIL``) holds the N x D float32 embeddings, the N x 2 int64 (row, col)
+grid, and, when flags bit 0 is set, N uint8 tumor flags (0 or 1); its sidecar
+holds ``slide_id``, ``label`` and ``crc32``.  A concept set (``CCPT``) holds
+its C x D float32 embeddings, with ``names``, ``prompt_template`` and
+``crc32`` in its sidecar.  A checkpoint (``CMCK``, written by ``trainer``)
+holds its C x D float64 concept embeddings and then every model parameter as
+one float64 vector.
 
 The CRC-32 (zlib) runs over the header's first 28 bytes, then the sidecar's
 other fields as sorted-key ASCII JSON, then each section, and the sidecar's
 ``crc32`` repeats it, so a change to either file fails the read with a
-FormatError.  Version 1 files, which kept each patch's position and tumor flag
-as a JSON record in the sidecar, are not read: re-run ``gen-data``.
-Bag embeddings stay float32 in memory, as stored; concept sets are promoted
-to float64.
+FormatError.  Version 1 files are not read: re-run the command that wrote
+them.  Bag embeddings stay float32 in memory, as stored; concept sets are
+promoted to float64.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -37,6 +39,8 @@ from .errors import DataValidationError, FormatError
 FORMAT_VERSION = 2
 BAG_MAGIC = b"CMIL"
 CONCEPTS_MAGIC = b"CCPT"
+CKPT_MAGIC = b"CMCK"
+_WRITER = {BAG_MAGIC: "gen-data", CONCEPTS_MAGIC: "gen-data", CKPT_MAGIC: "train"}
 DEFAULT_PROMPT_TEMPLATE = "an H & E image of CONCEPT"
 
 _MAGIC_VERSION = struct.Struct("<4sI")
@@ -68,7 +72,7 @@ class Bag:
             self.embeddings = self.embeddings.astype(np.float64)
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] < 1:
             raise DataValidationError(f"bag {self.slide_id}: embeddings must be a nonempty N x D matrix")
-        if self.label not in (0, 1):
+        if type(self.label) is not int or self.label not in (0, 1):
             raise DataValidationError(f"bag {self.slide_id}: label must be 0 or 1, got {self.label!r}")
         n = self.embeddings.shape[0]
         self.grid = np.asarray(self.grid, dtype=np.int64)
@@ -154,8 +158,9 @@ def _crc(prefix: bytes, meta: dict, sections: list[np.ndarray]) -> int:
 
 
 def _write_blob(path: Path, magic: bytes, sections: list[np.ndarray], flags: int, meta: dict) -> None:
-    """Write the blob of C-contiguous little-endian `sections`, the first
-    an N x D float32 matrix, and its sidecar of `meta` plus the CRC."""
+    """Write the blob of C-contiguous little-endian `sections`, the first a
+    rows x cols matrix whose shape the header records, and its sidecar of
+    `meta` plus the CRC."""
     rows, cols = sections[0].shape
     prefix = _HEADER.pack(magic, FORMAT_VERSION, rows, cols, flags, 0)[:_CRC_AT]
     crc = _crc(prefix, meta, sections)
@@ -169,10 +174,12 @@ def _write_blob(path: Path, magic: bytes, sections: list[np.ndarray], flags: int
 def _read_blob(path: Path, magic: bytes, fields: tuple[str, ...], layout) -> tuple[dict, list[np.ndarray]]:
     """Read a blob and its sidecar: the sidecar's `fields` and the sections.
 
-    `layout(rows, cols, flags)` gives the (dtype, shape) of each section the
-    header declares, or None for flags it does not know.  Each section is
-    read into its own array, none before the file's size matches the
-    header's, and the CRC is checked against both files before any value.
+    `layout(rows, cols, flags, sidecar)` gives the (dtype, shape) of each
+    section the header declares, or None for flags it does not know;
+    `sidecar()` reads the checked sidecar, for a layout that needs its fields.
+    Each section is read into its own array, none before the file's size
+    matches the header's, and the CRC is checked against both files before
+    any value.
     """
     path = Path(path)
     try:
@@ -180,6 +187,7 @@ def _read_blob(path: Path, magic: bytes, fields: tuple[str, ...], layout) -> tup
         f = open(path, "rb")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    sidecar = functools.cache(lambda: _read_sidecar(path, fields))
     with f:
         header = f.read(_HEADER.size)
         if len(header) < _MAGIC_VERSION.size:
@@ -189,7 +197,7 @@ def _read_blob(path: Path, magic: bytes, fields: tuple[str, ...], layout) -> tup
             raise FormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
         if version == 1:
             raise FormatError(f"{path}: format version 1 is no longer read; "
-                              f"re-run gen-data to write version {FORMAT_VERSION}")
+                              f"re-run {_WRITER[magic]} to write version {FORMAT_VERSION}")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
         if len(header) < _HEADER.size:
@@ -197,7 +205,7 @@ def _read_blob(path: Path, magic: bytes, fields: tuple[str, ...], layout) -> tup
         _, _, rows, cols, flags, crc = _HEADER.unpack(header)
         if rows < 1 or cols < 1:
             raise FormatError(f"{path}: degenerate shape {rows} x {cols}")
-        shapes = layout(rows, cols, flags)
+        shapes = layout(rows, cols, flags, sidecar)
         if shapes is None:
             raise FormatError(f"{path}: unknown flags {flags:#x}")
         # exact Python ints, no overflow
@@ -212,6 +220,19 @@ def _read_blob(path: Path, magic: bytes, fields: tuple[str, ...], layout) -> tup
             if f.readinto(section) != section.nbytes:
                 raise FormatError(f"{path}: truncated payload")
             sections.append(section)
+    doc = sidecar()
+    meta = {key: doc[key] for key in fields}
+    if type(doc["crc32"]) is not int or doc["crc32"] != crc:
+        raise FormatError(f"{_sidecar(path)}: crc32 {doc['crc32']!r} does not match its blob's {crc}")
+    if _crc(header[:_CRC_AT], meta, sections) != crc:
+        raise FormatError(f"{path}: CRC-32 mismatch: the blob or its sidecar has changed")
+    if not all(np.isfinite(s).all() for s in sections if s.dtype.kind == "f"):
+        raise FormatError(f"{path}: non-finite values in payload")
+    return meta, sections
+
+
+def _read_sidecar(path: Path, fields: tuple[str, ...]) -> dict:
+    """The sidecar of blob `path`, holding exactly `fields` and ``crc32``."""
     sidecar = _sidecar(path)
     doc = _read_json(sidecar)
     for key in (*fields, "crc32"):
@@ -219,14 +240,7 @@ def _read_blob(path: Path, magic: bytes, fields: tuple[str, ...], layout) -> tup
             raise FormatError(f"{sidecar}: missing manifest key {key!r}")
     if len(doc) != len(fields) + 1:
         raise FormatError(f"{sidecar}: unexpected manifest keys {sorted(set(doc) - {*fields, 'crc32'})}")
-    meta = {key: doc[key] for key in fields}
-    if type(doc["crc32"]) is not int or doc["crc32"] != crc:
-        raise FormatError(f"{sidecar}: crc32 {doc['crc32']!r} does not match its blob's {crc}")
-    if _crc(header[:_CRC_AT], meta, sections) != crc:
-        raise FormatError(f"{path}: CRC-32 mismatch: the blob or its sidecar has changed")
-    if not np.all(np.isfinite(sections[0])):
-        raise FormatError(f"{path}: non-finite values in payload")
-    return meta, sections
+    return doc
 
 
 def _sidecar(path: Path) -> Path:
@@ -256,7 +270,7 @@ def dump_json(obj, path: Path) -> None:
 # -- bags ----------------------------------------------------------------------
 
 
-def _bag_layout(rows: int, cols: int, flags: int):
+def _bag_layout(rows: int, cols: int, flags: int, sidecar):
     if flags & ~_IN_TUMOR:
         return None
     return [("<f4", (rows, cols)), ("<i8", (rows, 2))] + ([("u1", (rows,))] if flags else [])
@@ -275,7 +289,7 @@ def read_bag(path: Path) -> Bag:
     path = Path(path)
     meta, (values, grid, *flags) = _read_blob(path, BAG_MAGIC, ("label", "slide_id"), _bag_layout)
     label, slide_id = meta["label"], meta["slide_id"]
-    if label not in (0, 1) or isinstance(label, bool):
+    if type(label) is not int or label not in (0, 1):
         raise FormatError(f"{_sidecar(path)}: label must be 0 or 1")
     if not isinstance(slide_id, str):
         raise FormatError(f"{_sidecar(path)}: slide_id must be a string")
@@ -293,7 +307,7 @@ def read_bag(path: Path) -> Bag:
 # -- concept sets ---------------------------------------------------------------
 
 
-def _concepts_layout(rows: int, cols: int, flags: int):
+def _concepts_layout(rows: int, cols: int, flags: int, sidecar):
     return None if flags else [("<f4", (rows, cols))]
 
 

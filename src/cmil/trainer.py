@@ -5,19 +5,17 @@ post-softmax patch attention. Training runs at batch size 1 (bags differ in
 size); the perturbed top-K noise is resampled every step from a dedicated
 stream, and the final-epoch model is the result — no early stopping.
 
-Checkpoint layout: magic "CMCK", u32 version LE, u64 header length, JSON
-header (config, epoch, data hash, blob directory, concept names), then the
-declared f64 LE blobs, ending with the frozen concept embeddings. Loading
-rebuilds the model with `init_model` from the embedded config and fills its
-parameters by name: the model, not the file, says which blobs must be present
-and what shape each has (a scalar may be declared [1], as older files do).
+A checkpoint is a format-version-2 blob pair (see `bagio`) under magic "CMCK":
+the header's rows and columns are C and D, and its sections are the C x D f64
+concept embeddings, then every model parameter as one f64 vector in
+sorted-name order. The sidecar holds `concepts` (names, prompt template),
+`data_hash`, `epoch` and `train_config`. Loading sizes the parameter vector
+from the embedded config before anything is allocated, rebuilds the model with
+`init_model` and fills its parameters from slices of that vector.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bagio import DEFAULT_PROMPT_TEMPLATE, Bag, ConceptSet, DatasetSplit, read_bag
+from .bagio import CKPT_MAGIC, Bag, ConceptSet, DatasetSplit, _read_blob, _write_blob, read_bag
 from .concept_branch import ConceptBranchParams, ConceptForward, concept_forward, init_concept_params
 from .errors import (ConfigError, DataValidationError, FormatError, ShapeError,
                      TrainingDivergedError, check_field_types)
@@ -33,9 +31,6 @@ from .image_branch import ImageBranchParams, ImageForward, image_forward, init_i
 from .metrics import auc
 from .projection import project
 from .topk import Selection, TopKConfig, gather_concepts, select
-
-CKPT_MAGIC = b"CMCK"
-CKPT_VERSION = 1
 
 # RNG stream ids hung off the config seed
 _INIT_STREAM = 0
@@ -393,124 +388,57 @@ def predict(bag: Bag, model: CmilModel) -> Prediction:
 
 # -- checkpoint format ------------------------------------------------------------------
 
-_CKPT_PREFIX = struct.Struct("<4sIQ")
+_CKPT_FIELDS = ("concepts", "data_hash", "epoch", "train_config")
 
 
 def save_checkpoint(path: Path, model: CmilModel, cfg: TrainConfig, epoch: int,
                     data_hash: str = "") -> None:
     params = model.parameters()
-    names = sorted(params)
-    blobs = [np.asarray(params[n].data, dtype="<f8") for n in names]
-    names.append("data.concept_embeddings")
-    blobs.append(np.asarray(model.concepts.embeddings, dtype="<f8"))
-
-    header = {
-        "epoch": epoch,
+    values = np.concatenate([params[n].data.ravel() for n in sorted(params)], dtype="<f8")
+    embeddings = np.ascontiguousarray(model.concepts.embeddings, dtype="<f8")
+    _write_blob(Path(path), CKPT_MAGIC, [embeddings, values], 0, {
+        "concepts": {"names": list(model.concepts.names),
+                     "prompt_template": model.concepts.prompt_template},
         "data_hash": data_hash,
+        "epoch": epoch,
         "train_config": cfg.to_dict(),
-        "concepts": {
-            "names": list(model.concepts.names),
-            "prompt_template": model.concepts.prompt_template,
-        },
-        "params": [{"name": n, "shape": list(b.shape)} for n, b in zip(names, blobs)],
-    }
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CKPT_PREFIX.pack(CKPT_MAGIC, CKPT_VERSION, len(raw)))
-        f.write(raw)
-        for b in blobs:
-            f.write(b.tobytes())
+    })
+
+
+def _parameter_count(cfg: TrainConfig, C: int, D: int) -> int:
+    """The number of values `init_model(cfg, C concepts, D)` holds."""
+    return cfg.d_h * (D + 2 * cfg.d_a + 2) + 2 * cfg.d_a * (cfg.topk.K + 1) + C + 2
 
 
 def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    if len(data) < _CKPT_PREFIX.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, hlen = _CKPT_PREFIX.unpack_from(data)
-    if magic != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {CKPT_MAGIC!r}")
-    if version != CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    if len(data) < _CKPT_PREFIX.size + hlen:
-        raise FormatError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(data[_CKPT_PREFIX.size : _CKPT_PREFIX.size + hlen])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: invalid checkpoint header: {exc}") from exc
+    cfg = None
 
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: checkpoint header must be a JSON object")
-    tc = header.get("train_config")
-    if not isinstance(tc, dict):
-        raise FormatError(f"{path}: missing or malformed 'train_config' header")
-    try:
-        cfg = TrainConfig.from_dict(tc)
-    except ConfigError as exc:
-        # an invalid embedded config means the file is damaged, not the caller's flags
-        raise FormatError(f"{path}: invalid embedded train config: {exc}") from exc
-    entries = header.get("params")
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: missing or malformed 'params' blob directory")
-    names: set[str] = set()
-    for entry in entries:
-        if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
-                or not isinstance(entry.get("shape"), list)
-                or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                           for s in entry["shape"])):
-            raise FormatError(f"{path}: malformed blob directory entry")
-        if entry["name"] in names:
-            raise FormatError(f"{path}: blob {entry['name']} is listed twice")
-        names.add(entry["name"])
-    # each blob is a read-only view of the file's bytes until it is copied into the model
-    offset = _CKPT_PREFIX.size + hlen
-    tensors: dict[str, np.ndarray] = {}
-    for entry in entries:
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)
-        end = offset + count * 8
-        if end > len(data):
-            raise FormatError(f"{path}: truncated blob {entry['name']}")
-        arr = np.frombuffer(data, "<f8", count=count, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: non-finite values in blob {entry['name']}")
-        tensors[entry["name"]] = arr
-        offset = end
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes after declared blobs")
-    cdoc = header.get("concepts")
-    if (not isinstance(cdoc, dict) or not isinstance(cdoc.get("names"), list)
-            or not all(isinstance(n, str) for n in cdoc["names"])):
-        raise FormatError(f"{path}: malformed 'concepts' header")
-    if "data.concept_embeddings" not in tensors:
-        raise FormatError(f"{path}: checkpoint missing blob 'data.concept_embeddings'")
-    concepts = ConceptSet(
-        cdoc["names"],
-        tensors.pop("data.concept_embeddings").astype(np.float64),
-        cdoc.get("prompt_template", DEFAULT_PROMPT_TEMPLATE),
-    )
-    # the config alone must not size the model: its largest blocks must fit in the file
-    need = cfg.d_h * (concepts.dim + 2 * cfg.d_a) + 2 * cfg.topk.K * cfg.d_a
-    payload = (len(data) - _CKPT_PREFIX.size - hlen) // 8
-    if need > payload:
-        raise FormatError(f"{path}: embedded train config needs at least {need} parameter "
-                          f"values, the file holds {payload}")
+    def layout(rows, cols, flags, sidecar):
+        nonlocal cfg
+        if flags:
+            return None
+        tc = sidecar()["train_config"]
+        if not isinstance(tc, dict):
+            raise FormatError(f"{path}: malformed 'train_config'")
+        try:
+            cfg = TrainConfig.from_dict(tc)
+        except ConfigError as exc:
+            # an invalid embedded config means the file is damaged, not the caller's flags
+            raise FormatError(f"{path}: invalid embedded train config: {exc}") from exc
+        return [("<f8", (rows, cols)), ("<f8", (_parameter_count(cfg, rows, cols),))]
 
+    meta, (embeddings, values) = _read_blob(path, CKPT_MAGIC, _CKPT_FIELDS, layout)
+    cdoc = meta["concepts"]
+    if (not isinstance(cdoc, dict) or sorted(cdoc) != ["names", "prompt_template"]
+            or not isinstance(cdoc["names"], list) or not all(isinstance(n, str) for n in cdoc["names"])):
+        raise FormatError(f"{path}: malformed 'concepts' record")
+    concepts = ConceptSet(cdoc["names"], embeddings, cdoc["prompt_template"])
     model = init_model(cfg, concepts, concepts.dim)
     params = model.parameters()
-    missing, unknown = set(params) - set(tensors), set(tensors) - set(params)
-    if missing or unknown:
-        raise FormatError(f"{path}: checkpoint missing parameter blobs {sorted(missing)}, "
-                          f"unknown blobs {sorted(unknown)}")
-    for name, p in params.items():
-        arr = tensors[name]
-        if arr.shape == (1,) and p.shape == ():
-            arr = arr.reshape(())  # files written before [] scalars declare them as [1]
-        if arr.shape != p.shape:
-            raise FormatError(f"{path}: blob {name} has shape {list(arr.shape)}, "
-                              f"the model expects {list(p.shape)}")
-        p.data[...] = arr
-    return model, cfg, header
+    offset = 0
+    for name in sorted(params):
+        p = params[name]
+        p.data[...] = values[offset:offset + p.data.size].reshape(p.shape)
+        offset += p.data.size
+    return model, cfg, meta

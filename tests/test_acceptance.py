@@ -574,7 +574,7 @@ def test_criterion_10_format_robustness(capsys, tmp_path):
          lambda d: read_concepts(d / "concepts.ccpt")),
         ("concepts.json", data / "concepts.json", data / "concepts.ccpt",
          lambda d: read_concepts(d / "concepts.ccpt")),
-        ("checkpoint", ckpt, None, lambda d: load_checkpoint(d / "model.cmck")),
+        ("checkpoint", ckpt, ckpt.with_suffix(".json"), lambda d: load_checkpoint(d / "model.cmck")),
     ]
 
     def mutate(raw: bytes, rng) -> bytes:
@@ -609,8 +609,7 @@ def test_criterion_10_format_robustness(capsys, tmp_path):
         for old in scratch.iterdir():
             old.unlink()
         (scratch / src.name).write_bytes(mutate(src.read_bytes(), rng))
-        if companion is not None:
-            (scratch / companion.name).write_bytes(companion.read_bytes())
+        (scratch / companion.name).write_bytes(companion.read_bytes())
         try:
             reader(scratch)
             clean_reads[label] += 1

@@ -1,7 +1,6 @@
 import json
 import struct
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from cmil.bagio import (
 from cmil.errors import DataValidationError, FormatError, ShapeError
 from cmil.synthgen import SynthConfig, gen_bag, gen_concepts, gen_dataset
 from cmil.trainer import TrainConfig, init_model, predict, train
+from blobs import HEADER, reseal
 
 
 def make_bag(n=5, d=8, seed=0, label=1, slide_id="s0", flags=True):
@@ -29,24 +29,6 @@ def make_bag(n=5, d=8, seed=0, label=1, slide_id="s0", flags=True):
     emb = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
     grid = [(i // 3, i % 3) for i in range(n)]
     return Bag(slide_id, label, emb, grid, [bool(i % 2) for i in range(n)] if flags else None)
-
-
-HEADER = 32  # magic, u32 version, u64 rows, u64 cols, u32 flags, u32 CRC-32
-
-
-def reseal(blob):
-    """Recompute the CRC-32 of an edited blob and sidecar pair, as the
-    format defines it, so that a read gets past the checksum to the checks
-    behind it."""
-    sidecar = blob.with_suffix(".json")
-    raw = bytearray(blob.read_bytes())
-    doc = json.loads(sidecar.read_text())
-    meta = {k: v for k, v in doc.items() if k != "crc32"}
-    crc = zlib.crc32(json.dumps(meta, sort_keys=True).encode("ascii"), zlib.crc32(raw[:HEADER - 4]))
-    crc = zlib.crc32(raw[HEADER:], crc)
-    raw[HEADER - 4:HEADER] = struct.pack("<I", crc)
-    blob.write_bytes(bytes(raw))
-    sidecar.write_text(json.dumps({**doc, "crc32": crc}))
 
 
 def write_v1(blob, magic, matrix, sidecar_doc):
@@ -66,8 +48,10 @@ def assert_same_patches(a: Bag, b: Bag):
 
 class TestBagModel:
     def test_label_must_be_binary(self):
-        with pytest.raises(DataValidationError):
-            make_bag(label=2)
+        # a bool or a float would be written to the sidecar, where read_bag rejects it
+        for label in (2, True, 1.0):
+            with pytest.raises(DataValidationError, match="label must be 0 or 1"):
+                make_bag(label=label)
 
     def test_patch_count_must_match_rows(self):
         emb = np.zeros((3, 4))
@@ -325,6 +309,7 @@ BAD_SIDECARS = {
     "no label": (lambda doc: {k: v for k, v in doc.items() if k != "label"}, "missing manifest key 'label'"),
     "bool label": (lambda doc: {**doc, "label": True}, "label must be 0 or 1"),
     "label 2": (lambda doc: {**doc, "label": 2}, "label must be 0 or 1"),
+    "float label": (lambda doc: {**doc, "label": 1.0}, "label must be 0 or 1"),
     "integer slide_id": (lambda doc: {**doc, "slide_id": 7}, "slide_id must be a string"),
     "string crc32": (lambda doc: {**doc, "crc32": str(doc["crc32"])}, "crc32 '[0-9]+' does not match"),
     "unknown key": (lambda doc: {**doc, "patches": []}, r"unexpected manifest keys \['patches'\]"),

@@ -22,6 +22,7 @@ from cmil.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
 from cmil.explain import explain_slide
 from cmil.render import write_local_report
 from cmil.trainer import load_checkpoint, predict
+from blobs import reseal
 
 # noiseless generator so a short training run converges; 30 bags keep it quick
 SYNTH_ARGS = [
@@ -171,6 +172,7 @@ def test_train_divergence_exits_4_with_last_good_epoch(data_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert "diverged at epoch" in err and "last good epoch" in err
     assert not (tmp_path / "m.cmck").exists()  # no partial checkpoint
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_dotted_set_overrides_nested_config(data_dir, tmp_path):
@@ -278,19 +280,17 @@ def test_predict_corrupt_checkpoint_exits_3(data_dir, tmp_path):
 
 
 def test_predict_misshaped_blob_exits_3(ckpt, data_dir, tmp_path, capsys):
-    raw = ckpt.read_bytes()
-    (hlen,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16 : 16 + hlen])
-    for entry in header["params"]:
-        if entry["name"] == "image.attn_w":
-            assert entry["shape"] == [12]
-            entry["shape"] = [2, 6]  # the same 12 values, so the file is still well formed
-    text = json.dumps(header).encode("utf-8")
+    raw = bytearray(ckpt.read_bytes())
+    rows, cols = struct.unpack_from("<QQ", raw, 8)
+    assert (rows, cols) == (6, 16)
+    struct.pack_into("<QQ", raw, 8, cols, rows)  # the same C x D values read as D x C
     bad = tmp_path / "bad.cmck"
-    bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + hlen :])
+    bad.write_bytes(bytes(raw))
+    bad.with_suffix(".json").write_bytes(ckpt.with_suffix(".json").read_bytes())
+    reseal(bad)
     rc = main(["predict", "--ckpt", str(bad), "--bag", str(data_dir / "bag_0000.cmil")])
     assert rc == EXIT_IO
-    assert "image.attn_w" in capsys.readouterr().err
+    assert "header declares" in capsys.readouterr().err
 
 
 def test_explain_writes_byte_identical_reports(ckpt, data_dir, tmp_path):

@@ -68,3 +68,28 @@ def test_every_forward_record_field_has_a_reader_in_src():
 
 def test_an_attribute_that_is_only_written_is_not_read():
     assert attributes_read("a.x = 1\nb = a.y\n") == {"y"}
+
+
+# Binary framing (headers, checksums) is decided in one module.
+FRAMING_IMPORTS = {"struct", "zlib"}
+
+
+def imported_modules(source: str) -> set[str]:
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_bagio_packs_binary_headers():
+    found = {p.name: sorted(imported_modules(p.read_text(encoding="utf-8")) & FRAMING_IMPORTS)
+             for p in MODULES}
+    assert found["bagio.py"] == ["struct", "zlib"]
+    assert not {name: mods for name, mods in found.items() if mods and name != "bagio.py"}
+
+
+def test_a_framing_import_is_reported():
+    assert imported_modules("import struct as s\nfrom zlib import crc32\nfrom . import x\n") == {"struct", "zlib"}

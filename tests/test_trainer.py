@@ -27,6 +27,7 @@ from cmil.trainer import (
     total_loss,
     train,
 )
+from blobs import HEADER, reseal
 from gradcheck import PinnedNoise, frozen_forward, relative_error, zero_grads
 
 # seed chosen so the 3-bag val and test slices each contain both classes
@@ -613,11 +614,11 @@ class TestCheckpoint:
         save_checkpoint(p, model, cfg, epoch=1)
         raw = p.read_bytes()
         p.write_bytes(raw[:-16])
-        with pytest.raises(FormatError, match="truncated|trailing"):
+        with pytest.raises(FormatError, match="payload is .* bytes, header declares"):
             load_checkpoint(p)
 
     def test_load_peak_stays_below_two_and_a_half_file_sizes(self, tmp_path):
-        # the file's bytes and the model are needed; a second copy of every blob is not
+        # the file's sections and the model are needed; a second copy of either is not
         cfg = TrainConfig()
         concepts = ConceptSet([f"c{i}" for i in range(12)],
                               np.random.default_rng(0).normal(size=(12, 64)))
@@ -642,30 +643,8 @@ class TestCheckpoint:
         assert exc_info.value.epoch is not None
 
 
-_PREFIX = struct.Struct("<4sIQ")
-
-
-def read_checkpoint_parts(path):
-    """(header, [(directory entry, blob bytes), ...]) of a .cmck file."""
-    raw = path.read_bytes()
-    _, _, hlen = _PREFIX.unpack_from(raw)
-    header = json.loads(raw[_PREFIX.size : _PREFIX.size + hlen])
-    offset, blobs = _PREFIX.size + hlen, []
-    for entry in header["params"]:
-        end = offset + 8 * math.prod(entry["shape"])
-        blobs.append((entry, raw[offset:end]))
-        offset = end
-    return header, blobs
-
-
-def write_checkpoint_parts(path, header, blobs):
-    header = dict(header, params=[entry for entry, _ in blobs])
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(_PREFIX.pack(b"CMCK", 1, len(text)) + text + b"".join(b for _, b in blobs))
-
-
 class TestCheckpointAgainstModel:
-    """The model built from the embedded config decides which blobs load and their shapes."""
+    """Edited checkpoints, resealed so that each edit reaches the check behind the CRC."""
 
     CFG = TrainConfig(epochs=1, seed=2, d_h=16, d_a=8, topk=TopKConfig(K=3, num_noise_samples=8))
 
@@ -677,116 +656,43 @@ class TestCheckpointAgainstModel:
         save_checkpoint(path, model, self.CFG, epoch=1)
         return model, path
 
-    def edited(self, saved, tmp_path, edit):
-        header, blobs = read_checkpoint_parts(saved[1])
+    def edited(self, saved, tmp_path, sidecar=lambda doc: doc, blob=lambda raw: raw):
+        """A copy of the saved pair with `sidecar` applied to its JSON and
+        `blob` to its bytes, resealed."""
         out = tmp_path / "edited.cmck"
-        write_checkpoint_parts(out, header, edit(blobs))
+        out.write_bytes(bytes(blob(bytearray(saved[1].read_bytes()))))
+        out.with_suffix(".json").write_text(json.dumps(sidecar(json.loads(
+            saved[1].with_suffix(".json").read_text()))))
+        reseal(out)
         return out
 
-    def test_unedited_parts_round_trip_to_the_same_bytes(self, saved, tmp_path):
-        out = self.edited(saved, tmp_path, lambda blobs: blobs)
+    def test_reseal_leaves_an_unedited_checkpoint_unchanged(self, saved, tmp_path):
+        out = self.edited(saved, tmp_path)
         assert out.read_bytes() == saved[1].read_bytes()
-
-    def test_scalars_declared_one_element_load_with_the_trained_shapes(self, saved, tmp_path):
-        def declared(path):
-            return {e["name"]: e["shape"] for e in read_checkpoint_parts(path)[0]["params"]}
-
-        model, path = saved
-        assert declared(path)["image.clf_b"] == [] and declared(path)["concept.clf_b"] == []
-        path = self.edited(saved, tmp_path, lambda blobs: [
-            (dict(e, shape=[1]) if e["shape"] == [] else e, b) for e, b in blobs])
-        assert declared(path)["image.clf_b"] == [1] and declared(path)["concept.clf_b"] == [1]
-        loaded, _, _ = load_checkpoint(path)
-        for name, t in model.parameters().items():
-            got = loaded.parameters()[name].data
-            assert got.shape == t.shape, name
-            assert got.tobytes() == t.data.tobytes(), name
-        assert loaded.image.clf_b.shape == () and loaded.concept.clf_b.shape == ()
-
-    def test_same_size_wrong_shape_is_a_format_error(self, saved, tmp_path):
-        def reshape(blobs):
-            return [({"name": e["name"], "shape": [2, 4]} if e["name"] == "image.attn_w" else e, b)
-                    for e, b in blobs]
-
-        with pytest.raises(FormatError, match=r"image.attn_w has shape \[2, 4\].*expects \[8\]"):
-            load_checkpoint(self.edited(saved, tmp_path, reshape))
-
-    def test_non_scalar_parameter_declared_one_element_is_a_format_error(self, saved, tmp_path):
-        def shrink(blobs):
-            return [({"name": e["name"], "shape": [1]}, b[:8]) if e["name"] == "concept.clf_w"
-                    else (e, b) for e, b in blobs]
-
-        with pytest.raises(FormatError, match="concept.clf_w"):
-            load_checkpoint(self.edited(saved, tmp_path, shrink))
-
-    def test_missing_blob_is_a_format_error(self, saved, tmp_path):
-        def drop(blobs):
-            return [(e, b) for e, b in blobs if e["name"] != "concept.attn_u"]
-
-        with pytest.raises(FormatError, match=r"missing parameter blobs \['concept.attn_u'\]"):
-            load_checkpoint(self.edited(saved, tmp_path, drop))
-
-    def test_unknown_blob_is_a_format_error(self, saved, tmp_path):
-        def add(blobs):
-            return [({"name": "image.extra", "shape": [2]}, bytes(16))] + blobs
-
-        with pytest.raises(FormatError, match=r"unknown blobs \['image.extra'\]"):
-            load_checkpoint(self.edited(saved, tmp_path, add))
-
-    def test_duplicate_blob_name_is_a_format_error(self, saved, tmp_path):
-        def duplicate(blobs):
-            return [({"name": "image.clf_b", "shape": []}, struct.pack("<d", 123.0))] + blobs
-
-        with pytest.raises(FormatError, match="blob image.clf_b is listed twice"):
-            load_checkpoint(self.edited(saved, tmp_path, duplicate))
-
-    def test_missing_concept_embeddings_is_a_format_error(self, saved, tmp_path):
-        def drop(blobs):
-            return [(e, b) for e, b in blobs if e["name"] != "data.concept_embeddings"]
-
-        with pytest.raises(FormatError, match="data.concept_embeddings"):
-            load_checkpoint(self.edited(saved, tmp_path, drop))
+        assert (json.loads(out.with_suffix(".json").read_text())
+                == json.loads(saved[1].with_suffix(".json").read_text()))
+        loaded, _, _ = load_checkpoint(out)
+        for name, t in saved[0].parameters().items():
+            assert loaded.parameters()[name].data.tobytes() == t.data.tobytes(), name
 
     def test_zero_width_concept_embeddings_are_rejected(self, saved, tmp_path):
-        def empty(blobs):
-            return [({"name": e["name"], "shape": [e["shape"][0], 0]}, b"")
-                    if e["name"] == "data.concept_embeddings" else (e, b) for e, b in blobs]
+        model = saved[0]
+        size = 8 * model.concepts.embeddings.size
 
-        with pytest.raises(DataValidationError, match="D >= 1"):
-            load_checkpoint(self.edited(saved, tmp_path, empty))
+        def empty(raw):
+            raw[16:24] = struct.pack("<Q", 0)  # the header's cols D
+            del raw[HEADER:HEADER + size]
+            return raw
 
-    def test_older_header_form_loads_and_predicts_the_same(self, saved, tiny_dataset, tmp_path):
-        # the header older files carry: a fixed batch size, a top-K seed, a dims
-        # block, a JSON format version and 0-d parameters declared [1]
-        model, path = saved
-        header, blobs = read_checkpoint_parts(path)
-        tc = header["train_config"]
-        header = dict(header, format_version=1, dims={
-            "D": model.dim, "C": model.concepts.num_concepts, "K": tc["topk"]["K"],
-            "d_h": tc["d_h"], "d_a": tc["d_a"]},
-            train_config=dict(tc, batch_size=1, topk=dict(tc["topk"], seed=0)))
-        blobs = [(dict(e, shape=[1]) if e["shape"] == [] else e, b) for e, b in blobs]
-        out = tmp_path / "older.cmck"
-        write_checkpoint_parts(out, header, blobs)
-        loaded, cfg, _ = load_checkpoint(out)
-        assert cfg == self.CFG
-        for name, t in model.parameters().items():
-            got = loaded.parameters()[name].data
-            assert got.shape == t.shape and got.tobytes() == t.data.tobytes(), name
-        bag = read_bag(tiny_dataset[0].test[0])
-        want, got = predict(bag, model), predict(bag, loaded)
-        for f in dataclasses.fields(want):
-            a, b = getattr(want, f.name), getattr(got, f.name)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+        with pytest.raises(FormatError, match="degenerate shape"):
+            load_checkpoint(self.edited(saved, tmp_path, blob=empty))
 
     def test_config_larger_than_the_file_fails_before_allocating(self, saved, tmp_path):
-        header, blobs = read_checkpoint_parts(saved[1])
-        out = tmp_path / "huge.cmck"
-        write_checkpoint_parts(out, dict(header, train_config=dict(header["train_config"],
-                                                                   d_h=400_000)), blobs)
+        out = self.edited(saved, tmp_path, sidecar=lambda doc: dict(
+            doc, train_config=dict(doc["train_config"], d_h=400_000)))
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="needs at least"):
+            with pytest.raises(FormatError, match="header declares"):
                 load_checkpoint(out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -795,36 +701,71 @@ class TestCheckpointAgainstModel:
 
     @pytest.mark.parametrize("edit", [{"d_a": 4.0}, {"seed": 1.5}, {"topk": 7}], ids=str)
     def test_wrongly_typed_config_value_is_a_format_error(self, saved, tmp_path, edit):
-        header, blobs = read_checkpoint_parts(saved[1])
-        out = tmp_path / "typed.cmck"
-        write_checkpoint_parts(out, dict(header, train_config=dict(header["train_config"],
-                                                                   **edit)), blobs)
+        out = self.edited(saved, tmp_path, sidecar=lambda doc: dict(
+            doc, train_config=dict(doc["train_config"], **edit)))
         with pytest.raises(FormatError, match="invalid embedded train config"):
             load_checkpoint(out)
 
     def test_non_string_prompt_template_is_rejected(self, saved, tmp_path):
-        header, blobs = read_checkpoint_parts(saved[1])
-        out = tmp_path / "template.cmck"
-        write_checkpoint_parts(out, dict(header, concepts=dict(header["concepts"], prompt_template=5)),
-                               blobs)
+        out = self.edited(saved, tmp_path, sidecar=lambda doc: dict(
+            doc, concepts=dict(doc["concepts"], prompt_template=5)))
         with pytest.raises(DataValidationError, match="prompt_template must be a string"):
+            load_checkpoint(out)
+
+    def test_missing_prompt_template_is_a_format_error(self, saved, tmp_path):
+        out = self.edited(saved, tmp_path, sidecar=lambda doc: dict(
+            doc, concepts={"names": doc["concepts"]["names"]}))
+        with pytest.raises(FormatError, match="malformed 'concepts' record"):
             load_checkpoint(out)
 
     @pytest.mark.parametrize("name, value", [("data.concept_embeddings", math.nan),
                                              ("image.attn_w", math.inf),
                                              ("concept.clf_b", -math.inf)])
     def test_non_finite_blob_value_is_a_format_error(self, saved, tmp_path, name, value):
-        def poison(blobs):
-            return [(e, struct.pack("<d", value) + b[8:]) if e["name"] == name else (e, b)
-                    for e, b in blobs]
+        # the concept section, then each parameter in sorted-name order
+        model = saved[0]
+        params = model.parameters()
+        offset = HEADER
+        if name != "data.concept_embeddings":
+            offset += 8 * (model.concepts.embeddings.size
+                           + sum(params[n].data.size for n in sorted(params) if n < name))
 
-        with pytest.raises(FormatError, match=f"non-finite values in blob {name}"):
-            load_checkpoint(self.edited(saved, tmp_path, poison))
+        def poison(raw):
+            raw[offset:offset + 8] = struct.pack("<d", value)
+            return raw
 
-    def test_legacy_rng_digest_key_still_loads(self, saved, tmp_path):
-        header, blobs = read_checkpoint_parts(saved[1])
-        out = tmp_path / "legacy.cmck"
-        write_checkpoint_parts(out, dict(header, rng_digest=""), blobs)
-        loaded, _, _ = load_checkpoint(out)
-        for name, t in saved[0].parameters().items():
-            assert loaded.parameters()[name].data.tobytes() == t.data.tobytes()
+        with pytest.raises(FormatError, match="non-finite values in payload"):
+            load_checkpoint(self.edited(saved, tmp_path, blob=poison))
+
+    def test_version_1_checkpoint_says_to_rerun_train(self, tmp_path):
+        # a version-1 file: magic, u32 version, u64 header length, JSON header, blobs; no sidecar
+        header = json.dumps({"epoch": 0, "params": []}).encode("utf-8")
+        path = tmp_path / "v1.cmck"
+        path.write_bytes(struct.pack("<4sIQ", b"CMCK", 1, len(header)) + header)
+        with pytest.raises(FormatError, match="format version 1 is no longer read; re-run train"):
+            load_checkpoint(path)
+
+    def test_another_checkpoints_sidecar_is_rejected(self, saved, tmp_path):
+        model, path = saved
+        other = tmp_path / "other.cmck"
+        save_checkpoint(other, model, self.CFG, epoch=2)
+        out = tmp_path / "paired.cmck"
+        out.write_bytes(path.read_bytes())
+        out.with_suffix(".json").write_bytes(other.with_suffix(".json").read_bytes())
+        with pytest.raises(FormatError, match="does not match its blob's"):
+            load_checkpoint(out)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: dict(doc, epoch=7),
+        lambda doc: dict(doc, data_hash="0" * 64),
+        lambda doc: dict(doc, concepts=dict(doc["concepts"], prompt_template="CONCEPT")),
+        lambda doc: dict(doc, concepts=dict(doc["concepts"], names=doc["concepts"]["names"][::-1])),
+        lambda doc: dict(doc, train_config=dict(doc["train_config"], lam=0.5)),
+    ], ids=["epoch", "data_hash", "prompt_template", "names", "lam"])
+    def test_edited_sidecar_field_without_reseal_is_rejected(self, saved, tmp_path, edit):
+        out = tmp_path / "unsealed.cmck"
+        out.write_bytes(saved[1].read_bytes())
+        doc = json.loads(saved[1].with_suffix(".json").read_text())
+        out.with_suffix(".json").write_text(json.dumps(edit(doc)))
+        with pytest.raises(FormatError, match="CRC-32 mismatch"):
+            load_checkpoint(out)
