@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bagio import (content_hash, dump_json, file_hash, read_bag,
+from .bagio import (_read_json, content_hash, dump_json, file_hash, read_bag,
                     read_concepts, read_split)
 from .embed2d import MIN_POINTS
 from .errors import (CmilError, ConfigError, DataValidationError, ShapeError,
@@ -84,6 +84,20 @@ def _dataset_files(data_dir: Path, split) -> list:
     return split.all_paths() + [data_dir / "concepts.ccpt", data_dir / "split.json"]
 
 
+def _checked_dataset_hash(data_dir: Path, split) -> str:
+    """The dataset's content hash; a directory holding gen-data's run.json must
+    still hash to the dataset_hash recorded there."""
+    data_hash = content_hash(_dataset_files(data_dir, split))
+    run = data_dir / "run.json"
+    if run.exists():
+        recorded = _read_json(run).get("dataset_hash")
+        if recorded != data_hash:
+            raise DataValidationError(
+                f"{run}: dataset_hash {recorded} does not match the files, which hash to "
+                f"{data_hash}; the dataset changed after gen-data wrote it")
+    return data_hash
+
+
 # -- commands ----------------------------------------------------------------------
 
 
@@ -122,8 +136,8 @@ def cmd_train(args) -> int:
 
     data = Path(args.data)
     split = read_split(data / "split.json")
+    data_hash = _checked_dataset_hash(data, split)
     concepts = read_concepts(data / "concepts.ccpt")
-    data_hash = content_hash(_dataset_files(data, split))
 
     try:
         model, log = train(split, concepts, cfg)
@@ -201,6 +215,7 @@ def cmd_eval(args) -> int:
     model, cfg, header = load_checkpoint(args.ckpt)
     data = Path(args.data)
     split = read_split(data / "split.json")
+    data_hash = _checked_dataset_hash(data, split)
     paths = getattr(split, args.split)
     if not paths:
         raise DataValidationError(f"split {args.split!r} is empty")
@@ -224,7 +239,7 @@ def cmd_eval(args) -> int:
             "max_patch_points": args.max_patch_points,
         },
         "inputs": {"checkpoint_sha256": file_hash(args.ckpt),
-                   "dataset_hash": content_hash(_dataset_files(data, split))},
+                   "dataset_hash": data_hash},
         "results": result.to_dict(),
     }
     dump_json(doc, out)

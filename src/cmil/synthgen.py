@@ -122,6 +122,25 @@ def _convex_weights(rng, k: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _background_draws(rng, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m x 2 concept picks and m x 2 uniforms of m patches'
+    `rng.choice(k, 2, replace=False)` then `rng.random(2)`, from one
+    `rng.integers` call of five draws a patch, in the loop's order:
+    Floyd's two in `choice`, in [0, k-2] and [0, k-1], where a repeat of the
+    first takes k-1 (k = 2 makes the first 0 and consumes nothing); the
+    shuffle draw in [0, 1], where 0 swaps the pair; and two in [0, 2**53),
+    the top 53 bits of the next 64, which times 2**-53 is `random()`.
+
+    An int64 `integers` with array bounds and `choice` both draw through
+    numpy's `random_bounded_uint64` (Lemire's method), so for PCG64, which
+    `default_rng` and `gen_dataset` use, the values and the generator's
+    state after them are the loop's, its buffered 32-bit half included.
+    Other bit generators get valid uniform draws, but not the loop's."""
+    d = rng.integers(0, np.tile(np.array([k - 1, k, 2, 2**53, 2**53]), m)).reshape(m, 5)
+    pair = np.stack([d[:, 0], np.where(d[:, 1] == d[:, 0], k - 1, d[:, 1])], axis=1)
+    return np.where(d[:, 2:3] == 0, pair[:, ::-1], pair), d[:, 3:] * 2.0**-53
+
+
 def gen_bag(
     cfg: SynthConfig,
     rng: np.random.Generator,
@@ -132,10 +151,10 @@ def gen_bag(
     """One bag of n patches: a positive bag's tumor block shares one convex
     mixture of the tumor concepts, and every other patch mixes two
     background concepts with its own draws (or is the one background
-    concept).  Only the draws run per patch, in patch order; the weights are
-    scaled and normalised on arrays, and the mixing is one stacked
-    1 x 2 @ 2 x D matmul, which gives each row the bits of a per-patch
-    `weights @ basis`."""
+    concept).  All background draws are one call (`_background_draws`); the
+    weights are scaled and normalised on arrays, and the mixing is one
+    stacked 1 x 2 @ 2 x D matmul, which gives each row the bits of a
+    per-patch `weights @ basis`."""
     tc = cfg.tumor_concept_count
     tumor_basis = concepts.embeddings[:tc]
     bg_basis = concepts.embeddings[tc:]
@@ -152,13 +171,9 @@ def gen_bag(
 
     background = ~in_tumor
     if bg_basis.shape[0] >= 2:
-        m = n - int(in_tumor.sum())
-        picks, weights = np.empty((m, 2), dtype=np.int64), np.empty((m, 1, 2))
-        for j in range(m):
-            picks[j] = rng.choice(bg_basis.shape[0], size=2, replace=False)
-            weights[j, 0] = rng.random(2)
+        picks, u = _background_draws(rng, bg_basis.shape[0], n - int(in_tumor.sum()))
         # rng.uniform(0.5, 1.0) is 0.5 + 0.5 u of the same u, and 0.5 u is exact
-        weights = 0.5 + 0.5 * weights
+        weights = 0.5 + 0.5 * u[:, None, :]
         weights /= weights.sum(axis=2, keepdims=True)
         emb[background] = cfg.signal_strength * np.matmul(weights, bg_basis[picks])[:, 0]
     else:

@@ -366,12 +366,53 @@ def test_bag_in_two_splits_exits_3(ckpt, data_dir, tmp_path, capsys):
     assert rc == EXIT_IO
 
 
+def _rehash(data: Path) -> None:
+    """Record an edited dataset's hash in its run.json, as gen-data would for those files."""
+    doc = json.loads((data / "run.json").read_text())
+    split = read_split(data / "split.json")
+    doc["dataset_hash"] = content_hash(split.all_paths()
+                                       + [data / "concepts.ccpt", data / "split.json"])
+    dump_json(doc, data / "run.json")
+
+
+def test_dataset_changed_after_gen_data_exits_3(ckpt, data_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    seed = SYNTH_ARGS.index("--seed") + 1
+    assert main(["gen-data", "--out", str(other)]
+                + SYNTH_ARGS[:seed] + ["101"] + SYNTH_ARGS[seed + 1:]) == EXIT_OK
+    swapped = tmp_path / "swapped"
+    shutil.copytree(data_dir, swapped)
+    # another dataset's bag of the same name: a valid file, with its own CRC
+    for name in ("bag_0000.cmil", "bag_0000.json"):
+        shutil.copyfile(other / name, swapped / name)
+    read_bag(swapped / "bag_0000.cmil")
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(swapped),
+               "--out", str(tmp_path / "eval.json"), "--split", "train", "--projection", "pca"])
+    assert rc == EXIT_IO
+    assert "run.json" in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
+    rc = main(["train", "--data", str(swapped), "--out", str(tmp_path / "m.cmck"), "--epochs", "1"])
+    assert rc == EXIT_IO
+    assert "run.json" in capsys.readouterr().err
+    assert not (tmp_path / "m.cmck").exists()
+
+
+def test_dataset_without_run_json_is_read_unchecked(ckpt, data_dir, tmp_path):
+    bare = tmp_path / "bare"
+    shutil.copytree(data_dir, bare)
+    (bare / "run.json").unlink()
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(bare),
+               "--out", str(tmp_path / "eval.json"), "--split", "train", "--projection", "pca"])
+    assert rc == EXIT_OK
+
+
 def test_eval_without_flags_reports_null_localization(ckpt, data_dir, tmp_path):
     stripped = tmp_path / "noflags"
     shutil.copytree(data_dir, stripped)
     for path in stripped.glob("bag_*.cmil"):
         bag = read_bag(path)
         write_bag(Bag(bag.slide_id, bag.label, bag.embeddings, bag.grid), path)
+    _rehash(stripped)
     out = tmp_path / "eval.json"
     with pytest.warns(UserWarning, match="localization skipped"):
         rc = main(["eval", "--ckpt", str(ckpt), "--data", str(stripped),

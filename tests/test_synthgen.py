@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmil.bagio import read_bag, read_concepts, read_split
 from cmil.errors import ConfigError
-from cmil.synthgen import SynthConfig, _grid_shape, _tumor_block, gen_bag, gen_concepts, gen_dataset
+from cmil.synthgen import (SynthConfig, _background_draws, _grid_shape, _tumor_block, gen_bag,
+                           gen_concepts, gen_dataset)
 
 DESK = SynthConfig(seed=7, num_bags=20, N_range=(30, 60), D=32, C=8, tumor_concept_count=3)
 DESK_CONCEPTS = gen_concepts(DESK)
@@ -165,6 +168,9 @@ GEN_ORACLE_CONFIGS = {
     "one background concept": SynthConfig(seed=2, N_range=(20, 70), D=16, C=4, tumor_concept_count=3),
     "noiseless": SynthConfig(seed=5, N_range=(1, 90), D=24, C=9, tumor_concept_count=2,
                              noise_std=0.0, signal_strength=1.7),
+    # k = 2: choice's first Floyd draw is in [0, 0] and consumes no bits
+    "two background concepts": SynthConfig(seed=4, N_range=(1, 80), D=12, C=5,
+                                           tumor_concept_count=3),
 }
 
 
@@ -190,6 +196,65 @@ class TestGenBagMatchesPerPatchLoop:
                           slide_id="s")
             emb, _, _ = per_patch_bag(cfg, np.random.default_rng(seed), seed % 2, concepts)
             assert bag.embeddings.tobytes() == emb.tobytes(), seed
+
+
+def per_patch_draws(rng, k, m):
+    """The background draws as gen_bag made them one patch at a time."""
+    picks, u = np.empty((m, 2), dtype=np.int64), np.empty((m, 2))
+    for j in range(m):
+        picks[j] = rng.choice(k, size=2, replace=False)
+        u[j] = rng.random(2)
+    return picks, u
+
+
+class TestBackgroundDrawsMatchPerPatchLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(2, 40), m=st.integers(0, 300), prior=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_draws_and_state(self, k, m, prior, seed):
+        fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        # each bounded draw below 2**32 takes one 32-bit half of a PCG64 output,
+        # so the other half starts buffered or not
+        for rng in (fast, loop):
+            for _ in range(prior):
+                rng.integers(0, 100)
+        picks, u = _background_draws(fast, k, m)
+        loop_picks, loop_u = per_patch_draws(loop, k, m)
+        assert picks.tobytes() == loop_picks.tobytes()
+        assert u.tobytes() == loop_u.tobytes()
+        assert fast.bit_generator.state == loop.bit_generator.state
+        assert fast.normal(size=3).tobytes() == loop.normal(size=3).tobytes()
+
+
+class CountingRng:
+    """Forwards every method call to a Generator and counts them."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+class TestGenBagWork:
+    def test_generator_calls_do_not_grow_with_patches(self):
+        concepts = gen_concepts(SynthConfig())
+        for label in (0, 1):
+            counts = set()
+            for n in (64, 100, 181, 256):
+                cfg = SynthConfig(N_range=(n, n))
+                rng = CountingRng(np.random.default_rng(n))
+                bag = gen_bag(cfg, rng, force_label=label, concepts=concepts, slide_id="s")
+                plain = gen_bag(cfg, np.random.default_rng(n), force_label=label,
+                                concepts=concepts, slide_id="s")
+                assert bag.embeddings.tobytes() == plain.embeddings.tobytes()
+                counts.add(rng.calls)
+            assert len(counts) == 1 and max(counts) <= 8, (label, counts)
 
 
 class TestGenDataset:
