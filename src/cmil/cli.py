@@ -219,10 +219,9 @@ def cmd_eval(args) -> int:
     paths = getattr(split, args.split)
     if not paths:
         raise DataValidationError(f"split {args.split!r} is empty")
-    bags = [read_bag(p) for p in paths]
 
     result, g, _ = evaluate_split(
-        bags, model, projection=args.projection, seed=args.seed,
+        (read_bag(p) for p in paths), model, projection=args.projection, seed=args.seed,
         group_by=args.group_by, max_patch_points=args.max_patch_points)
 
     out = Path(args.out)

@@ -12,35 +12,37 @@ from .trainer import CmilModel, predict
 
 def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int = 0,
                    group_by: str = "predicted", max_patch_points: int = 2000):
-    """Evaluate a list of bags; returns (EvalResult, GlobalExplanation, predictions).
+    """Evaluate an iterable of bags; returns (EvalResult, GlobalExplanation, predictions).
 
-    Metrics (AUC, per-concept AUC and JSD, silhouette) compare against
-    ground-truth labels; the explanation artifact groups slides by predicted
-    class unless group_by says otherwise.  Localization averages over slides
-    with annotated tumor regions; when no slide has any the fields are null
-    and a warning is emitted.  So are the patch silhouettes when the patch
-    subsample holds one class.  Ablation models score the head their mode
-    decides on.
+    Each bag is read once and not held: it is reduced to its prediction, its
+    label and its localization hit fraction.  Metrics (AUC, per-concept AUC
+    and JSD, silhouette) compare against ground-truth labels; the explanation
+    artifact groups slides by predicted class unless group_by says otherwise.
+    Localization averages over slides with annotated tumor regions; when no
+    slide has any the fields are null and a warning is emitted.  So are the
+    patch silhouettes when the patch subsample holds one class.  Ablation
+    models score the head their mode decides on.
     """
-    bags = list(bags)
-    preds = [predict(b, model) for b in bags]
-    labels = [b.label for b in bags]
+    preds, labels, hits = [], [], []
+    for bag in bags:
+        pred = predict(bag, model)
+        preds.append(pred)
+        labels.append(bag.label)
+        # pointing game needs a target: score only slides with annotated tumor regions
+        if bag.in_tumor is not None and bag.in_tumor.any():
+            hits.append(disease_localization(pred.hard_indices, bag))
     probs = [p.prob for p in preds]
 
     acc = accuracy(probs, labels)
     auc_val = auc(probs, labels)
 
-    # pointing game needs a target: score only slides with annotated tumor regions
-    flagged = [(b, p) for b, p in zip(bags, preds)
-               if b.in_tumor is not None and b.in_tumor.any()]
-    if flagged:
-        loc_mean = float(np.mean(
-            [disease_localization(p.hard_indices, b) for b, p in flagged]))
+    if hits:
+        loc_mean = float(np.mean(hits))
     else:
         warnings.warn("no slide has annotated tumor regions; localization skipped")
         loc_mean = None
 
-    g = global_explanations(bags, model, predictions=preds, group_by=group_by,
+    g = global_explanations(preds, labels, model.concepts.names, group_by=group_by,
                             projection=projection, seed=seed,
                             max_patch_points=max_patch_points)
 
@@ -55,7 +57,7 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
         auc_per_concept[name] = auc(g.wsi_points[:, c], truth)
     jsd_mean = float(np.mean(list(jsd_per_concept.values())))
 
-    slide_truth = {b.slide_id: b.label for b in bags}
+    slide_truth = {p.slide_id: label for p, label in zip(preds, labels)}
     patch_truth = np.asarray([slide_truth[sid] for sid, _ in g.patch_refs])
     two_classes = bool(np.any(patch_truth != patch_truth[0]))
     if not two_classes:
@@ -65,7 +67,7 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
         auc=auc_val,
         auc_per_concept=auc_per_concept,
         localization_mean=loc_mean,
-        localization_slides=len(flagged),
+        localization_slides=len(hits),
         jsd_per_concept=jsd_per_concept,
         jsd_mean=jsd_mean,
         silhouette_wsi=silhouette(g.wsi_points, truth),
@@ -73,7 +75,7 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
         silhouette_wsi_2d=silhouette(g.wsi_points_2d, truth),
         silhouette_patch_2d=silhouette(g.patch_points_2d, patch_truth) if two_classes else None,
         counts={
-            "slides": len(bags),
+            "slides": len(preds),
             "tumor": int(truth.sum()),
             "normal": int((1 - truth).sum()),
             "patch_points": int(g.patch_points.shape[0]),

@@ -101,8 +101,8 @@ class GlobalExplanation:
     patch_labels: list
     patch_refs: list                   # (slide_id, patch_index) per point
     projection_method: str
-    wsi_points_2d: np.ndarray = None
-    patch_points_2d: np.ndarray = None
+    wsi_points_2d: np.ndarray
+    patch_points_2d: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -128,35 +128,34 @@ class GlobalExplanation:
         }
 
 
-def global_explanations(bags, model: CmilModel, predictions, group_by: str,
-                        projection: str, seed: int,
-                        max_patch_points: int) -> GlobalExplanation:
+def global_explanations(predictions, labels, names, group_by: str, projection: str,
+                        seed: int, max_patch_points: int) -> GlobalExplanation:
     """Aggregate per-slide predictions into the dataset-level explanation.
 
     Slides are grouped by predicted class (group_by="predicted") or by
-    ground-truth label (group_by="truth").  Patch-level points are subsampled
+    ground-truth label, one per prediction in `labels` (group_by="truth");
+    `names` are the model's concept names.  Patch-level points are subsampled
     to max_patch_points (seeded) before projection to keep the exact t-SNE
     O(n^2) cost bounded.
     """
     if group_by not in ("predicted", "truth"):
         raise DataValidationError(f"unknown grouping {group_by!r}")
-    bags = list(bags)
 
     classes = {name: [] for name in CLASS_NAMES}
     kappas = {name: [] for name in CLASS_NAMES}
     wsi_points, wsi_labels, wsi_slide_ids = [], [], []
     patch_points, patch_labels, patch_refs = [], [], []
-    for bag, pred in zip(bags, predictions):
-        cls = pred.decision if group_by == "predicted" else CLASS_NAMES[bag.label]
-        classes[cls].append(bag.slide_id)
+    for pred, label in zip(predictions, labels):
+        cls = pred.decision if group_by == "predicted" else CLASS_NAMES[label]
+        classes[cls].append(pred.slide_id)
         kappas[cls].append(pred.kappa)
         wsi_points.append(wsi_concept_values(pred))
         wsi_labels.append(cls)
-        wsi_slide_ids.append(bag.slide_id)
+        wsi_slide_ids.append(pred.slide_id)
         for k, j in enumerate(pred.hard_indices):
             patch_points.append(pred.f_topk[k])
             patch_labels.append(cls)
-            patch_refs.append((bag.slide_id, int(j)))
+            patch_refs.append((pred.slide_id, int(j)))
 
     for name in CLASS_NAMES:
         if len(classes[name]) < 2:
@@ -164,15 +163,13 @@ def global_explanations(bags, model: CmilModel, predictions, group_by: str,
                 f"class {name!r} has {len(classes[name])} slide(s); need at least 2"
             )
 
-    names = model.concepts.names
     mean_contributions = {
         cls: [float(v) for v in np.mean(kappas[cls], axis=0)] for cls in CLASS_NAMES
     }
     wsi_points = np.asarray(wsi_points)
     wsi_values = {
         names[c]: {
-            cls: [float(wsi_points[i, c]) for i in range(len(bags))
-                  if wsi_labels[i] == cls]
+            cls: [float(v) for v, l in zip(wsi_points[:, c], wsi_labels) if l == cls]
             for cls in CLASS_NAMES
         }
         for c in range(len(names))

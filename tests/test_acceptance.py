@@ -404,8 +404,8 @@ def test_criterion_6_explanation_fidelity(capsys, tmp_path):
         hits += top["concept"] in tumor_names
     frac = hits / len(tumor_bags)
 
-    g = global_explanations(bags, model, preds, group_by="truth", projection="pca",
-                            seed=0, max_patch_points=2000)
+    g = global_explanations(preds, [b.label for b in bags], model.concepts.names,
+                            group_by="truth", projection="pca", seed=0, max_patch_points=2000)
     mt = np.array(g.mean_contributions["tumor"])
     mn = np.array(g.mean_contributions["normal"])
     idx = [i for i, n in enumerate(g.concept_names) if n in tumor_names]

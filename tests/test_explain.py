@@ -1,6 +1,7 @@
 """Explanation assembly, SVG rendering, and split evaluation."""
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -18,7 +19,7 @@ from cmil.render import (CLASS_COLORS, VIRIDIS_STOPS, color_for,
                          write_global_report, write_local_report)
 from cmil.synthgen import SynthConfig, gen_dataset
 from cmil.topk import TopKConfig
-from cmil.trainer import TrainConfig, predict, train
+from cmil.trainer import TrainConfig, init_model, predict, train
 
 NOISELESS_SYNTH = SynthConfig(
     seed=100, num_bags=30, N_range=(12, 20), D=16, C=6, tumor_concept_count=2,
@@ -37,8 +38,8 @@ def explain(bag, model):
 
 def global_pca(bags, model, group_by="predicted", max_patch_points=2000):
     """The PCA global report of the bags' own predictions, at seed 0."""
-    return global_explanations(bags, model, [predict(b, model) for b in bags],
-                               group_by, "pca", 0, max_patch_points)
+    return global_explanations([predict(b, model) for b in bags], [b.label for b in bags],
+                               model.concepts.names, group_by, "pca", 0, max_patch_points)
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +293,41 @@ class TestEvaluation:
         a, _, _ = evaluate_split(bags, model, projection="pca")
         b, _, _ = evaluate_split(bags, model, projection="pca")
         assert a.to_dict() == b.to_dict()
+        # a one-shot generator over the same bags gives what the list gives
+        for projection, cap in (("pca", 2000), ("tsne", 40)):
+            res_l, g_l, preds_l = evaluate_split(bags, model, projection=projection,
+                                                 max_patch_points=cap)
+            res_s, g_s, preds_s = evaluate_split((b for b in bags), model,
+                                                 projection=projection, max_patch_points=cap)
+            assert res_s.to_dict() == res_l.to_dict(), projection
+            assert g_s.wsi_points_2d.tobytes() == g_l.wsi_points_2d.tobytes(), projection
+            assert g_s.patch_points_2d.tobytes() == g_l.patch_points_2d.tobytes(), projection
+            assert len(preds_s) == len(preds_l) == len(bags)
+            for p_s, p_l in zip(preds_s, preds_l):
+                assert p_s.prob == p_l.prob and p_s.slide_id == p_l.slide_id
+                np.testing.assert_array_equal(p_s.hard_indices, p_l.hard_indices)
+
+    def test_split_is_held_one_bag_at_a_time(self, tmp_path):
+        # 200 default bags from a generator: a split held whole peaks at 1.4-1.6x
+        # its embedding bytes, one bag at a time near half of them
+        cfg = SynthConfig(seed=1)
+        split = gen_dataset(cfg, tmp_path)
+        model = init_model(TrainConfig(), read_concepts(tmp_path / "concepts.ccpt"), cfg.D)
+        embedding_bytes = 0
+
+        def stream():
+            nonlocal embedding_bytes
+            for p in split.all_paths():
+                bag = read_bag(p)
+                embedding_bytes += bag.embeddings.nbytes
+                yield bag
+
+        tracemalloc.start()
+        try:
+            # an untrained model may call every slide one class; truth keeps both
+            res, _, _ = evaluate_split(stream(), model, projection="pca", group_by="truth")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.counts["slides"] == 200
+        assert peak < embedding_bytes, f"{peak / embedding_bytes:.2f}x the embeddings"
