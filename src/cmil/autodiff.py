@@ -3,11 +3,14 @@
 The graph is a dynamic tape: every operation returns its result through
 ``node``, which records the inputs and one vector-Jacobian product (vjp)
 per input, mapping the upstream gradient to that input's gradient. A node
-whose inputs are all constant is constant itself. ``backward()`` visits
-the tape once in reverse topological order and is the only code that
-computes gradients: it applies the vjp of every input that is not constant
-and skips the rest. ``AdamW`` binds each parameter's ``data`` and ``grad``
-to views of its two flat vectors, so ``backward`` accumulates straight into
+whose inputs are all constant is constant itself and records neither, so
+a forward pass over constants builds no tape and its closures pin nothing.
+``backward()`` visits the tape once in reverse topological order and is
+the only code that computes gradients: it applies the vjp of every input
+that is not constant and skips the rest, and it drops each interior
+node's gradient as soon as that node's vjps have run, so only leaves keep
+a ``grad``. ``AdamW`` binds each parameter's ``data`` and ``grad`` to
+views of its two flat vectors, so ``backward`` accumulates straight into
 the optimizer's gradient buffer. Broadcasting is deliberately narrow
 (scalar-with-tensor and equal shapes, plus dedicated row helpers), so
 shape bugs fail at op construction rather than producing silent garbage.
@@ -35,9 +38,12 @@ class Tensor:
     one coordinate and restore it. Vjps read ``data`` when they run, so a
     graph built before such a write must be rebuilt, not reused. ``grad``
     has the same shape as ``data``; ``backward`` creates it on a tensor whose
-    ``grad`` is None and adds into it in place otherwise. A leaf built with
-    ``constant``, and any node whose inputs are all constant, is never
-    differentiated and its ``grad`` stays None.
+    ``grad`` is None and adds into it in place otherwise. A leaf (a tensor
+    without parents) keeps its ``grad`` after ``backward``; a node with
+    parents holds one only while ``backward`` runs and is left with None,
+    so a graph walked twice adds into its leaves once per walk. A leaf
+    built with ``constant``, and any node whose inputs are all constant, is
+    never differentiated and its ``grad`` stays None.
     """
 
     __slots__ = ("data", "grad", "_parents", "_vjps", "_const")
@@ -85,7 +91,7 @@ class Tensor:
     # -- backward pass ------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf; nodes keep no grad."""
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar output, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -105,10 +111,11 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
-            if t.grad is not None:
+            if t.grad is not None and t._parents:
                 for parent, vjp in zip(t._parents, t._vjps):
                     if not parent._const:
                         _accumulate(parent, vjp(t.grad))
+                t.grad = None
 
 
 def _wrap(x) -> Tensor:
@@ -125,10 +132,15 @@ def constant(data) -> Tensor:
 
 
 def node(value, *inputs: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
-    """An op's result: ``inputs`` pairs each input tensor with its vjp, in input order."""
+    """An op's result: ``inputs`` pairs each input tensor with its vjp, in input order.
+
+    Of constant inputs it is a constant leaf that keeps neither, so both can be freed.
+    """
     t = Tensor(value)
-    t._parents, t._vjps = zip(*inputs)
-    t._const = all(parent._const for parent in t._parents)
+    if all(parent._const for parent, _ in inputs):
+        t._const = True
+    else:
+        t._parents, t._vjps = zip(*inputs)
     return t
 
 

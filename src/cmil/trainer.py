@@ -16,7 +16,7 @@ from the embedded config before anything is allocated, rebuilds the model with
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,8 @@ from .bagio import CKPT_MAGIC, Bag, ConceptSet, DatasetSplit, _read_blob, _write
 from .concept_branch import ConceptBranchParams, ConceptForward, concept_forward, init_concept_params
 from .errors import (ConfigError, DataValidationError, FormatError, ShapeError,
                      TrainingDivergedError, check_field_types)
-from .image_branch import ImageBranchParams, ImageForward, image_forward, init_image_params
+from .image_branch import (ImageBranchParams, ImageForward, image_forward, init_image_params,
+                           named_tensors)
 from .metrics import auc
 from .projection import project
 from .topk import Selection, TopKConfig, gather_concepts, select
@@ -233,6 +234,15 @@ def init_model(cfg: TrainConfig, concepts: ConceptSet, dim: int) -> CmilModel:
     return CmilModel(image, concept, concepts, cfg.topk, cfg.mode)
 
 
+def _constant_view(model: CmilModel) -> CmilModel:
+    """The model with each parameter a constant over the same array: a forward
+    pass on it builds no tape and reads the values AdamW last wrote in place."""
+    def freeze(params):
+        return replace(params, **{k: ad.constant(t.data) for k, t in named_tensors(params, "").items()})
+
+    return replace(model, image=freeze(model.image), concept=freeze(model.concept))
+
+
 @dataclass
 class JointForward:
     img: ImageForward
@@ -339,7 +349,8 @@ def _validation_auc(model: CmilModel, val_bags: list[Bag],
     labels = [b.label for b in val_bags]
     if len(set(labels)) < 2:
         return None
-    probs = [joint_forward(model, b.embeddings, f).prob.item()
+    frozen = _constant_view(model)
+    probs = [joint_forward(frozen, b.embeddings, f).prob.item()
              for b, f in zip(val_bags, f_val)]
     return auc(probs, labels)
 
@@ -370,7 +381,7 @@ def predict(bag: Bag, model: CmilModel) -> Prediction:
     if bag.dim != model.dim:
         raise ShapeError(f"bag D={bag.dim} does not match checkpoint D={model.dim}")
     f_values = project(bag.embeddings, model.concepts)
-    fwd = joint_forward(model, bag.embeddings, f_values)
+    fwd = joint_forward(_constant_view(model), bag.embeddings, f_values)
     return Prediction(
         slide_id=bag.slide_id,
         prob_concept=fwd.con.prob.item(),

@@ -214,6 +214,53 @@ class TestConstants:
         np.testing.assert_array_equal(t.grad, 2.0)
 
 
+    def test_node_of_constant_inputs_keeps_no_inputs(self):
+        a, b = ad.constant(np.ones((2, 3))), ad.constant(np.full((3, 2), 2.0))
+        for out in (a @ b, ad.transpose(a), ad.relu(ad.mul(a, a))):
+            assert out._const
+            assert out._parents == () and out._vjps == ()
+        mixed = ad.mul(a, Tensor(np.ones((2, 3))))
+        assert len(mixed._parents) == len(mixed._vjps) == 2
+
+
+def _tape(root):
+    """Every node reachable from root through ``_parents``."""
+    seen, nodes, stack = set(), [], [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+class TestBackwardReleasesInteriorGrads:
+    """backward leaves a grad only on leaves, so each walk of a graph adds into them once."""
+
+    def test_only_leaves_keep_a_grad(self):
+        x, w = Tensor([1.0, 2.0]), Tensor([[1.0, -1.0], [0.5, 2.0]])
+        loss = ad.reduce_sum(ad.relu(x * x) @ w) + 3.0
+        loss.backward()
+        nodes = _tape(loss)
+        interior = [t for t in nodes if t._parents]
+        leaves = [t for t in nodes if not t._parents]
+        assert len(interior) == 5 and all(t.grad is None for t in interior)
+        assert all(t._vjps for t in interior)  # the tape itself is kept
+        assert {id(t) for t in leaves if t.grad is not None} == {id(x), id(w)}
+        np.testing.assert_array_equal(x.grad, [2.0 * (1.0 - 1.0), 4.0 * (0.5 + 2.0)])
+        np.testing.assert_array_equal(w.grad, [[1.0, 1.0], [4.0, 4.0]])
+
+    def test_a_second_backward_adds_the_gradient_once_more(self):
+        x = Tensor([1.0, 2.0])
+        loss = ad.reduce_sum(ad.relu(x * x))
+        loss.backward()
+        once = x.grad.copy()
+        np.testing.assert_array_equal(once, [2.0, 4.0])
+        loss.backward()
+        assert x.grad.tobytes() == (once + once).tobytes()
+
+
 class TestGatherScaleRows:
     def test_gather_values_and_duplicates(self):
         x = Tensor([10.0, 20.0, 30.0])

@@ -9,12 +9,14 @@ import pytest
 
 from cmil import autodiff as ad
 from cmil.autodiff import Tensor
-from cmil.bagio import ConceptSet, read_bag
+from cmil.bagio import Bag, ConceptSet, read_bag
 from cmil.errors import ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError
+from cmil.metrics import auc
 from cmil.projection import project
 from cmil.synthgen import SynthConfig, gen_dataset
 from cmil.topk import TopKConfig, select
 from cmil.trainer import (
+    MODES,
     AdamW,
     TrainConfig,
     _validation_auc,
@@ -456,29 +458,42 @@ class TestConstantLeaves:
             assert g.tobytes() == plain_grads[name].tobytes(), name
 
     def test_concept_only_step_skips_the_transposed_rows(self, monkeypatch, tiny_dataset):
+        import cmil.autodiff
+
+        views, transpose = [], cmil.autodiff.transpose
+
+        def capture(a):
+            views.append(transpose(a))
+            return views[-1]
+
+        monkeypatch.setattr(cmil.autodiff, "transpose", capture)  # _step undoes it
         grads, _, loss, f_topk = self._step(monkeypatch, tiny_dataset, plain=False,
                                             mode="concept-only")
         plain_grads, _, _, _ = self._step(monkeypatch, tiny_dataset, plain=True,
                                           mode="concept-only")
         assert f_topk._const
-        # the nodes on the tape that view the gathered rows, and those of constant inputs
-        views, derived, seen, stack = [], [], set(), [loss]
+        # the attention input and the column-sum operand, both C x K views of the gathered rows
+        assert [v.shape for v in views] == [f_topk.shape[::-1]] * 2
+        assert all(np.shares_memory(v.data, f_topk.data) for v in views)
+        # the nodes on the tape that hold more than one value and are constant
+        consts, seen, stack = [], set(), [loss]
         while stack:
             node = stack.pop()
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            if node is not f_topk and np.shares_memory(node.data, f_topk.data):
-                views.append(node)
-            if node._parents and all(p._const for p in node._parents):
-                derived.append(node)
+            if node._const and node.data.ndim:
+                consts.append(node)
             stack.extend(node._parents)
-        # the attention input and the column-sum operand, both C x K
-        assert [v.shape for v in views] == [f_topk.shape[::-1]] * 2
-        assert all(v.grad is None for v in views)
-        # those two transposes and the column sums over them are constant, without a grad
-        assert len(derived) == 3
-        assert all(n._const and n.grad is None for n in derived)
+        # the attention input and the column sums over the other view; that view feeds
+        # only the sums, so it is off the tape
+        assert len(consts) == 2 and any(n is views[0] for n in consts)
+        assert not any(n is views[1] for n in consts)
+        col_sums = next(n for n in consts if n is not views[0])
+        assert col_sums.data.tobytes() == (views[1].data @ np.ones(f_topk.shape[0])).tobytes()
+        # those two transposes and the column sums are constant leaves without a grad
+        for n in views + [col_sums]:
+            assert n._const and n._parents == () and n._vjps == () and n.grad is None
         assert grads.keys() == plain_grads.keys()
         assert grads["concept.attn_v"] is not None
         for name, g in grads.items():
@@ -564,6 +579,51 @@ class TestPredict:
         with pytest.raises(ShapeError, match="D=9"):
             predict(bag, model)
 
+    def test_fields_equal_the_live_forward_byte_for_byte(self, trained):
+        split, concepts, model = trained
+        for mode in MODES:
+            m = dataclasses.replace(model, mode=mode)
+            for path in split.test:
+                bag = read_bag(path)
+                out = predict(bag, m)
+                fwd = joint_forward(m, bag.embeddings, project(bag.embeddings, concepts))
+                expected = {
+                    "prob_concept": fwd.con.prob.data, "prob_image": fwd.img.prob.data,
+                    "prob": fwd.prob.data, "alpha": fwd.img.alpha.data,
+                    "hard_indices": np.asarray(fwd.sel.hard_indices, dtype=int),
+                    "f_topk": fwd.f_topk.data, "beta": fwd.con.attention.gated.data,
+                    "kappa": fwd.con.kappa.data, "bias": m.concept.clf_b.data,
+                }
+                for name, value in expected.items():
+                    got = np.asarray(getattr(out, name))
+                    assert got.dtype == value.dtype, (mode, name)
+                    assert got.tobytes() == value.tobytes(), (mode, name)
+
+    def test_predict_and_validation_build_no_tape(self, trained, monkeypatch):
+        import cmil.trainer
+
+        split, concepts, model = trained
+        forwards, live = [], cmil.trainer.joint_forward
+
+        def capture(*args, **kwargs):
+            forwards.append(live(*args, **kwargs))
+            return forwards[-1]
+
+        monkeypatch.setattr(cmil.trainer, "joint_forward", capture)
+        val_bags = [read_bag(p) for p in split.val]
+        f_val = [project(b.embeddings, concepts) for b in val_bags]
+        got_auc = _validation_auc(model, val_bags, f_val)
+        predict(read_bag(split.test[0]), model)
+        monkeypatch.undo()
+        assert len(forwards) == len(val_bags) + 1
+        for fwd in forwards:
+            for t in (fwd.img.alpha, fwd.img.prob, fwd.f_topk, fwd.con.attention.gated,
+                      fwd.con.kappa, fwd.con.prob):
+                assert t._const and t._parents == ()
+        live_probs = [joint_forward(model, b.embeddings, f).prob.item()
+                      for b, f in zip(val_bags, f_val)]
+        assert got_auc == auc(live_probs, [b.label for b in val_bags])
+
     def test_trained_tumor_bags_score_higher(self, trained):
         split, concepts, model = trained
         probs = {0: [], 1: []}
@@ -572,6 +632,61 @@ class TestPredict:
             probs[bag.label].append(predict(bag, model).prob_concept)
         if probs[0] and probs[1]:
             assert np.mean(probs[1]) > np.mean(probs[0])
+
+
+def _wide_bag(n: int) -> Bag:
+    """A bag of n float32 patch embeddings at D = 64, as a read bag holds them."""
+    emb = np.random.default_rng(n).normal(size=(n, 64)).astype(np.float32)
+    return Bag(f"wide{n}", 1, emb, [(i, 0) for i in range(n)])
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTapeMemory:
+    """backward drops each interior grad once its vjps have run, and predict builds
+    no tape; both peaks are bounded against the bag's float32 embedding bytes
+    (default TrainConfig, 12 concepts, D = 64)."""
+
+    CONCEPTS = ConceptSet([f"c{i}" for i in range(12)],
+                          np.random.default_rng(0).normal(size=(12, 64)))
+
+    def test_dual_training_step_peak_stays_below_100x_the_embeddings(self):
+        # holding every interior grad to the end of backward peaked at 113x
+        cfg = TrainConfig()
+        model = init_model(cfg, self.CONCEPTS, 64)
+        params = model.parameters()
+        opt = AdamW(params, cfg.learning_rate, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps)
+        bag = _wide_bag(2000)
+        f_values = project(bag.embeddings, self.CONCEPTS)
+
+        def step():
+            fwd = joint_forward(model, bag.embeddings, f_values, rng=np.random.default_rng(0))
+            lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, cfg.mode)
+            opt.zero_grad()
+            lb.total.backward()
+            opt.step()
+
+        peak = _traced_peak(step)
+        ratio = peak / bag.embeddings.nbytes
+        assert ratio < 100, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
+        # the parameters are leaves: their grads are still the optimizer's buffer
+        assert all(np.shares_memory(p.grad, opt._g) for p in params.values())
+        assert np.any(opt._g)
+
+    def test_predict_peak_stays_below_40x_the_embeddings(self):
+        # predicting on the live parameters held the whole tape and peaked at 54.5x
+        model = init_model(TrainConfig(), self.CONCEPTS, 64)
+        bag = _wide_bag(10_000)
+        peak = _traced_peak(lambda: predict(bag, model))
+        ratio = peak / bag.embeddings.nbytes
+        assert ratio < 40, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
 
 
 class TestCheckpoint:
