@@ -335,7 +335,8 @@ def write_split(split_rel_paths: dict, path: Path) -> None:
 
 
 def read_split(path: Path) -> DatasetSplit:
-    """Read split.json; a bag listed in two splits is a leak and is rejected."""
+    """Read split.json; a bag listed in two splits is a leak, and one listed twice
+    in a split would be trained on or counted twice: both are rejected."""
     path = Path(path)
     doc = _read_json(path)
     out = {}
@@ -346,9 +347,11 @@ def read_split(path: Path) -> DatasetSplit:
             raise FormatError(f"{path}: '{key}' must be a list of paths")
         out[key] = [path.parent / e if not Path(e).is_absolute() else Path(e) for e in entries]
         for bag in out[key]:
-            first = split_of.setdefault(bag, key)
-            if first != key:
-                raise DataValidationError(f"{path}: {bag} is listed in both '{first}' and '{key}'")
+            if bag in split_of:
+                first = split_of[bag]
+                where = f"twice in '{key}'" if first == key else f"in both '{first}' and '{key}'"
+                raise DataValidationError(f"{path}: {bag} is listed {where}")
+            split_of[bag] = key
     return DatasetSplit(**out)
 
 

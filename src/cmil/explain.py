@@ -1,4 +1,8 @@
-"""Local and global explanation assembly from trained-model predictions."""
+"""Local and global explanation assembly from trained-model predictions.
+
+A slide's report is the JSON object `explain_slide` returns; `render` writes and
+draws it as it is, so a saved `.explain.json` redraws its SVG.
+"""
 
 from dataclasses import dataclass
 
@@ -14,44 +18,11 @@ SCHEMA_VERSION = 1
 CLASS_NAMES = ("normal", "tumor")
 
 
-@dataclass
-class LocalExplanation:
-    """Four-part slide report: attention map, selected patches with their
-    concept vectors, per-concept contributions, and the prediction itself."""
-
-    slide_id: str
-    grid_shape: tuple
-    attention_grid: list   # {"patch_index", "row", "col", "alpha"} per patch, model order
-    topk: list             # {"patch_index", "row", "col", "alpha", "concept_values"}
-    contributions: list    # {"concept", "kappa"}, one per concept, model order
-    bias: float
-    prob_concept: float
-    prob_image: float
-    decision: str
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "slide_id": self.slide_id,
-            "grid_shape": list(self.grid_shape),
-            "attention_grid": self.attention_grid,
-            "topk": self.topk,
-            "contributions": self.contributions,
-            "bias": self.bias,
-            "prob_concept": self.prob_concept,
-            "prob_image": self.prob_image,
-            "decision": self.decision,
-        }
-
-
-def explain_slide(bag: Bag, model: CmilModel, pred: Prediction) -> LocalExplanation:
-    """Assemble the local report from the bag's prediction."""
+def explain_slide(bag: Bag, model: CmilModel, pred: Prediction) -> dict:
+    """The slide's four-part report, as the JSON object `render.write_local_report`
+    writes: attention map, selected patches with their concept vectors,
+    per-concept contributions (model order), and the prediction itself."""
     grid = bag.grid.tolist()
-    grid_shape = tuple(int(m) + 1 for m in bag.grid.max(axis=0))
-    attention_grid = [
-        {"patch_index": i, "row": r, "col": c, "alpha": float(pred.alpha[i])}
-        for i, (r, c) in enumerate(grid)
-    ]
     topk = []
     for k, j in enumerate(pred.hard_indices):
         r, c = grid[int(j)]
@@ -62,21 +33,24 @@ def explain_slide(bag: Bag, model: CmilModel, pred: Prediction) -> LocalExplanat
             "alpha": float(pred.alpha[int(j)]),
             "concept_values": [float(v) for v in pred.f_topk[k]],
         })
-    contributions = [
-        {"concept": name, "kappa": float(pred.kappa[c])}
-        for c, name in enumerate(model.concepts.names)
-    ]
-    return LocalExplanation(
-        slide_id=bag.slide_id,
-        grid_shape=grid_shape,
-        attention_grid=attention_grid,
-        topk=topk,
-        contributions=contributions,
-        bias=pred.bias,
-        prob_concept=pred.prob_concept,
-        prob_image=pred.prob_image,
-        decision=pred.decision,
-    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "slide_id": bag.slide_id,
+        "grid_shape": [int(m) + 1 for m in bag.grid.max(axis=0)],
+        "attention_grid": [
+            {"patch_index": i, "row": r, "col": c, "alpha": float(pred.alpha[i])}
+            for i, (r, c) in enumerate(grid)
+        ],
+        "topk": topk,
+        "contributions": [
+            {"concept": name, "kappa": float(pred.kappa[c])}
+            for c, name in enumerate(model.concepts.names)
+        ],
+        "bias": pred.bias,
+        "prob_concept": pred.prob_concept,
+        "prob_image": pred.prob_image,
+        "decision": pred.decision,
+    }
 
 
 def wsi_concept_values(pred: Prediction) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .bagio import dump_json
-from .explain import GlobalExplanation, LocalExplanation
+from .explain import GlobalExplanation
 
 # 8-stop viridis-like ramp (dark purple to yellow), linearly interpolated
 VIRIDIS_STOPS = (
@@ -47,20 +47,21 @@ def _text(x, y, s, size=11):
             f'font-family="sans-serif" text-anchor="start">{s}</text>')
 
 
-def render_local_svg(exp: LocalExplanation) -> str:
-    """Attention heatmap (top-K cells outlined) plus a |kappa|-sorted bar chart.
+def render_local_svg(exp: dict) -> str:
+    """Attention heatmap (top-K cells outlined) plus a |kappa|-sorted bar chart
+    of a local report, as `explain_slide` builds it or its JSON file holds it.
 
     Cell colors normalize alpha by its per-slide maximum for visibility only;
     the JSON report keeps the raw attention weights.
     """
-    rows, cols = exp.grid_shape
+    rows, cols = exp["grid_shape"]
     grid_w, grid_h = cols * _CELL, rows * _CELL
-    max_alpha = max((e["alpha"] for e in exp.attention_grid), default=0.0)
+    max_alpha = max((e["alpha"] for e in exp["attention_grid"]), default=0.0)
     scale = 1.0 / max_alpha if max_alpha > 0 else 0.0
-    topk_cells = {(e["row"], e["col"]) for e in exp.topk}
+    topk_cells = {(e["row"], e["col"]) for e in exp["topk"]}
 
     parts = [_rect(0, 30, grid_w, grid_h, "#f0f0f0")]
-    for e in exp.attention_grid:
+    for e in exp["attention_grid"]:
         parts.append(_rect(e["col"] * _CELL, 30 + e["row"] * _CELL, _CELL, _CELL,
                            color_for(e["alpha"] * scale)))
     for r, c in sorted(topk_cells):
@@ -68,7 +69,7 @@ def render_local_svg(exp: LocalExplanation) -> str:
                            extra=f' stroke="{_TOPK_STROKE}" stroke-width="2"'))
 
     bars_top = 30 + grid_h + 30
-    ordered = sorted(exp.contributions, key=lambda c: -abs(c["kappa"]))
+    ordered = sorted(exp["contributions"], key=lambda c: -abs(c["kappa"]))
     max_abs = max((abs(c["kappa"]) for c in ordered), default=0.0)
     bar_scale = 180.0 / max_abs if max_abs > 0 else 0.0
     for i, c in enumerate(ordered):
@@ -79,8 +80,8 @@ def render_local_svg(exp: LocalExplanation) -> str:
         parts.append(_rect(170, y + 2, width, 12, fill))
         parts.append(_text(175 + width, y + 11, f'{c["kappa"]:+.4f}', size=10))
 
-    header = (f'{exp.slide_id}: {exp.decision} '
-              f'(concept {exp.prob_concept:.4f}, image {exp.prob_image:.4f})')
+    header = (f'{exp["slide_id"]}: {exp["decision"]} '
+              f'(concept {exp["prob_concept"]:.4f}, image {exp["prob_image"]:.4f})')
     parts.insert(0, _text(0, 14, header, size=12))
     width = max(grid_w, 420)
     height = bars_top + 18 * len(ordered) + 10
@@ -162,11 +163,11 @@ def render_global_svg(g: GlobalExplanation) -> str:
             f'height="{height}">\n{body}\n</svg>\n')
 
 
-def write_local_report(exp: LocalExplanation, out_dir) -> tuple:
+def write_local_report(exp: dict, out_dir) -> tuple:
     out_dir = Path(out_dir)
-    json_path = out_dir / f"{exp.slide_id}.explain.json"
-    svg_path = out_dir / f"{exp.slide_id}.explain.svg"
-    dump_json(exp.to_dict(), json_path)
+    json_path = out_dir / f"{exp['slide_id']}.explain.json"
+    svg_path = out_dir / f"{exp['slide_id']}.explain.svg"
+    dump_json(exp, json_path)
     svg_path.write_text(render_local_svg(exp), encoding="utf-8")
     return json_path, svg_path
 

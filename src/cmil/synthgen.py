@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bagio import Bag, ConceptSet, DatasetSplit, write_bag, write_concepts, write_split
+from .bagio import Bag, ConceptSet, DatasetSplit, read_split, write_bag, write_concepts, write_split
 from .errors import ConfigError, check_field_types
 
 # stream ids far above any bag index
@@ -100,9 +100,6 @@ def _tumor_block(n: int, frac: float, lo: float, hi: float, rng) -> np.ndarray:
     t_hi = max(1, math.floor(hi * n))
     t = min(max(int(round(frac * n)), t_lo), max(t_lo, t_hi))
     full_rows = n // cols
-    if full_rows == 0:
-        start = int(rng.integers(0, n - t + 1))
-        return np.arange(start, start + t)
     t = min(t, full_rows * cols)
     w = min(cols, math.ceil(math.sqrt(t)))
     h = math.ceil(t / w)
@@ -187,7 +184,7 @@ def gen_bag(
 
 
 def gen_dataset(cfg: SynthConfig, out_dir: Path) -> DatasetSplit:
-    """Write bags, concept set and split JSON; returns the resolved split.
+    """Write bags, concept set and split JSON; returns the split as `read_split` reads it.
 
     Embeddings are quantized to f32 on disk (the storage format), and
     `read_bag` keeps them as f32: reading a written bag reproduces the file
@@ -219,8 +216,4 @@ def gen_dataset(cfg: SynthConfig, out_dir: Path) -> DatasetSplit:
         "test": names[n_train + n_val :],
     }
     write_split(rel, out_dir / "split.json")
-    return DatasetSplit(
-        train=[out_dir / p for p in rel["train"]],
-        val=[out_dir / p for p in rel["val"]],
-        test=[out_dir / p for p in rel["test"]],
-    )
+    return read_split(out_dir / "split.json")

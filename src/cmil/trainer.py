@@ -304,7 +304,6 @@ def train(
     dim = train_bags[0].dim
     model = init_model(cfg, concepts, dim)
     f_train = [project(b.embeddings, concepts) for b in train_bags]
-    f_val = [project(b.embeddings, concepts) for b in val_bags]
 
     # ablations optimize one branch and leave the other at its initialization
     params = {"dual": model.parameters, "image-only": model.image.tensors,
@@ -339,20 +338,17 @@ def train(
 
         record = {"epoch": epoch}
         record.update({k: v / len(train_bags) for k, v in sums.items()})
-        record["val_auc"] = _validation_auc(model, val_bags, f_val)
+        record["val_auc"] = _validation_auc(model, val_bags)
         log.append(record)
     return model, log
 
 
-def _validation_auc(model: CmilModel, val_bags: list[Bag],
-                    f_val: list[np.ndarray]) -> float | None:
+def _validation_auc(model: CmilModel, val_bags: list[Bag]) -> float | None:
+    """AUC of `predict`'s probability over the val bags; None unless both labels occur."""
     labels = [b.label for b in val_bags]
     if len(set(labels)) < 2:
         return None
-    frozen = _constant_view(model)
-    probs = [joint_forward(frozen, b.embeddings, f).prob.item()
-             for b, f in zip(val_bags, f_val)]
-    return auc(probs, labels)
+    return auc([predict(b, model).prob for b in val_bags], labels)
 
 
 # -- inference -----------------------------------------------------------------------

@@ -400,7 +400,7 @@ def test_criterion_6_explanation_fidelity(capsys, tmp_path):
     hits = 0
     for b, p in tumor_bags:
         exp = explain_slide(b, model, p)
-        top = max(exp.contributions, key=lambda contrib: contrib["kappa"])
+        top = max(exp["contributions"], key=lambda contrib: contrib["kappa"])
         hits += top["concept"] in tumor_names
     frac = hits / len(tumor_bags)
 

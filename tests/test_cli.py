@@ -352,18 +352,23 @@ def test_eval_output_validates_against_shipped_schema(ckpt, data_dir, tmp_path):
 
 
 def test_bag_in_two_splits_exits_3(ckpt, data_dir, tmp_path, capsys):
-    leaky = tmp_path / "leaky"
-    shutil.copytree(data_dir, leaky)
-    doc = json.loads((leaky / "split.json").read_text())
-    doc["test"].append(doc["train"][0])
-    (leaky / "split.json").write_text(json.dumps(doc))
-    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(leaky),
-               "--out", str(tmp_path / "eval.json"), "--split", "test", "--projection", "pca"])
-    assert rc == EXIT_IO
-    assert "in both 'train' and 'test'" in capsys.readouterr().err
-    assert not (tmp_path / "eval.json").exists()
-    rc = main(["train", "--data", str(leaky), "--out", str(tmp_path / "m.cmck"), "--epochs", "1"])
-    assert rc == EXIT_IO
+    # a bag in both train and test, and a bag listed twice in test
+    for name, source, expected in [("leaky", "train", "in both 'train' and 'test'"),
+                                   ("repeated", "test", "twice in 'test'")]:
+        leaky = tmp_path / name
+        shutil.copytree(data_dir, leaky)
+        doc = json.loads((leaky / "split.json").read_text())
+        doc["test"].append(doc[source][0])
+        (leaky / "split.json").write_text(json.dumps(doc))
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(leaky),
+                   "--out", str(leaky / "eval.json"), "--split", "test", "--projection", "pca"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert expected in err and doc[source][0] in err, name
+        assert not (leaky / "eval.json").exists()
+        rc = main(["train", "--data", str(leaky), "--out", str(leaky / "m.cmck"), "--epochs", "1"])
+        assert rc == EXIT_IO
+        assert expected in capsys.readouterr().err, name
 
 
 def _rehash(data: Path) -> None:

@@ -58,16 +58,16 @@ class TestLocalExplanation:
         bags, _, model = fitted
         for bag in bags:
             exp = explain(bag, model)
-            logit = sum(c["kappa"] for c in exp.contributions) + exp.bias
-            assert abs(sigmoid_value(logit) - exp.prob_concept) <= 1e-12, bag.slide_id
-            assert len(exp.topk) == model.topk.K
+            logit = sum(c["kappa"] for c in exp["contributions"]) + exp["bias"]
+            assert abs(sigmoid_value(logit) - exp["prob_concept"]) <= 1e-12, bag.slide_id
+            assert len(exp["topk"]) == model.topk.K
 
     def test_attention_grid_is_the_prediction_alpha(self, fitted):
         bags, _, model = fitted
         bag = bags[0]
         exp = explain(bag, model)
         pred = predict(bag, model)
-        emitted = np.array([e["alpha"] for e in exp.attention_grid])
+        emitted = np.array([e["alpha"] for e in exp["attention_grid"]])
         np.testing.assert_array_equal(emitted, pred.alpha)
 
     def test_topk_entries_reference_selected_patches(self, fitted):
@@ -75,8 +75,8 @@ class TestLocalExplanation:
         bag = bags[1]
         exp = explain(bag, model)
         pred = predict(bag, model)
-        assert [e["patch_index"] for e in exp.topk] == [int(j) for j in pred.hard_indices]
-        for k, e in enumerate(exp.topk):
+        assert [e["patch_index"] for e in exp["topk"]] == [int(j) for j in pred.hard_indices]
+        for k, e in enumerate(exp["topk"]):
             assert [e["row"], e["col"]] == bag.grid[e["patch_index"]].tolist()
             np.testing.assert_array_equal(e["concept_values"], pred.f_topk[k])
             assert e["alpha"] == pred.alpha[e["patch_index"]]
@@ -87,7 +87,7 @@ class TestLocalExplanation:
             if bag.label != 1:
                 continue
             exp = explain(bag, model)
-            best = max(exp.contributions, key=lambda c: c["kappa"])
+            best = max(exp["contributions"], key=lambda c: c["kappa"])
             assert best["concept"].startswith("tumor"), bag.slide_id
 
     def test_normal_slides_get_negative_logit(self, fitted):
@@ -96,19 +96,19 @@ class TestLocalExplanation:
             if bag.label != 0:
                 continue
             exp = explain(bag, model)
-            assert sum(c["kappa"] for c in exp.contributions) + exp.bias < 0
-            assert exp.decision == "normal"
+            assert sum(c["kappa"] for c in exp["contributions"]) + exp["bias"] < 0
+            assert exp["decision"] == "normal"
 
     def test_grid_shape_bounds_all_coordinates(self, fitted):
         bags, _, model = fitted
         exp = explain(bags[2], model)
-        rows, cols = exp.grid_shape
-        assert rows == max(e["row"] for e in exp.attention_grid) + 1
-        assert cols == max(e["col"] for e in exp.attention_grid) + 1
+        rows, cols = exp["grid_shape"]
+        assert rows == max(e["row"] for e in exp["attention_grid"]) + 1
+        assert cols == max(e["col"] for e in exp["attention_grid"]) + 1
 
     def test_report_dict_is_json_ready(self, fitted):
         bags, _, model = fitted
-        d = explain(bags[0], model).to_dict()
+        d = explain(bags[0], model)
         assert d["schema_version"] == SCHEMA_VERSION
         assert json.loads(json.dumps(d, sort_keys=True)) == d
 
@@ -200,10 +200,10 @@ class TestRender:
         ns = "{http://www.w3.org/2000/svg}"
         rects = root.findall(f"{ns}rect")
         outlined = [r for r in rects if r.get("stroke") == "#ff3b30"]
-        assert len(outlined) == len({(e["row"], e["col"]) for e in exp.topk})
-        assert len(rects) >= len(exp.attention_grid)
+        assert len(outlined) == len({(e["row"], e["col"]) for e in exp["topk"]})
+        assert len(rects) >= len(exp["attention_grid"])
         texts = [t.text for t in root.findall(f"{ns}text")]
-        assert any(exp.slide_id in t for t in texts if t)
+        assert any(exp["slide_id"] in t for t in texts if t)
 
     def test_global_svg_wellformed(self, fitted):
         bags, _, model = fitted
@@ -225,8 +225,9 @@ class TestRender:
         assert svg_path.name == f"{bags[0].slide_id}.explain.svg"
         loaded = json.loads(json_path.read_text())
         assert loaded["schema_version"] == SCHEMA_VERSION
-        assert loaded == exp.to_dict()
+        assert loaded == exp
         assert svg_path.read_text().startswith("<svg")
+        assert render_local_svg(json.loads(json_path.read_text())) == svg_path.read_text()
 
     def test_write_global_report_files(self, fitted, tmp_path):
         bags, _, model = fitted

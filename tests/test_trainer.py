@@ -245,7 +245,6 @@ def train_hand_listed(split, concepts, cfg):
     val_bags = [read_bag(p) for p in split.val]
     model = init_model(cfg, concepts, train_bags[0].dim)
     f_train = [project(b.embeddings, concepts) for b in train_bags]
-    f_val = [project(b.embeddings, concepts) for b in val_bags]
     prefix = {"dual": "", "image-only": "image.", "concept-only": "concept."}[cfg.mode]
     tensors = model.parameters()
     opt = AdamW({n: tensors[n] for n in HAND_LISTED_NAMES if n.startswith(prefix)},
@@ -267,7 +266,7 @@ def train_hand_listed(split, concepts, cfg):
                 sums[k] += v
         record = {"epoch": epoch}
         record.update({k: v / len(train_bags) for k, v in sums.items()})
-        record["val_auc"] = _validation_auc(model, val_bags, f_val)
+        record["val_auc"] = _validation_auc(model, val_bags)
         log.append(record)
     return model, log
 
@@ -611,10 +610,10 @@ class TestPredict:
 
         monkeypatch.setattr(cmil.trainer, "joint_forward", capture)
         val_bags = [read_bag(p) for p in split.val]
-        f_val = [project(b.embeddings, concepts) for b in val_bags]
-        got_auc = _validation_auc(model, val_bags, f_val)
+        got_auc = _validation_auc(model, val_bags)
         predict(read_bag(split.test[0]), model)
         monkeypatch.undo()
+        f_val = [project(b.embeddings, concepts) for b in val_bags]
         assert len(forwards) == len(val_bags) + 1
         for fwd in forwards:
             for t in (fwd.img.alpha, fwd.img.prob, fwd.f_topk, fwd.con.attention.gated,
