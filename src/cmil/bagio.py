@@ -345,13 +345,15 @@ def read_split(path: Path) -> DatasetSplit:
         entries = doc.get(key)
         if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
             raise FormatError(f"{path}: '{key}' must be a list of paths")
-        out[key] = [path.parent / e if not Path(e).is_absolute() else Path(e) for e in entries]
+        out[key] = [path.parent / e for e in entries]
         for bag in out[key]:
-            if bag in split_of:
-                first = split_of[bag]
+            # keyed on the file, so `sub/../b.cmil` is the same bag as `b.cmil`
+            file = bag.resolve()
+            if file in split_of:
+                first = split_of[file]
                 where = f"twice in '{key}'" if first == key else f"in both '{first}' and '{key}'"
                 raise DataValidationError(f"{path}: {bag} is listed {where}")
-            split_of[bag] = key
+            split_of[file] = key
     return DatasetSplit(**out)
 
 

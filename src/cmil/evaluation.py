@@ -50,7 +50,7 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
     tumor_rows = np.flatnonzero(truth == 1)
     normal_rows = np.flatnonzero(truth == 0)
     jsd_per_concept, auc_per_concept = {}, {}
-    for c, name in enumerate(g.concept_names):
+    for c, name in enumerate(model.concepts.names):
         jsd_per_concept[name] = js_divergence(
             g.wsi_points[tumor_rows, c], g.wsi_points[normal_rows, c])
         # a rank measure: JSD saturates at 1 once the classes stop overlapping
@@ -58,7 +58,7 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
     jsd_mean = float(np.mean(list(jsd_per_concept.values())))
 
     slide_truth = {p.slide_id: label for p, label in zip(preds, labels)}
-    patch_truth = np.asarray([slide_truth[sid] for sid, _ in g.patch_refs])
+    patch_truth = np.asarray([slide_truth[e["slide_id"]] for e in g.report["patch_2d"]])
     two_classes = bool(np.any(patch_truth != patch_truth[0]))
     if not two_classes:
         warnings.warn("the patch subsample holds one class; patch silhouettes skipped")

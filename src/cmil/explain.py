@@ -1,7 +1,8 @@
 """Local and global explanation assembly from trained-model predictions.
 
-A slide's report is the JSON object `explain_slide` returns; `render` writes and
-draws it as it is, so a saved `.explain.json` redraws its SVG.
+A slide's report is the JSON object `explain_slide` returns, and the dataset's
+is the one `global_explanations` returns as `report`; `render` writes and draws
+each as it is, so a saved `.explain.json` or `global.json` redraws its SVG.
 """
 
 from dataclasses import dataclass
@@ -60,76 +61,43 @@ def wsi_concept_values(pred: Prediction) -> np.ndarray:
 
 @dataclass
 class GlobalExplanation:
-    """Dataset-level view: mean contributions per class, per-concept slide-level
-    value distributions, and 2-D projections at patch and slide level."""
+    """The dataset-level report, as the JSON object `render.write_global_report`
+    writes, and the concept-space points behind it that `evaluate_split` scores."""
 
-    group_by: str                      # "predicted" or "truth"
-    concept_names: list
-    classes: dict                      # class name -> [slide_id], partition of the split
-    mean_contributions: dict           # class name -> [mean kappa_c]
-    wsi_values: dict                   # concept name -> {class name: [per-slide value]}
-    wsi_points: np.ndarray             # S x C aggregates, slide order
-    wsi_labels: list                   # class name per slide
-    wsi_slide_ids: list
-    patch_points: np.ndarray           # P x C selected-patch concept vectors
-    patch_labels: list
-    patch_refs: list                   # (slide_id, patch_index) per point
-    projection_method: str
+    report: dict
+    wsi_points: np.ndarray             # S x C aggregates, in wsi_2d order
+    patch_points: np.ndarray           # P x C selected-patch concept vectors, in patch_2d order
     wsi_points_2d: np.ndarray
     patch_points_2d: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "group_by": self.group_by,
-            "concept_names": list(self.concept_names),
-            "classes": {k: list(v) for k, v in self.classes.items()},
-            "mean_contributions": {k: list(v) for k, v in self.mean_contributions.items()},
-            "wsi_values": {c: {k: list(v) for k, v in d.items()}
-                           for c, d in self.wsi_values.items()},
-            "projection_method": self.projection_method,
-            "wsi_2d": [
-                {"slide_id": s, "class": l, "x": float(x), "y": float(y)}
-                for s, l, (x, y) in zip(self.wsi_slide_ids, self.wsi_labels,
-                                        self.wsi_points_2d)
-            ],
-            "patch_2d": [
-                {"slide_id": r[0], "patch_index": r[1], "class": l,
-                 "x": float(x), "y": float(y)}
-                for r, l, (x, y) in zip(self.patch_refs, self.patch_labels,
-                                        self.patch_points_2d)
-            ],
-        }
 
 
 def global_explanations(predictions, labels, names, group_by: str, projection: str,
                         seed: int, max_patch_points: int) -> GlobalExplanation:
     """Aggregate per-slide predictions into the dataset-level explanation.
 
-    Slides are grouped by predicted class (group_by="predicted") or by
-    ground-truth label, one per prediction in `labels` (group_by="truth");
-    `names` are the model's concept names.  Patch-level points are subsampled
-    to max_patch_points (seeded) before projection to keep the exact t-SNE
-    O(n^2) cost bounded.
+    The report holds mean contributions per class, per-concept slide-level
+    values, and one `wsi_2d` entry per slide and one `patch_2d` entry per
+    selected patch with its 2-D projection.  Slides are grouped by predicted
+    class (group_by="predicted") or by ground-truth label, one per prediction
+    in `labels` (group_by="truth"); `names` are the model's concept names.
+    Patch-level points are subsampled to max_patch_points (seeded) before
+    projection to keep the exact t-SNE O(n^2) cost bounded.
     """
     if group_by not in ("predicted", "truth"):
         raise DataValidationError(f"unknown grouping {group_by!r}")
 
     classes = {name: [] for name in CLASS_NAMES}
     kappas = {name: [] for name in CLASS_NAMES}
-    wsi_points, wsi_labels, wsi_slide_ids = [], [], []
-    patch_points, patch_labels, patch_refs = [], [], []
+    wsi_points, wsi_2d, patch_points, patch_2d = [], [], [], []
     for pred, label in zip(predictions, labels):
         cls = pred.decision if group_by == "predicted" else CLASS_NAMES[label]
         classes[cls].append(pred.slide_id)
         kappas[cls].append(pred.kappa)
         wsi_points.append(wsi_concept_values(pred))
-        wsi_labels.append(cls)
-        wsi_slide_ids.append(pred.slide_id)
+        wsi_2d.append({"slide_id": pred.slide_id, "class": cls})
         for k, j in enumerate(pred.hard_indices):
             patch_points.append(pred.f_topk[k])
-            patch_labels.append(cls)
-            patch_refs.append((pred.slide_id, int(j)))
+            patch_2d.append({"slide_id": pred.slide_id, "patch_index": int(j), "class": cls})
 
     for name in CLASS_NAMES:
         if len(classes[name]) < 2:
@@ -137,42 +105,37 @@ def global_explanations(predictions, labels, names, group_by: str, projection: s
                 f"class {name!r} has {len(classes[name])} slide(s); need at least 2"
             )
 
-    mean_contributions = {
-        cls: [float(v) for v in np.mean(kappas[cls], axis=0)] for cls in CLASS_NAMES
-    }
     wsi_points = np.asarray(wsi_points)
-    wsi_values = {
-        names[c]: {
-            cls: [float(v) for v, l in zip(wsi_points[:, c], wsi_labels) if l == cls]
-            for cls in CLASS_NAMES
-        }
-        for c in range(len(names))
-    }
-
     patch_points = np.asarray(patch_points)
     if patch_points.shape[0] > max_patch_points:
         keep = np.sort(np.random.default_rng(seed).choice(
             patch_points.shape[0], size=max_patch_points, replace=False))
         patch_points = patch_points[keep]
-        patch_labels = [patch_labels[i] for i in keep]
-        patch_refs = [patch_refs[i] for i in keep]
+        patch_2d = [patch_2d[i] for i in keep]
 
-    wsi_2d = project_2d(wsi_points, projection, seed)
-    patch_2d = project_2d(patch_points, projection, seed)
+    wsi_points_2d = project_2d(wsi_points, projection, seed)
+    patch_points_2d = project_2d(patch_points, projection, seed)
+    for entries, points in ((wsi_2d, wsi_points_2d), (patch_2d, patch_points_2d)):
+        for entry, (x, y) in zip(entries, points):
+            entry["x"], entry["y"] = float(x), float(y)
 
-    return GlobalExplanation(
-        group_by=group_by,
-        concept_names=list(names),
-        classes=classes,
-        mean_contributions=mean_contributions,
-        wsi_values=wsi_values,
-        wsi_points=wsi_points,
-        wsi_labels=wsi_labels,
-        wsi_slide_ids=wsi_slide_ids,
-        patch_points=patch_points,
-        patch_labels=patch_labels,
-        patch_refs=patch_refs,
-        projection_method=projection,
-        wsi_points_2d=wsi_2d,
-        patch_points_2d=patch_2d,
-    )
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "group_by": group_by,
+        "concept_names": list(names),
+        "classes": classes,
+        "mean_contributions": {
+            cls: [float(v) for v in np.mean(kappas[cls], axis=0)] for cls in CLASS_NAMES
+        },
+        "wsi_values": {
+            name: {
+                cls: [float(v) for v, e in zip(wsi_points[:, c], wsi_2d) if e["class"] == cls]
+                for cls in CLASS_NAMES
+            }
+            for c, name in enumerate(names)
+        },
+        "projection_method": projection,
+        "wsi_2d": wsi_2d,
+        "patch_2d": patch_2d,
+    }
+    return GlobalExplanation(report, wsi_points, patch_points, wsi_points_2d, patch_points_2d)

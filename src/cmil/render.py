@@ -90,29 +90,32 @@ def render_local_svg(exp: dict) -> str:
             f'height="{height}">\n{body}\n</svg>\n')
 
 
-def _scatter(points_2d, labels, x0, y0, side, title):
-    pts = np.asarray(points_2d, dtype=float)
+def _scatter(entries, x0, y0, side, title):
+    pts = np.asarray([(e["x"], e["y"]) for e in entries], dtype=float)
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
     span[span == 0] = 1.0
     parts = [_text(x0, y0 - 6, title, size=11),
              _rect(x0, y0, side, side, "none", extra=' stroke="#999"')]
-    for (x, y), label in zip(pts, labels):
+    for (x, y), e in zip(pts, entries):
         u = x0 + (x - lo[0]) / span[0] * (side - 8) + 4
         v = y0 + (y - lo[1]) / span[1] * (side - 8) + 4
         parts.append(f'<circle cx="{u:.1f}" cy="{v:.1f}" r="3" '
-                     f'fill="{CLASS_COLORS[label]}" fill-opacity="0.7"/>')
+                     f'fill="{CLASS_COLORS[e["class"]]}" fill-opacity="0.7"/>')
     return parts
 
 
-def render_global_svg(g: GlobalExplanation) -> str:
+def render_global_svg(report: dict) -> str:
     """Mean-contribution bars per class, the two 2-D scatters, and per-concept
-    value summaries (mean +/- std whiskers per class)."""
-    parts = [_text(0, 14, f"global explanation (grouped by {g.group_by} class)", size=12)]
+    value summaries (mean +/- std whiskers per class) of a global report, as
+    `global_explanations` builds it or its JSON file holds it."""
+    parts = [_text(0, 14, f"global explanation (grouped by {report['group_by']} class)",
+                   size=12)]
 
     # grouped signed bars: one row per concept, one bar per class
-    names = g.concept_names
-    all_means = [v for vec in g.mean_contributions.values() for v in vec]
+    names = report["concept_names"]
+    means = report["mean_contributions"]
+    all_means = [v for vec in means.values() for v in vec]
     max_abs = max((abs(v) for v in all_means), default=0.0)
     bar_scale = 140.0 / max_abs if max_abs > 0 else 0.0
     center_x, row_h = 330, 26
@@ -121,8 +124,8 @@ def render_global_svg(g: GlobalExplanation) -> str:
     for i, name in enumerate(names):
         y = top + i * row_h
         parts.append(_text(0, y + 12, name, size=10))
-        for j, cls in enumerate(sorted(g.mean_contributions)):
-            v = g.mean_contributions[cls][i]
+        for j, cls in enumerate(sorted(means)):
+            v = means[cls][i]
             w = abs(v) * bar_scale
             x = center_x if v >= 0 else center_x - w
             parts.append(_rect(x, y + 2 + j * 10, w, 8, CLASS_COLORS[cls]))
@@ -132,21 +135,21 @@ def render_global_svg(g: GlobalExplanation) -> str:
         )
     scatter_top = top + len(names) * row_h + 30
 
-    parts += _scatter(g.wsi_points_2d, g.wsi_labels, 0, scatter_top, 220,
-                      f"slide level ({g.projection_method})")
-    parts += _scatter(g.patch_points_2d, g.patch_labels, 260, scatter_top, 220,
-                      f"patch level ({g.projection_method})")
+    method = report["projection_method"]
+    parts += _scatter(report["wsi_2d"], 0, scatter_top, 220, f"slide level ({method})")
+    parts += _scatter(report["patch_2d"], 260, scatter_top, 220, f"patch level ({method})")
 
     # per-concept slide-value whiskers: dot at the mean, line spans +/- one std
     dist_top = scatter_top + 250
     parts.append(_text(170, dist_top - 8, "slide-level concept values", size=11))
-    spans = [abs(v) for d in g.wsi_values.values() for vals in d.values() for v in vals]
+    wsi_values = report["wsi_values"]
+    spans = [abs(v) for d in wsi_values.values() for vals in d.values() for v in vals]
     v_scale = 140.0 / max(spans) if spans and max(spans) > 0 else 0.0
     for i, name in enumerate(names):
         y = dist_top + i * row_h
         parts.append(_text(0, y + 12, name, size=10))
-        for j, cls in enumerate(sorted(g.wsi_values[name])):
-            vals = np.asarray(g.wsi_values[name][cls], dtype=float)
+        for j, cls in enumerate(sorted(wsi_values[name])):
+            vals = np.asarray(wsi_values[name][cls], dtype=float)
             mean, std = float(vals.mean()), float(vals.std())
             cy = y + 6 + j * 10
             x1 = center_x + (mean - std) * v_scale
@@ -176,6 +179,6 @@ def write_global_report(g: GlobalExplanation, out_dir) -> tuple:
     out_dir = Path(out_dir)
     json_path = out_dir / "global.json"
     svg_path = out_dir / "global.svg"
-    dump_json(g.to_dict(), json_path)
-    svg_path.write_text(render_global_svg(g), encoding="utf-8")
+    dump_json(g.report, json_path)
+    svg_path.write_text(render_global_svg(g.report), encoding="utf-8")
     return json_path, svg_path

@@ -80,17 +80,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Build from a JSON object, dropping the batch size of 1 and the top-K seed of older files."""
-        doc = {k: v for k, v in doc.items() if (k, v) != ("batch_size", 1)}
+        """Build from a JSON object; an unknown key, nested ones too, is a ConfigError."""
         extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown train config keys: {sorted(extra)}")
-        if "topk" in doc and isinstance(doc["topk"], dict):
-            topk = {k: v for k, v in doc["topk"].items() if k != "seed"}
-            tk = set(topk) - set(TopKConfig.__dataclass_fields__)
+        if isinstance(doc.get("topk"), dict):
+            tk = set(doc["topk"]) - set(TopKConfig.__dataclass_fields__)
             if tk:
                 raise ConfigError(f"unknown topk config keys: {sorted(tk)}")
-            doc["topk"] = TopKConfig(**topk)
+            doc = {**doc, "topk": TopKConfig(**doc["topk"])}
         return cls(**doc)
 
     def to_dict(self) -> dict:

@@ -406,9 +406,9 @@ def test_criterion_6_explanation_fidelity(capsys, tmp_path):
 
     g = global_explanations(preds, [b.label for b in bags], model.concepts.names,
                             group_by="truth", projection="pca", seed=0, max_patch_points=2000)
-    mt = np.array(g.mean_contributions["tumor"])
-    mn = np.array(g.mean_contributions["normal"])
-    idx = [i for i, n in enumerate(g.concept_names) if n in tumor_names]
+    mt = np.array(g.report["mean_contributions"]["tumor"])
+    mn = np.array(g.report["mean_contributions"]["normal"])
+    idx = [i for i, n in enumerate(g.report["concept_names"]) if n in tumor_names]
     strictly_greater = all(mt[i] > mn[i] for i in idx)
     margin = min(mt[i] - mn[i] for i in idx)
 
@@ -524,7 +524,7 @@ def test_criterion_9_pipeline_determinism(capsys, tmp_path):
     synth = ["--seed", "100", "--set", "num_bags=30", "--set", "N_range=[12,20]",
              "--set", "D=16", "--set", "C=6", "--set", "tumor_concept_count=2",
              "--set", "signal_strength=3.0", "--set", "noise_std=0.0"]
-    topk = '--set=topk={"K":4,"num_noise_samples":32,"noise_sigma":0.05,"seed":0}'
+    topk = '--set=topk={"K":4,"num_noise_samples":32,"noise_sigma":0.05}'
 
     def pipeline(root: Path) -> dict:
         data, ckpt = root / "data", root / "model.cmck"

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -460,6 +461,21 @@ class TestSplits:
         )
         with pytest.raises(DataValidationError, match="slide_0"):
             self._train(tmp_path / "bad.json")
+
+    def test_a_bag_spelled_two_ways_is_one_bag(self, tmp_path):
+        self._write_dataset(tmp_path)
+        (tmp_path / "sub").mkdir()
+        cases = {
+            "twice in 'train'": {"train": ["bag_0.cmil", "sub/../bag_0.cmil"],
+                                 "val": [], "test": []},
+            "in both 'train' and 'test'": {"train": ["bag_0.cmil"], "val": [],
+                                           "test": ["sub/../bag_0.cmil"]},
+        }
+        for where, doc in cases.items():
+            write_split(doc, tmp_path / "bad.json")
+            with pytest.raises(DataValidationError, match=re.escape(
+                    f"{tmp_path / 'sub/../bag_0.cmil'} is listed {where}")):
+                read_split(tmp_path / "bad.json")
 
     def test_inconsistent_dims(self, tmp_path):
         write_bag(make_bag(n=2, d=4, seed=0, slide_id="a"), tmp_path / "a.cmil")

@@ -32,7 +32,7 @@ SYNTH_ARGS = [
 ]
 TRAIN_ARGS = [
     "--seed", "5", "--epochs", "25", "--set", "d_h=24", "--set", "d_a=12",
-    "--set", 'topk={"K":4,"num_noise_samples":32,"noise_sigma":0.05,"seed":0}',
+    "--set", 'topk={"K":4,"num_noise_samples":32,"noise_sigma":0.05}',
 ]
 
 
@@ -454,7 +454,7 @@ def test_ablation_modes_flow_through_checkpoint_to_eval(data_dir, tmp_path, mode
     rc = main(["train", "--data", str(data_dir), "--out", str(out),
                "--mode", mode, "--epochs", "6", "--seed", "5",
                "--set", "d_h=24", "--set", "d_a=12",
-               "--set", 'topk={"K":4,"num_noise_samples":32,"noise_sigma":0.05,"seed":0}'])
+               "--set", 'topk={"K":4,"num_noise_samples":32,"noise_sigma":0.05}'])
     assert rc == EXIT_OK
 
     # the loaded model carries its mode into the library entry points

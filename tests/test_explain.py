@@ -116,19 +116,19 @@ class TestLocalExplanation:
 class TestGlobalExplanation:
     def test_classes_partition_all_slides(self, fitted):
         bags, concepts, model = fitted
-        g = global_pca(bags, model)
-        grouped = sorted(s for ids in g.classes.values() for s in ids)
+        g = global_pca(bags, model).report
+        grouped = sorted(s for ids in g["classes"].values() for s in ids)
         assert grouped == sorted(b.slide_id for b in bags)
-        for vec in g.mean_contributions.values():
+        for vec in g["mean_contributions"].values():
             assert len(vec) == concepts.num_concepts
 
     def test_grouping_flag_recorded_and_respected(self, fitted):
         bags, _, model = fitted
-        by_pred = global_pca(bags, model)
-        by_truth = global_pca(bags, model, group_by="truth")
-        assert by_pred.group_by == "predicted" and by_truth.group_by == "truth"
+        by_pred = global_pca(bags, model).report
+        by_truth = global_pca(bags, model, group_by="truth").report
+        assert by_pred["group_by"] == "predicted" and by_truth["group_by"] == "truth"
         truth_tumor = sorted(b.slide_id for b in bags if b.label == 1)
-        assert sorted(by_truth.classes["tumor"]) == truth_tumor
+        assert sorted(by_truth["classes"]["tumor"]) == truth_tumor
 
     def test_single_class_split_names_missing_class(self, fitted):
         bags, _, model = fitted
@@ -144,18 +144,18 @@ class TestGlobalExplanation:
         mk = lambda sid, label, emb: Bag(sid, label, emb.copy(), grid)
         four = [mk("t1", 1, emb_t), mk("t2", 1, emb_t),
                 mk("n1", 0, emb_n), mk("n2", 0, emb_n)]
-        g = global_pca(four, model, group_by="truth")
-        for name in g.concept_names:
-            for cls, values in g.wsi_values[name].items():
+        g = global_pca(four, model, group_by="truth").report
+        for name in g["concept_names"]:
+            for cls, values in g["wsi_values"][name].items():
                 assert np.var(values) == 0.0
 
     def test_tumor_concept_means_larger_for_tumor_class(self, fitted):
         bags, concepts, model = fitted
-        g = global_pca(bags, model, group_by="truth")
-        for c, name in enumerate(g.concept_names):
+        g = global_pca(bags, model, group_by="truth").report
+        for c, name in enumerate(g["concept_names"]):
             if name.startswith("tumor"):
-                assert (g.mean_contributions["tumor"][c]
-                        > g.mean_contributions["normal"][c]), name
+                assert (g["mean_contributions"]["tumor"][c]
+                        > g["mean_contributions"]["normal"][c]), name
 
     def test_wsi_points_are_beta_weighted_sums(self, fitted):
         bags, _, model = fitted
@@ -169,9 +169,9 @@ class TestGlobalExplanation:
         a = global_pca(bags, model, max_patch_points=10)
         b = global_pca(bags, model, max_patch_points=10)
         assert a.patch_points.shape[0] == 10
-        assert len(a.patch_refs) == len(a.patch_labels) == 10
+        assert len(a.report["patch_2d"]) == 10
         np.testing.assert_array_equal(a.patch_points, b.patch_points)
-        assert a.patch_refs == b.patch_refs
+        assert a.report["patch_2d"] == b.report["patch_2d"]
 
 
 class TestRender:
@@ -207,13 +207,13 @@ class TestRender:
 
     def test_global_svg_wellformed(self, fitted):
         bags, _, model = fitted
-        g = global_pca(bags, model)
+        g = global_pca(bags, model).report
         svg = render_global_svg(g)
         assert svg == render_global_svg(g)
         root = ET.fromstring(svg)
         circles = root.findall("{http://www.w3.org/2000/svg}circle")
         scatter = [c for c in circles if c.get("fill-opacity") == "0.7"]
-        assert len(scatter) == len(g.wsi_labels) + len(g.patch_labels)
+        assert len(scatter) == len(g["wsi_2d"]) + len(g["patch_2d"])
         fills = {c.get("fill") for c in circles}
         assert CLASS_COLORS["tumor"] in fills and CLASS_COLORS["normal"] in fills
 
@@ -238,6 +238,8 @@ class TestRender:
         assert loaded["schema_version"] == SCHEMA_VERSION
         assert loaded["projection_method"] == "pca"
         assert len(loaded["wsi_2d"]) == len(bags)
+        assert loaded == g.report
+        assert render_global_svg(json.loads(json_path.read_text())) == svg_path.read_text()
 
 
 class TestEvaluation:
@@ -258,7 +260,7 @@ class TestEvaluation:
         res, g, _ = evaluate_split(bags, model, projection="pca")
         labels = [b.label for b in bags]
         assert list(res.auc_per_concept) == list(concepts.names)
-        for c, name in enumerate(g.concept_names):
+        for c, name in enumerate(g.report["concept_names"]):
             assert res.auc_per_concept[name] == auc(g.wsi_points[:, c], labels), name
         assert res.to_dict()["auc_per_concept"] == res.auc_per_concept
 
@@ -287,7 +289,7 @@ class TestEvaluation:
         res, g, _ = evaluate_split(bags, model, projection="tsne", seed=0)
         assert res.silhouette_wsi_2d >= res.silhouette_patch_2d
         assert res.silhouette_wsi >= res.silhouette_patch
-        assert g.projection_method == "tsne"
+        assert g.report["projection_method"] == "tsne"
 
     def test_evaluation_is_deterministic(self, fitted):
         bags, _, model = fitted

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import cmil
 from cmil.concept_branch import ConceptAttention, ConceptForward
+from cmil.explain import GlobalExplanation
 from cmil.image_branch import ImageForward
 from cmil.topk import Selection
 from cmil.trainer import JointForward, Prediction
@@ -45,11 +46,11 @@ def test_an_unused_import_is_reported():
     assert unused_imports(source) == ["line 2: os"]
 
 
-# Every field of the forward-pass records and of the inference record is read as
-# an attribute somewhere in src/, so no record carries a value that only tests see.  The check is by
-# name, as the import rule is.  `scaled` is kept for the gating worked example,
-# which checks it at 1e-12: recovering it from the gate by inverting the
-# sigmoid loses digits.
+# Every field of the forward-pass records, the inference record and the global
+# explanation is read as an attribute somewhere in src/, so no record carries a
+# value that only tests see.  The check is by name, as the import rule is.
+# `scaled` is kept for the gating worked example, which checks it at 1e-12:
+# recovering it from the gate by inverting the sigmoid loses digits.
 UNREAD_FIELDS_ALLOWED = {"scaled"}
 
 
@@ -60,7 +61,8 @@ def attributes_read(source: str) -> set[str]:
 
 def test_every_forward_record_field_has_a_reader_in_src():
     read = set().union(*(attributes_read(p.read_text(encoding="utf-8")) for p in MODULES))
-    records = (ImageForward, ConceptForward, ConceptAttention, JointForward, Selection, Prediction)
+    records = (ImageForward, ConceptForward, ConceptAttention, JointForward, Selection,
+               Prediction, GlobalExplanation)
     unread = {f"{r.__name__}.{f.name}" for r in records for f in fields(r)
               if f.name not in read and f.name not in UNREAD_FIELDS_ALLOWED}
     assert not unread

@@ -66,13 +66,17 @@ class TestConfig:
             with pytest.raises(ConfigError, match="batch_size"):
                 TrainConfig.from_dict({"batch_size": batch_size})
 
-    def test_from_dict_drops_the_keys_older_files_carry(self):
-        doc = {"epochs": 2, "batch_size": 1, "topk": {"K": 3, "seed": 7}}
-        assert TrainConfig.from_dict(doc) == TrainConfig(epochs=2, topk=TopKConfig(K=3))
+    def test_from_dict_rejects_the_keys_older_files_carried(self):
+        with pytest.raises(ConfigError, match="batch_size"):
+            TrainConfig.from_dict({"epochs": 2, "batch_size": 1})
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig.from_dict({"epochs": 2, "topk": {"K": 3, "seed": 7}})
 
     def test_from_dict_nested_topk(self):
-        cfg = TrainConfig.from_dict({"epochs": 2, "topk": {"K": 3, "num_noise_samples": 8}})
+        doc = {"epochs": 2, "topk": {"K": 3, "num_noise_samples": 8}}
+        cfg = TrainConfig.from_dict(doc)
         assert cfg.topk.K == 3 and cfg.topk.noise_sigma == 0.05
+        assert doc["topk"] == {"K": 3, "num_noise_samples": 8}
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
