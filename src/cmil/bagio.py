@@ -28,7 +28,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -64,7 +64,7 @@ class Bag:
     label: int
     embeddings: np.ndarray
     grid: np.ndarray
-    in_tumor: np.ndarray | None = None
+    in_tumor: np.ndarray | None
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings)
@@ -139,9 +139,9 @@ class ConceptSet:
 class DatasetSplit:
     """Bag file paths per split, resolved against the split file's directory."""
 
-    train: list[Path] = field(default_factory=list)
-    val: list[Path] = field(default_factory=list)
-    test: list[Path] = field(default_factory=list)
+    train: list[Path]
+    val: list[Path]
+    test: list[Path]
 
     def all_paths(self) -> list[Path]:
         return list(self.train) + list(self.val) + list(self.test)

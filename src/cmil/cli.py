@@ -7,16 +7,16 @@ wall-clock time, so identical seeds reproduce identical bytes.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bagio import (_read_json, content_hash, dump_json, file_hash, read_bag,
                     read_concepts, read_split)
 from .embed2d import MIN_POINTS
 from .errors import (CmilError, ConfigError, DataValidationError, ShapeError,
-                     TrainingDivergedError)
+                     TrainingDivergedError, config_from_dict)
 from .evaluation import evaluate_split
 from .explain import SCHEMA_VERSION, explain_slide
 from .render import write_global_report, write_local_report
@@ -73,6 +73,13 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+def _resolve(cls, args, *flags):
+    """The config from --config's object, then each --set in order, then each named flag given."""
+    doc = _deep_update(_load_config_file(args.config), _parse_set(args.set))
+    doc.update({f: getattr(args, f) for f in flags if getattr(args, f) is not None})
+    return config_from_dict(cls, doc)
+
+
 def _config_hash(doc: dict) -> str:
     import hashlib
 
@@ -102,14 +109,11 @@ def _checked_dataset_hash(data_dir: Path, split) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    doc = _deep_update(_load_config_file(args.config), _parse_set(args.set))
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg = SynthConfig.from_dict(doc)
+    cfg = _resolve(SynthConfig, args, "seed")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     split = gen_dataset(cfg, out)
-    resolved = dataclasses.asdict(cfg)
+    resolved = asdict(cfg)
     dump_json({
         "schema_version": SCHEMA_VERSION,
         "command": "gen-data",
@@ -125,14 +129,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _deep_update(_load_config_file(args.config), _parse_set(args.set))
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.epochs is not None:
-        doc["epochs"] = args.epochs
-    if args.mode is not None:
-        doc["mode"] = args.mode
-    cfg = TrainConfig.from_dict(doc)
+    cfg = _resolve(TrainConfig, args, "seed", "epochs", "mode")
 
     data = Path(args.data)
     split = read_split(data / "split.json")
@@ -153,7 +150,7 @@ def cmd_train(args) -> int:
 
     log_path = out.with_suffix(".log.jsonl")
     with open(log_path, "w", encoding="utf-8") as f:
-        header = {"command": "train", "config": cfg.to_dict(), "data_hash": data_hash,
+        header = {"command": "train", "config": asdict(cfg), "data_hash": data_hash,
                   "schema_version": SCHEMA_VERSION}
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for record in log:
@@ -182,7 +179,7 @@ def cmd_predict(args) -> int:
         dump_json({
             "schema_version": SCHEMA_VERSION,
             "command": "predict",
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
             "inputs": {"checkpoint_sha256": file_hash(args.ckpt),
                        "bag_sha256": file_hash(args.bag)},
             "prediction": {
@@ -230,7 +227,7 @@ def cmd_eval(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "eval",
         "config": {
-            "train": cfg.to_dict(),
+            "train": asdict(cfg),
             "split": args.split,
             "projection": args.projection,
             "seed": args.seed,

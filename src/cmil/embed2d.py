@@ -257,7 +257,7 @@ def _learning_rate(n: int) -> float:
     return max(n / 48.0, min(n / 12.0, 50.0))
 
 
-def tsne_2d(points: np.ndarray, seed: int = 0) -> np.ndarray:
+def tsne_2d(points: np.ndarray, seed: int) -> np.ndarray:
     """Exact O(n^2) symmetric-SNE embedding of n >= 4 points into two
     dimensions, at perplexity min(30, (n - 1) // 3), over _ITERATIONS steps
     from a start drawn with `seed`.

@@ -40,6 +40,27 @@ def check_field_types(config) -> None:
                               f"default {f.default!r}")
 
 
+def config_from_dict(cls, doc: dict):
+    """Build the config dataclass `cls` from a JSON object.
+
+    A key that names no field, at any level, is a ConfigError. A field whose
+    default is a config takes a JSON object, built the same way, and a tuple
+    field a JSON list; every value is then checked by the class itself.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    extra = set(doc) - set(defaults)
+    if extra:
+        name = cls.__name__.removesuffix("Config").lower()
+        raise ConfigError(f"unknown {name} config keys: {sorted(extra)}")
+
+    def convert(value, default):
+        if dataclasses.is_dataclass(default) and isinstance(value, dict):
+            return config_from_dict(type(default), value)
+        return tuple(value) if isinstance(default, tuple) and isinstance(value, list) else value
+
+    return cls(**{k: convert(v, defaults[k]) for k, v in doc.items()})
+
+
 class FormatError(CmilError):
     """Malformed on-disk file: bad magic, version, truncation, bad manifest."""
 

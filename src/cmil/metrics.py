@@ -7,7 +7,7 @@ singleton-cluster-scores-zero convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,14 +130,14 @@ class EvalResult:
     auc: float
     localization_mean: float | None
     localization_slides: int
-    auc_per_concept: dict = field(default_factory=dict)
-    jsd_per_concept: dict = field(default_factory=dict)
-    jsd_mean: float | None = None
-    silhouette_wsi: float | None = None
-    silhouette_patch: float | None = None
-    silhouette_wsi_2d: float | None = None
-    silhouette_patch_2d: float | None = None
-    counts: dict = field(default_factory=dict)
+    auc_per_concept: dict
+    jsd_per_concept: dict
+    jsd_mean: float | None
+    silhouette_wsi: float | None
+    silhouette_patch: float | None
+    silhouette_wsi_2d: float | None
+    silhouette_patch_2d: float | None
+    counts: dict
 
     def __post_init__(self):
         if not (0.0 <= self.accuracy <= 1.0 and 0.0 <= self.auc <= 1.0):

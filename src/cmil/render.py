@@ -42,7 +42,7 @@ def _rect(x, y, w, h, fill, extra=""):
             f'fill="{fill}"{extra}/>')
 
 
-def _text(x, y, s, size=11):
+def _text(x, y, s, size):
     return (f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="start">{s}</text>')
 

@@ -57,18 +57,6 @@ class SynthConfig:
         if not (0 < self.positive_rate < 1):
             raise ConfigError(f"positive_rate must be in (0,1), got {self.positive_rate}")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown synth config keys: {sorted(extra)}")
-        doc = dict(doc)
-        for key in ("N_range", "tumor_fraction_range"):
-            if isinstance(doc.get(key), list):  # JSON has no tuples
-                doc[key] = tuple(doc[key])
-        return cls(**doc)
-
 
 def gen_concepts(cfg: SynthConfig) -> ConceptSet:
     """C exactly-orthonormal unit rows; the first tumor_concept_count are tumor concepts."""

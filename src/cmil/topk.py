@@ -83,7 +83,7 @@ def perturbed_topk(alpha: Tensor, cfg: TopKConfig, rng: np.random.Generator) -> 
     return node(ind.mean(axis=0), (alpha, vjp))
 
 
-def select(alpha: Tensor, cfg: TopKConfig, rng: np.random.Generator | None = None) -> Selection:
+def select(alpha: Tensor, cfg: TopKConfig, rng: np.random.Generator | None) -> Selection:
     """Hard top-K of `alpha`, plus the perturbed soft indicator when given `rng`."""
     hard = hard_topk(alpha.data, cfg.K)
     if rng is None:

@@ -26,7 +26,7 @@ from .autodiff import Tensor
 from .bagio import CKPT_MAGIC, Bag, ConceptSet, DatasetSplit, _read_blob, _write_blob, read_bag
 from .concept_branch import ConceptBranchParams, ConceptForward, concept_forward, init_concept_params
 from .errors import (ConfigError, DataValidationError, FormatError, ShapeError,
-                     TrainingDivergedError, check_field_types)
+                     TrainingDivergedError, check_field_types, config_from_dict)
 from .image_branch import (ImageBranchParams, ImageForward, image_forward, init_image_params,
                            named_tensors)
 from .metrics import auc
@@ -78,40 +78,8 @@ class TrainConfig:
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Build from a JSON object; an unknown key, nested ones too, is a ConfigError."""
-        extra = set(doc) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown train config keys: {sorted(extra)}")
-        if isinstance(doc.get("topk"), dict):
-            tk = set(doc["topk"]) - set(TopKConfig.__dataclass_fields__)
-            if tk:
-                raise ConfigError(f"unknown topk config keys: {sorted(tk)}")
-            doc = {**doc, "topk": TopKConfig(**doc["topk"])}
-        return cls(**doc)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # -- loss -----------------------------------------------------------------------
-
-
-@dataclass
-class LossBreakdown:
-    bce_img: Tensor
-    bce_concept: Tensor
-    l2_alpha: Tensor
-    total: Tensor
-
-    def floats(self) -> dict:
-        return {
-            "bce_img": self.bce_img.item(),
-            "bce_concept": self.bce_concept.item(),
-            "l2_alpha": self.l2_alpha.item(),
-            "total": self.total.item(),
-        }
 
 
 def bce_loss(y: int, p: Tensor) -> Tensor:
@@ -125,7 +93,8 @@ def bce_loss(y: int, p: Tensor) -> Tensor:
 
 
 def total_loss(y: int, img_prob: Tensor, concept_prob: Tensor, alpha: Tensor,
-               lam: float, mode: str) -> LossBreakdown:
+               lam: float, mode: str) -> dict[str, Tensor]:
+    """The loss terms the epoch log sums: bce_img, bce_concept, l2_alpha and the total."""
     bi = bce_loss(y, img_prob)
     bc = bce_loss(y, concept_prob)
     l2 = ad.sq_l2(alpha)
@@ -135,7 +104,7 @@ def total_loss(y: int, img_prob: Tensor, concept_prob: Tensor, alpha: Tensor,
         total = bc
     else:
         total = bi + bc + lam * l2
-    return LossBreakdown(bi, bc, l2, total)
+    return {"bce_img": bi, "bce_concept": bc, "l2_alpha": l2, "total": total}
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -212,7 +181,7 @@ class CmilModel:
     concept: ConceptBranchParams
     concepts: ConceptSet
     topk: TopKConfig
-    mode: str = "dual"  # TrainConfig.mode: picks the selection and the deciding head
+    mode: str  # TrainConfig.mode: picks the selection and the deciding head
 
     def parameters(self) -> dict[str, Tensor]:
         out = self.image.tensors()
@@ -320,19 +289,19 @@ def train(
             fwd = joint_forward(model, bag.embeddings, f_train[i], rng=rng_noise)
             lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
                             cfg.lam, mode=cfg.mode)
-            if not np.isfinite(lb.total.data):
+            if not np.isfinite(lb["total"].data):
                 raise TrainingDivergedError(
                     f"total loss became non-finite on bag {bag.slide_id}",
                     epoch=epoch, step=step_no,
                 )
             opt.zero_grad()
-            lb.total.backward()
+            lb["total"].backward()
             try:
                 opt.step()
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(str(exc), epoch=epoch, step=step_no) from exc
-            for k, v in lb.floats().items():
-                sums[k] += v
+            for k in sums:
+                sums[k] += lb[k].item()
 
         record = {"epoch": epoch}
         record.update({k: v / len(train_bags) for k, v in sums.items()})
@@ -406,7 +375,7 @@ def save_checkpoint(path: Path, model: CmilModel, cfg: TrainConfig, epoch: int,
                      "prompt_template": model.concepts.prompt_template},
         "data_hash": data_hash,
         "epoch": epoch,
-        "train_config": cfg.to_dict(),
+        "train_config": asdict(cfg),
     })
 
 
@@ -427,7 +396,7 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
         if not isinstance(tc, dict):
             raise FormatError(f"{path}: malformed 'train_config'")
         try:
-            cfg = TrainConfig.from_dict(tc)
+            cfg = config_from_dict(TrainConfig, tc)
         except ConfigError as exc:
             # an invalid embedded config means the file is damaged, not the caller's flags
             raise FormatError(f"{path}: invalid embedded train config: {exc}") from exc

@@ -96,7 +96,7 @@ def test_criterion_2_additive_decomposition_identity(capsys):
                           topk=TopKConfig(K=k))
         model = init_model(cfg, concepts, d)
         bag = Bag(f"t{trial}", int(rng.integers(0, 2)), rng.normal(size=(n, d)),
-                  [(i, 0) for i in range(n)])
+                  [(i, 0) for i in range(n)], None)
         pred = predict(bag, model)
         gap = abs(_sigmoid(float(pred.kappa.sum()) + pred.bias) - pred.prob_concept)
         worst = max(worst, gap)
@@ -214,7 +214,7 @@ def _smoothed_loss_crn_error():
 
     def loss_value():
         fwd = joint_forward(model, emb, f_values, rng=PinnedNoise(noise))
-        return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, "dual").total
+        return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, "dual")["total"]
 
     params = model.parameters()
     zero_grads(params.values())
@@ -266,7 +266,7 @@ def test_criterion_3_gradient_suite(capsys):
 
         def loss_value():
             fwd = frozen_forward(model, emb, f_values, fixed)
-            return total_loss(y, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, "dual").total
+            return total_loss(y, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, "dual")["total"]
 
         params = model.parameters()
         zero_grads(params.values())

@@ -57,28 +57,28 @@ class TestBagModel:
     def test_patch_count_must_match_rows(self):
         emb = np.zeros((3, 4))
         with pytest.raises(DataValidationError, match="patch records"):
-            Bag("s", 0, emb, [(0, 0)])
+            Bag("s", 0, emb, [(0, 0)], None)
 
     def test_duplicate_grid_coords_rejected(self):
         emb = np.zeros((2, 4))
         with pytest.raises(DataValidationError, match="duplicate"):
-            Bag("s", 0, emb, [(1, 1), (1, 1)])
+            Bag("s", 0, emb, [(1, 1), (1, 1)], None)
 
     def test_duplicates_found_wherever_they_sit(self):
         emb = np.zeros((4, 4))
         with pytest.raises(DataValidationError, match="duplicate"):
-            Bag("s", 0, emb, [(1, 1), (0, 2), (2, 0), (1, 1)])
-        Bag("s", 0, emb, [(1, 1), (1, 0), (0, 1), (0, 0)])  # shared rows or cols are fine
+            Bag("s", 0, emb, [(1, 1), (0, 2), (2, 0), (1, 1)], None)
+        Bag("s", 0, emb, [(1, 1), (1, 0), (0, 1), (0, 0)], None)  # shared rows or cols are fine
 
     def test_negative_grid_coords_rejected(self):
         with pytest.raises(DataValidationError, match="negative"):
-            Bag("s", 0, np.zeros((2, 4)), [(0, 0), (3, -1)])
+            Bag("s", 0, np.zeros((2, 4)), [(0, 0), (3, -1)], None)
 
     def test_non_finite_rejected(self):
         emb = np.zeros((2, 4))
         emb[1, 2] = np.nan
         with pytest.raises(DataValidationError, match="finite"):
-            Bag("s", 0, emb, [(0, 0), (0, 1)])
+            Bag("s", 0, emb, [(0, 0), (0, 1)], None)
 
     def test_tumor_flags_all_or_nothing_detection(self):
         bag = make_bag(flags=True)
@@ -88,9 +88,9 @@ class TestBagModel:
     def test_float32_kept_other_dtypes_become_float64(self):
         grid = [(0, 0), (0, 1)]
         for dtype in (np.float32, np.float64):
-            assert Bag("s", 0, np.ones((2, 3), dtype), grid).embeddings.dtype == dtype
+            assert Bag("s", 0, np.ones((2, 3), dtype), grid, None).embeddings.dtype == dtype
         for emb in (np.ones((2, 3), np.float16), np.ones((2, 3), np.int32), [[1, 2], [3, 4]]):
-            assert Bag("s", 0, emb, grid).embeddings.dtype == np.float64
+            assert Bag("s", 0, emb, grid, None).embeddings.dtype == np.float64
 
 
 class TestBagRoundTrip:

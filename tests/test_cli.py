@@ -104,6 +104,35 @@ def test_config_file_not_object_exits_2(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == EXIT_CONFIG
 
 
+def test_settings_merge_file_then_set_then_flags(tmp_path):
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"num_bags": 30, "N_range": [12, 20], "D": 16, "C": 6,
+                                 "tumor_concept_count": 2, "noise_std": 0.3, "seed": 1}))
+    data = tmp_path / "ds"
+    assert main(["gen-data", "--out", str(data), "--config", str(synth),
+                 "--set", "noise_std=0.0", "--set", "seed=50", "--seed", "100"]) == EXIT_OK
+    resolved = json.loads((data / "run.json").read_text())["config"]
+    assert resolved["N_range"] == [12, 20] and resolved["num_bags"] == 30  # the file's
+    assert resolved["noise_std"] == 0.0  # --set beats the file
+    assert resolved["seed"] == 100  # the flag beats --set and the file
+
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({"epochs": 9, "seed": 1, "d_h": 24, "d_a": 12, "lam": 0.5,
+                                     "mode": "concept-only",
+                                     "topk": {"K": 4, "num_noise_samples": 8}}))
+    ckpt = tmp_path / "m.cmck"
+    assert main(["train", "--data", str(data), "--out", str(ckpt), "--config", str(train_cfg),
+                 "--set", "topk.noise_sigma=0.1", "--set", "lam=0.02", "--set", "epochs=4",
+                 "--set", "mode=image-only", "--seed", "7", "--epochs", "1",
+                 "--mode", "dual"]) == EXIT_OK
+    embedded = load_checkpoint(ckpt)[2]["train_config"]
+    assert embedded["topk"] == {"K": 4, "num_noise_samples": 8, "noise_sigma": 0.1}
+    assert embedded["d_h"] == 24 and embedded["lam"] == 0.02
+    assert (embedded["seed"], embedded["epochs"], embedded["mode"]) == (7, 1, "dual")
+    header = json.loads(ckpt.with_suffix(".log.jsonl").read_text().splitlines()[0])
+    assert header["config"] == embedded
+
+
 def test_run_json_embeds_config_and_dataset_hash(data_dir):
     doc = json.loads((data_dir / "run.json").read_text())
     assert doc["config"]["num_bags"] == 30
@@ -416,7 +445,7 @@ def test_eval_without_flags_reports_null_localization(ckpt, data_dir, tmp_path):
     shutil.copytree(data_dir, stripped)
     for path in stripped.glob("bag_*.cmil"):
         bag = read_bag(path)
-        write_bag(Bag(bag.slide_id, bag.label, bag.embeddings, bag.grid), path)
+        write_bag(Bag(bag.slide_id, bag.label, bag.embeddings, bag.grid, None), path)
     _rehash(stripped)
     out = tmp_path / "eval.json"
     with pytest.warns(UserWarning, match="localization skipped"):

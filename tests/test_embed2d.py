@@ -360,17 +360,17 @@ class TestTsne:
             forced = LoggedRun(points, seed=seed).map
             assert tsne_2d(points, seed=seed).tobytes() == forced.tobytes(), seed
         x = np.random.default_rng(300).standard_normal((300, 12))
-        assert tsne_2d(x).tobytes() == LoggedRun(x).map.tobytes()
+        assert tsne_2d(x, seed=0).tobytes() == LoggedRun(x).map.tobytes()
 
     def test_identical_points_rejected(self):
         with pytest.raises(DataValidationError, match="identical"):
-            tsne_2d(np.zeros((8, 3)))
+            tsne_2d(np.zeros((8, 3)), seed=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_few_points_rejected(self, n):
         # the perplexity, min(30, (n - 1) // 3), would be 0
         with pytest.raises(DataValidationError, match=f"^tsne needs at least 4 points, got {n}$"):
-            tsne_2d(np.eye(n, 3))
+            tsne_2d(np.eye(n, 3), seed=0)
 
     def test_default_perplexity_respects_small_n(self):
         rng = np.random.default_rng(1)
@@ -397,7 +397,7 @@ def _objective_case(n, kind):
     elif kind == "spread":
         y = np.random.default_rng(2).normal(scale=5.0, size=(n, 2))
     else:
-        y = tsne_2d(x)
+        y = tsne_2d(x, seed=0)
     return p, y
 
 
@@ -533,7 +533,7 @@ class TestTsneMatchesReference:
         x = np.random.default_rng(0).standard_normal((2000, 12))
         tracemalloc.start()
         try:
-            tsne_2d(x)
+            tsne_2d(x, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

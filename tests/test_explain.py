@@ -141,7 +141,7 @@ class TestGlobalExplanation:
         rng = np.random.default_rng(3)
         emb_t, emb_n = rng.normal(size=(8, 16)), rng.normal(size=(8, 16))
         grid = [(i, 0) for i in range(8)]
-        mk = lambda sid, label, emb: Bag(sid, label, emb.copy(), grid)
+        mk = lambda sid, label, emb: Bag(sid, label, emb.copy(), grid, None)
         four = [mk("t1", 1, emb_t), mk("t2", 1, emb_t),
                 mk("n1", 0, emb_n), mk("n2", 0, emb_n)]
         g = global_pca(four, model, group_by="truth").report
@@ -267,7 +267,7 @@ class TestEvaluation:
     def test_localization_null_without_flags(self, fitted):
         bags, _, model = fitted
         stripped = [
-            Bag(b.slide_id, b.label, b.embeddings, b.grid)
+            Bag(b.slide_id, b.label, b.embeddings, b.grid, None)
             for b in bags
         ]
         with pytest.warns(UserWarning, match="localization"):

@@ -173,7 +173,7 @@ class TestLocalization:
         assert disease_localization(idx, bag) == disease_localization(list(reversed(idx)), bag)
 
     def test_missing_flags_rejected(self):
-        bag = Bag("s", 0, np.ones((2, 3)), [(0, 0), (0, 1)])
+        bag = Bag("s", 0, np.ones((2, 3)), [(0, 0), (0, 1)], None)
         with pytest.raises(DataValidationError, match="flags"):
             disease_localization([0], bag)
 
@@ -317,11 +317,18 @@ class TestSilhouette:
 
 
 class TestEvalResult:
+    # the per-concept, silhouette and count fields of an evaluation that computed none
+    NONE_COMPUTED = dict(auc_per_concept={}, jsd_per_concept={}, jsd_mean=None, silhouette_wsi=None,
+                         silhouette_patch=None, silhouette_wsi_2d=None, silhouette_patch_2d=None,
+                         counts={})
+
     def test_range_guards(self):
         with pytest.raises(DataValidationError):
-            EvalResult(accuracy=1.2, auc=0.5, localization_mean=None, localization_slides=0)
+            EvalResult(accuracy=1.2, auc=0.5, localization_mean=None, localization_slides=0,
+                       **self.NONE_COMPUTED)
 
     def test_to_dict_structure(self):
-        r = EvalResult(accuracy=0.9, auc=0.95, localization_mean=0.8, localization_slides=10)
+        r = EvalResult(accuracy=0.9, auc=0.95, localization_mean=0.8, localization_slides=10,
+                       **self.NONE_COMPUTED)
         d = r.to_dict()
         assert d["accuracy"] == 0.9 and "silhouette" in d and d["localization_slides"] == 10

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmil.bagio import read_bag, read_concepts, read_split
-from cmil.errors import ConfigError
+from cmil.errors import ConfigError, config_from_dict
 from cmil.synthgen import (SynthConfig, _background_draws, _grid_shape, _tumor_block, gen_bag,
                            gen_concepts, gen_dataset)
 
@@ -32,10 +32,10 @@ class TestConfig:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown"):
-            SynthConfig.from_dict({"seeed": 3})
+            config_from_dict(SynthConfig, {"seeed": 3})
 
     def test_from_dict_round_trip(self):
-        cfg = SynthConfig.from_dict({"seed": 5, "N_range": [10, 20], "D": 16, "C": 6})
+        cfg = config_from_dict(SynthConfig, {"seed": 5, "N_range": [10, 20], "D": 16, "C": 6})
         assert cfg.N_range == (10, 20) and cfg.seed == 5
 
 

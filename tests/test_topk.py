@@ -250,7 +250,7 @@ class TestGatherConcepts:
 
 class TestSelect:
     def test_infer_mode_has_no_soft(self):
-        sel = select(Tensor(np.array([0.3, 0.1, 0.6])), TopKConfig(K=2))
+        sel = select(Tensor(np.array([0.3, 0.1, 0.6])), TopKConfig(K=2), None)
         assert sel.soft_indicator is None
         assert list(sel.hard_indices) == [0, 2]
 

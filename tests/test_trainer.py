@@ -10,7 +10,8 @@ import pytest
 from cmil import autodiff as ad
 from cmil.autodiff import Tensor
 from cmil.bagio import Bag, ConceptSet, read_bag
-from cmil.errors import ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError
+from cmil.errors import (ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError,
+                         config_from_dict)
 from cmil.metrics import auc
 from cmil.projection import project
 from cmil.synthgen import SynthConfig, gen_dataset
@@ -64,23 +65,37 @@ class TestConfig:
     def test_batch_size_fixed(self):
         for batch_size in (2, 4):
             with pytest.raises(ConfigError, match="batch_size"):
-                TrainConfig.from_dict({"batch_size": batch_size})
+                config_from_dict(TrainConfig, {"batch_size": batch_size})
 
     def test_from_dict_rejects_the_keys_older_files_carried(self):
         with pytest.raises(ConfigError, match="batch_size"):
-            TrainConfig.from_dict({"epochs": 2, "batch_size": 1})
+            config_from_dict(TrainConfig, {"epochs": 2, "batch_size": 1})
         with pytest.raises(ConfigError, match="seed"):
-            TrainConfig.from_dict({"epochs": 2, "topk": {"K": 3, "seed": 7}})
+            config_from_dict(TrainConfig, {"epochs": 2, "topk": {"K": 3, "seed": 7}})
 
     def test_from_dict_nested_topk(self):
         doc = {"epochs": 2, "topk": {"K": 3, "num_noise_samples": 8}}
-        cfg = TrainConfig.from_dict(doc)
+        cfg = config_from_dict(TrainConfig, doc)
         assert cfg.topk.K == 3 and cfg.topk.noise_sigma == 0.05
         assert doc["topk"] == {"K": 3, "num_noise_samples": 8}
 
+    def test_config_from_dict_round_trips_every_field(self):
+        synth = SynthConfig(seed=3, num_bags=50, N_range=(10, 30), D=32, C=8, tumor_concept_count=3,
+                            tumor_fraction_range=(0.1, 0.5), signal_strength=2.5, noise_std=0.1,
+                            positive_rate=0.4)
+        trained = TrainConfig(learning_rate=2e-3, weight_decay=0.0, epochs=7, lam=0.1, seed=4,
+                              d_h=32, d_a=16, gamma=0.5, temperature=2.0, beta1=0.8, beta2=0.99,
+                              eps=1e-6, mode="image-only",
+                              topk=TopKConfig(K=5, num_noise_samples=10, noise_sigma=0.2))
+        for cfg in (synth, trained, trained.topk):
+            assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(cfg))
+        for cfg in (synth, trained):
+            doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+            assert config_from_dict(type(cfg), doc) == cfg
+
     def test_from_dict_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
-            TrainConfig.from_dict({"learningrate": 0.1})
+            config_from_dict(TrainConfig, {"learningrate": 0.1})
 
 
 class TestBceLoss:
@@ -107,13 +122,14 @@ class TestTotalLoss:
     def test_lambda_zero_drops_regularizer(self):
         a = Tensor(np.full(4, 0.25))
         lb = total_loss(1, Tensor(np.float64(0.7)), Tensor(np.float64(0.6)), a, 0.0, "dual")
-        assert lb.total.item() == pytest.approx(lb.bce_img.item() + lb.bce_concept.item(), abs=1e-15)
+        assert lb["total"].item() == pytest.approx(lb["bce_img"].item() + lb["bce_concept"].item(),
+                                                   abs=1e-15)
 
     def test_uniform_alpha_l2_is_one_over_n(self):
         for n in (2, 5, 17):
             a = Tensor(np.full(n, 1.0 / n))
             lb = total_loss(0, Tensor(np.float64(0.4)), Tensor(np.float64(0.5)), a, 0.05, "dual")
-            assert lb.l2_alpha.item() == pytest.approx(1.0 / n, abs=1e-12)
+            assert lb["l2_alpha"].item() == pytest.approx(1.0 / n, abs=1e-12)
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(0)
@@ -123,8 +139,8 @@ class TestTotalLoss:
             lam = float(rng.uniform(0, 0.2))
             y = int(rng.integers(0, 2))
             lb = total_loss(y, Tensor(np.float64(pi)), Tensor(np.float64(pc)), a, lam, "dual")
-            recomputed = lb.bce_img.item() + lb.bce_concept.item() + lam * lb.l2_alpha.item()
-            assert abs(lb.total.item() - recomputed) < 1e-12
+            recomputed = lb["bce_img"].item() + lb["bce_concept"].item() + lam * lb["l2_alpha"].item()
+            assert abs(lb["total"].item() - recomputed) < 1e-12
 
 
 class PerParameterAdamW:
@@ -264,10 +280,10 @@ def train_hand_listed(split, concepts, cfg):
             lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
                             cfg.lam, mode=cfg.mode)
             opt.zero_grad()
-            lb.total.backward()
+            lb["total"].backward()
             opt.step()
-            for k, v in lb.floats().items():
-                sums[k] += v
+            for k in sums:
+                sums[k] += lb[k].item()
         record = {"epoch": epoch}
         record.update({k: v / len(train_bags) for k, v in sums.items()})
         record["val_auc"] = _validation_auc(model, val_bags)
@@ -331,7 +347,7 @@ class TestTraining:
         from cmil.bagio import DatasetSplit
 
         with pytest.raises(DataValidationError, match="empty"):
-            train(DatasetSplit(), concepts, TINY_TRAIN)
+            train(DatasetSplit([], [], []), concepts, TINY_TRAIN)
 
 
 class TestEndToEndGradients:
@@ -359,7 +375,7 @@ class TestEndToEndGradients:
 
         params = model.parameters()
         zero_grads(params.values())
-        loss_value().total.backward()
+        loss_value()["total"].backward()
         analytic = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                     for k, t in params.items()}
 
@@ -370,9 +386,9 @@ class TestEndToEndGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                hi = loss_value().total.item()
+                hi = loss_value()["total"].item()
                 flat[i] = orig - eps
-                lo = loss_value().total.item()
+                lo = loss_value()["total"].item()
                 flat[i] = orig
                 nflat[i] = (hi - lo) / (2 * eps)
             if np.linalg.norm(analytic[name]) == 0 and np.linalg.norm(numeric) < 1e-10:
@@ -395,7 +411,7 @@ class TestEndToEndGradients:
 
         params = model.parameters()
         zero_grads(params.values())
-        loss_value().total.backward()
+        loss_value()["total"].backward()
 
         name, t = "image.attn_w", params["image.attn_w"]
         analytic = t.grad.copy()
@@ -405,9 +421,9 @@ class TestEndToEndGradients:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            hi = loss_value().total.item()
+            hi = loss_value()["total"].item()
             flat[i] = orig - h
-            lo = loss_value().total.item()
+            lo = loss_value()["total"].item()
             flat[i] = orig
             nflat[i] = (hi - lo) / (2 * h)
         rel = np.linalg.norm(analytic - numeric) / (
@@ -445,7 +461,7 @@ class TestConstantLeaves:
         fwd = joint_forward(model, bag.embeddings, project(bag.embeddings, concepts),
                             rng=np.random.default_rng(0))
         loss = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
-                          TINY_TRAIN.lam, mode=mode).total
+                          TINY_TRAIN.lam, mode=mode)["total"]
         loss.backward()
         monkeypatch.undo()
         return {k: t.grad for k, t in model.parameters().items()}, leaves[0], loss, fwd.f_topk
@@ -555,7 +571,7 @@ class TestPredict:
                 assert rng.bit_generator.state == state
             else:
                 assert fwd.sel.soft_indicator is not None, mode
-            assert select(fwd.img.alpha, m.topk).soft_indicator is None
+            assert select(fwd.img.alpha, m.topk, None).soft_indicator is None
 
     def test_bag_with_n_equal_k_selects_everything(self, trained):
         _, concepts, model = trained
@@ -563,7 +579,7 @@ class TestPredict:
         from cmil.bagio import Bag
 
         k = model.topk.K
-        bag = Bag("tiny", 0, rng.normal(size=(k, 16)), [(i, 0) for i in range(k)])
+        bag = Bag("tiny", 0, rng.normal(size=(k, 16)), [(i, 0) for i in range(k)], None)
         out = predict(bag, model)
         assert list(out.hard_indices) == list(range(k))
 
@@ -578,7 +594,7 @@ class TestPredict:
         _, _, model = trained
         from cmil.bagio import Bag
 
-        bag = Bag("bad", 0, np.zeros((6, 9)) + 1.0, [(i, 0) for i in range(6)])
+        bag = Bag("bad", 0, np.zeros((6, 9)) + 1.0, [(i, 0) for i in range(6)], None)
         with pytest.raises(ShapeError, match="D=9"):
             predict(bag, model)
 
@@ -640,7 +656,7 @@ class TestPredict:
 def _wide_bag(n: int) -> Bag:
     """A bag of n float32 patch embeddings at D = 64, as a read bag holds them."""
     emb = np.random.default_rng(n).normal(size=(n, 64)).astype(np.float32)
-    return Bag(f"wide{n}", 1, emb, [(i, 0) for i in range(n)])
+    return Bag(f"wide{n}", 1, emb, [(i, 0) for i in range(n)], None)
 
 
 def _traced_peak(fn) -> int:
@@ -673,7 +689,7 @@ class TestTapeMemory:
             fwd = joint_forward(model, bag.embeddings, f_values, rng=np.random.default_rng(0))
             lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, cfg.mode)
             opt.zero_grad()
-            lb.total.backward()
+            lb["total"].backward()
             opt.step()
 
         peak = _traced_peak(step)
