@@ -45,8 +45,11 @@ def _parse_set(pairs) -> dict:
             value = raw
         cursor = out
         parts = key.split(".")
-        for p in parts[:-1]:
+        for depth, p in enumerate(parts[:-1], 1):
             cursor = cursor.setdefault(p, {})
+            if not isinstance(cursor, dict):
+                raise ConfigError(f"--set {key}: {'.'.join(parts[:depth])} was already set "
+                                  "to a value that is not an object")
         cursor[parts[-1]] = value
     return out
 
@@ -63,10 +66,9 @@ def _deep_update(base: dict, extra: dict) -> dict:
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

@@ -98,6 +98,14 @@ def test_config_file_not_json_exits_2(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == EXIT_CONFIG
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert main(["gen-data", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {cfg} is not valid JSON") and err.count("\n") == 1
+
+
 def test_config_file_not_object_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
@@ -220,14 +228,16 @@ def test_train_unknown_mode_exits_2(data_dir, tmp_path):
     assert rc == EXIT_CONFIG
 
 
-# a setting of the wrong type, a negative seed or a cap below 3 (4 for t-SNE) is a
-# configuration error
+# a setting of the wrong type, a dotted --set into a value that is not an object, a
+# negative seed or a cap below 3 (4 for t-SNE) is a configuration error
 BAD_SETTINGS = [
     ["train", "--set", "epochs=1.5"],
     ["train", "--set", "topk.K=2.5"],
     ["train", "--set", "d_h=2.5"],
     ["train", "--set", "seed=1.5"],
     ["train", "--set", "topk=5"],
+    ["train", "--set", "topk=5", "--set", "topk.K=3"],
+    ["gen-data", "--set", "topk=5", "--set", "topk.K=3"],
     ["train", "--seed", "-1"],
     ["gen-data", "--set", "num_bags=20.5"],
     ["gen-data", "--set", "D=64.0"],

@@ -1,6 +1,8 @@
+import ctypes
 import dataclasses
 import json
 import math
+import platform
 import struct
 import tracemalloc
 
@@ -9,7 +11,7 @@ import pytest
 
 from cmil import autodiff as ad
 from cmil.autodiff import Tensor
-from cmil.bagio import Bag, ConceptSet, read_bag
+from cmil.bagio import Bag, ConceptSet, read_bag, read_concepts
 from cmil.errors import (ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError,
                          config_from_dict)
 from cmil.metrics import auc
@@ -706,6 +708,58 @@ class TestTapeMemory:
         peak = _traced_peak(lambda: predict(bag, model))
         ratio = peak / bag.embeddings.nbytes
         assert ratio < 40, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
+
+
+@pytest.fixture(scope="module")
+def default_scale(tmp_path_factory):
+    """A 40-bag default-scale dataset (32 train bags, N 64-256, D = 64, C = 12), preloaded."""
+    out = tmp_path_factory.mktemp("default40")
+    split = gen_dataset(SynthConfig(num_bags=40), out)
+    bags = {"train": [read_bag(p) for p in split.train], "val": [read_bag(p) for p in split.val]}
+    return split, read_concepts(out / "concepts.ccpt"), bags
+
+
+class TestTrainingHeap:
+    """train keeps the heap each step frees for the next step, and frees each
+    step's tape before the next forward."""
+
+    @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                        reason="only glibc's mallopt keeps the freed heap; elsewhere train changes "
+                               "nothing and each step may fault its pages in again")
+    def test_steps_take_almost_no_page_faults(self, default_scale):
+        # with glibc trimming the freed tape off the heap top, each step took about 230
+        import resource
+
+        split, concepts, bags = default_scale
+        train(split, concepts, TrainConfig(epochs=1), bags=bags)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(split, concepts, TrainConfig(epochs=2), bags=bags)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        steps = 2 * len(bags["train"])
+        assert faults <= 10 * steps, f"{faults / steps:.1f} minor page faults per step"
+
+    def test_without_mallopt_training_keeps_its_bits(self, tiny_dataset, monkeypatch):
+        split, concepts = tiny_dataset
+        cfg = dataclasses.replace(TINY_TRAIN, epochs=2)
+        model, log = train(split, concepts, cfg)
+        lookups = []
+
+        def no_libc(name, *args, **kwargs):
+            lookups.append(name)
+            raise OSError("no libc here")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        fallback, fallback_log = train(split, concepts, cfg)
+        assert lookups == [None]
+        assert json.dumps(fallback_log) == json.dumps(log)
+        for name, t in model.parameters().items():
+            assert fallback.parameters()[name].data.tobytes() == t.data.tobytes(), name
+
+    def test_one_tape_alive_at_a_time(self, default_scale):
+        # holding the last step's tape through the next forward peaked at 12.3 MiB
+        split, concepts, bags = default_scale
+        peak = _traced_peak(lambda: train(split, concepts, TrainConfig(epochs=1), bags=bags))
+        assert peak < 11 * 2**20, f"one epoch peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestCheckpoint:
