@@ -5,6 +5,10 @@ The graph is a dynamic tape: every operation returns its result through
 per input, mapping the upstream gradient to that input's gradient. A node
 whose inputs are all constant is constant itself and records neither, so
 a forward pass over constants builds no tape and its closures pin nothing.
+A node holds its output and what its vjps read, so an op whose vjps need
+only its output keeps no intermediate: ``affine_relu``, the projector,
+builds relu(x @ w + b) in one buffer and rebuilds its pre-activation
+gradient from that output.
 ``backward()`` visits the tape once in reverse topological order and is
 the only code that computes gradients: it applies the vjp of every input
 that is not constant and skips the rest, and it drops each interior
@@ -200,13 +204,6 @@ def neg(a: Tensor) -> Tensor:
     return node(-a.data, (a, lambda g: -g))
 
 
-def relu(a: Tensor) -> Tensor:
-    # fmax maps NaN to 0 and may keep -0.0, which `+= 0.0` turns into +0.0
-    y = np.fmax(a.data, 0.0)
-    y += 0.0
-    return node(y, (a, lambda g: g * (y > 0.0)))  # subgradient at 0 is 0
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return node(y, (a, lambda g: g * (1.0 - y * y)))
@@ -220,8 +217,16 @@ def sigmoid(a: Tensor) -> Tensor:
 def sigmoid_value(x: Array | float) -> Array:
     """Numerically stable logistic function on plain arrays."""
     x = np.asarray(x, dtype=np.float64)
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so neither exp overflows
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so neither exp overflows;
+    # built in place in two buffers, and a 0-d input gives a float64 scalar
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(num, out=num)
+    num /= den
+    return num[()]
 
 
 def log(a: Tensor) -> Tensor:
@@ -269,11 +274,30 @@ def transpose(a: Tensor) -> Tensor:
     return node(a.data.T, (a, lambda g: g.T))
 
 
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-c vector to every row of an r-by-c matrix."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {m.shape} and {v.shape}")
-    return node(m.data + v.data[None, :], (m, lambda g: g), (v, lambda g: g.sum(axis=0)))
+def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(x @ w + b) for an r-by-k x, a k-by-c w and a length-c b.
+
+    Its output, built in one buffer, is the only array it adds to the tape:
+    the vjps rebuild the pre-activation gradient from it.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"affine_relu: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    y = x.data @ w.data
+    y += b.data[None, :]
+    # fmax maps NaN to 0 and may keep -0.0, which `+= 0.0` turns into +0.0
+    np.fmax(y, 0.0, out=y)
+    y += 0.0
+
+    def pre(g):
+        # the subgradient at 0 is 0; a -0.0 kept from g needs no `+ 0.0` here,
+        # since `_accumulate` stores the first gradient a tensor gets as g + 0.0
+        return g * (y > 0.0)
+
+    return node(y,
+                (x, lambda g: pre(g) @ w.data.T),
+                (w, lambda g: x.data.T @ pre(g)),
+                (b, lambda g: pre(g).sum(axis=0)))
 
 
 def scale_rows(m: Tensor, v: Tensor) -> Tensor:

@@ -56,7 +56,7 @@ def init_image_params(rng: np.random.Generator, D: int, d_h: int, d_a: int) -> I
 def project_features(I: Tensor, params: ImageBranchParams) -> Tensor:
     if I.shape[1] != params.proj_w.shape[0]:
         raise ShapeError(f"embeddings have D={I.shape[1]}, projector expects D={params.proj_w.shape[0]}")
-    return ad.relu(ad.add_rowvec(I @ params.proj_w, params.proj_b))
+    return ad.affine_relu(I, params.proj_w, params.proj_b)
 
 
 def gated_attention(x: Tensor, attn_v: Tensor, attn_u: Tensor, attn_w: Tensor) -> Tensor:

@@ -4,6 +4,9 @@ The loss is BCE on each branch's slide probability plus an L2 penalty on the
 post-softmax patch attention. Training runs at batch size 1 (bags differ in
 size); the perturbed top-K noise is resampled every step from a dedicated
 stream, and the final-epoch model is the result — no early stopping.
+`AdamW` keeps the parameters, gradients and both moments in four flat vectors
+and steps them through two fixed scratch blocks, so its scratch does not grow
+with the model.
 
 A checkpoint is a format-version-2 blob pair (see `bagio`) under magic "CMCK":
 the header's rows and columns are C and D, and its sections are the C x D f64
@@ -125,10 +128,13 @@ class AdamW:
     order and rebound to a view of it, and each ``p.grad`` is bound to a view
     of the same slice of the zeroed gradient vector, which ``backward``
     accumulates into. A step checks all gradients before anything moves,
-    then updates the moments and the vector with in-place ufuncs in the
-    operation order of the per-parameter formula, so grouping the parameters
-    changes no bit.
+    then updates the moments and the vector block by block with in-place
+    ufuncs in the operation order of the per-parameter formula, through two
+    scratch blocks of at most ``_BLOCK`` values, so grouping the parameters
+    changes no bit and the scratch does not grow with the model.
     """
+
+    _BLOCK = 32_768  # three blocks hold the default model's 87,822 values
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float,
                  beta1: float, beta2: float, eps: float):
@@ -141,8 +147,8 @@ class AdamW:
         self._g = np.zeros(size)
         self._m = np.zeros(size)
         self._v = np.zeros(size)
-        self._s = np.empty(size)
-        self._r = np.empty(size)
+        self._s = np.empty(min(size, self._BLOCK))
+        self._r = np.empty_like(self._s)
         offset = 0
         for p in self.params.values():
             end = offset + p.data.size
@@ -155,28 +161,31 @@ class AdamW:
         self._g.fill(0.0)
 
     def step(self):
-        g = self._g
-        if not np.isfinite(g).all():
+        if not np.isfinite(self._g).all():
             bad = next(name for name, p in self.params.items() if not np.isfinite(p.grad).all())
             raise TrainingDivergedError(f"non-finite gradient in {bad}")
         self.t += 1
-        x, m, v, s, r = self._x, self._m, self._v, self._s, self._r
-        m *= self.b1  # m = b1*m + (1-b1)*g
-        np.multiply(g, 1 - self.b1, out=s)
-        m += s
-        v *= self.b2  # v = b2*v + ((1-b2)*g)*g
-        np.multiply(g, 1 - self.b2, out=s)
-        s *= g
-        v += s
-        np.divide(m, 1 - self.b1**self.t, out=s)  # x -= lr*(m_hat/(sqrt(v_hat)+eps) + wd*x)
-        np.divide(v, 1 - self.b2**self.t, out=r)
-        np.sqrt(r, out=r)
-        r += self.eps
-        s /= r
-        np.multiply(x, self.wd, out=r)
-        s += r
-        s *= self.lr
-        x -= s
+        c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
+        for lo in range(0, self._x.size, self._BLOCK):
+            block = slice(lo, lo + self._BLOCK)
+            x, g, m, v = self._x[block], self._g[block], self._m[block], self._v[block]
+            s, r = self._s[:x.size], self._r[:x.size]
+            m *= self.b1  # m = b1*m + (1-b1)*g
+            np.multiply(g, 1 - self.b1, out=s)
+            m += s
+            v *= self.b2  # v = b2*v + ((1-b2)*g)*g
+            np.multiply(g, 1 - self.b2, out=s)
+            s *= g
+            v += s
+            np.divide(m, c1, out=s)  # x -= lr*(m_hat/(sqrt(v_hat)+eps) + wd*x)
+            np.divide(v, c2, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            np.multiply(x, self.wd, out=r)
+            s += r
+            s *= self.lr
+            x -= s
 
 
 # -- model ------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def _op_cases(rng):
 
     Non-scalar outputs are contracted with a weight tensor frozen at build
     time, so repeated calls during the finite-difference sweep see the same
-    function.  Inputs stay clear of kinks (relu/clamp) and order ties
+    function.  Inputs stay clear of kinks (affine_relu/clamp) and order ties
     (percentile) by construction.
     """
 
@@ -146,9 +146,11 @@ def _op_cases(rng):
         a, b = Tensor(rng.uniform(-2, 2, (3, 4))), Tensor(rng.uniform(-2, 2, (4, 2)))
         return scalarized(lambda ts: ad.matmul(ts[0], ts[1]), [a, b])
 
-    def add_rowvec_case():
-        m, v = Tensor(rng.uniform(-2, 2, (3, 4))), Tensor(rng.uniform(-2, 2, 4))
-        return scalarized(lambda ts: ad.add_rowvec(ts[0], ts[1]), [m, v])
+    def affine_relu_case():
+        while True:  # redraw until every pre-activation clears relu's kink
+            x, w, b = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, 2)
+            if np.abs(x @ w + b).min() >= 0.05:
+                return scalarized(lambda ts: ad.affine_relu(*ts), [Tensor(x), Tensor(w), Tensor(b)])
 
     def scale_rows_case():
         m, v = Tensor(rng.uniform(-2, 2, (3, 4))), Tensor(rng.uniform(-2, 2, 3))
@@ -176,7 +178,6 @@ def _op_cases(rng):
         ("mul", pair(ad.mul)),
         ("div", pair(lambda a, b: ad.div(a, ad.add(ad.mul(b, b), Tensor(np.full(b.data.shape, 0.5)))))),
         ("neg", unary(ad.neg)),
-        ("relu", unary(ad.relu, keep_off_kinks=away_from([0.0], 0.05))),
         ("tanh", unary(ad.tanh)),
         ("sigmoid", unary(ad.sigmoid)),
         ("log", unary(ad.log, lo=0.1, hi=3.0)),
@@ -185,7 +186,7 @@ def _op_cases(rng):
                         keep_off_kinks=away_from([-1.0, 1.0], 0.05))),
         ("matmul", matmul_case),
         ("transpose", unary(ad.transpose)),
-        ("add_rowvec", add_rowvec_case),
+        ("affine_relu", affine_relu_case),
         ("scale_rows", scale_rows_case),
         ("gather", gather_case),
         ("softmax", unary(ad.softmax, shape=(5,))),

@@ -51,8 +51,8 @@ class TestElementwise:
         assert ad.sigmoid(Tensor(0.0)).item() == 0.5
 
     def test_relu(self):
-        assert ad.relu(Tensor(-3.0)).item() == 0.0
-        assert ad.relu(Tensor(3.0)).item() == 3.0
+        y = ad.affine_relu(Tensor([[-3.0], [3.0]]), Tensor([[2.0]]), Tensor([1.0]))
+        np.testing.assert_array_equal(y.data, [[0.0], [7.0]])
 
     def test_tanh_gradient(self):
         rng = np.random.default_rng(2)
@@ -82,6 +82,22 @@ def frozen_relu_value(x):
     return np.where(x > 0.0, x, 0.0)
 
 
+def relu_of(x):
+    """relu of an n-by-1 tensor through affine_relu's 1x1 identity map."""
+    return ad.affine_relu(x, ad.constant([[1.0]]), ad.constant([0.0]))
+
+
+def frozen_affine_relu(x, w, b, g):
+    """Value and (x, w, b) gradients of relu(x @ w + b) under upstream g, computed
+    as the tape of matmul, add_rowvec and relu did: each interior gradient the
+    tape stored was a copy made by adding 0.0."""
+    pre = x @ w + b[None, :]
+    y = frozen_relu_value(pre)
+    g_pre = g * (y > 0.0) + 0.0  # relu's vjp, stored for add_rowvec
+    g_mm = g_pre + 0.0  # add_rowvec's identity vjp, stored for matmul
+    return y, g_mm @ w.T, x.T @ g_mm, g_pre.sum(axis=0)
+
+
 def frozen_sigmoid_value(x):
     """The boolean-mask logistic function that the mask-free form replaced."""
     x = np.asarray(x, dtype=np.float64)
@@ -100,12 +116,13 @@ ANY_FLOAT64 = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, ma
 
 
 class TestKernelsMatchFrozenOracles:
-    """relu and sigmoid_value must equal their previous forms byte for byte."""
+    """affine_relu's relu and sigmoid_value must equal their previous forms byte for byte."""
 
     @staticmethod
     def check(x):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert ad.relu(Tensor(x)).data.tobytes() == frozen_relu_value(x).tobytes()
+            y = relu_of(Tensor(np.reshape(x, (-1, 1))))
+            assert y.data.tobytes() == frozen_relu_value(x).tobytes()
             assert ad.sigmoid_value(x).tobytes() == frozen_sigmoid_value(x).tobytes()
 
     def test_specials(self):
@@ -119,10 +136,30 @@ class TestKernelsMatchFrozenOracles:
     def test_arbitrary_arrays(self, x):
         self.check(x)
 
+    def test_sigmoid_value_of_a_scalar_is_a_float64_scalar(self):
+        for x in (0.5, np.float64(-2.0), np.array(3.0)):
+            y = ad.sigmoid_value(x)
+            assert type(y) is np.float64 and y == frozen_sigmoid_value(np.array([x]))[0]
+
     def test_relu_gradient_is_zero_off_the_positive_values(self):
-        x = Tensor(SPECIALS)
-        ad.reduce_sum(ad.relu(x)).backward()
-        np.testing.assert_array_equal(x.grad, SPECIALS > 0.0)
+        x = Tensor(SPECIALS.reshape(-1, 1))
+        ad.reduce_sum(relu_of(x)).backward()
+        np.testing.assert_array_equal(x.grad.ravel(), SPECIALS > 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_affine_relu_matches_the_three_op_tape(self, r, k, c, seed):
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.normal(size=(r, k)), rng.normal(size=(k, c)), rng.normal(size=c)
+        # zero entries and negative zeros in the upstream gradient test the stored signs
+        g = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(r, c))
+        leaves = Tensor(x), Tensor(w), Tensor(b)
+        y = ad.affine_relu(*leaves)
+        assert y._parents == leaves  # one node: no product or pre-activation is kept
+        ad.reduce_sum(ad.mul(y, ad.constant(g))).backward()
+        expected = frozen_affine_relu(x, w, b, g)
+        for got, want in zip([y.data] + [t.grad for t in leaves], expected):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSoftmax:
@@ -216,7 +253,7 @@ class TestConstants:
 
     def test_node_of_constant_inputs_keeps_no_inputs(self):
         a, b = ad.constant(np.ones((2, 3))), ad.constant(np.full((3, 2), 2.0))
-        for out in (a @ b, ad.transpose(a), ad.relu(ad.mul(a, a))):
+        for out in (a @ b, ad.transpose(a), ad.affine_relu(a, b, ad.constant(np.ones(2)))):
             assert out._const
             assert out._parents == () and out._vjps == ()
         mixed = ad.mul(a, Tensor(np.ones((2, 3))))
@@ -239,21 +276,21 @@ class TestBackwardReleasesInteriorGrads:
     """backward leaves a grad only on leaves, so each walk of a graph adds into them once."""
 
     def test_only_leaves_keep_a_grad(self):
-        x, w = Tensor([1.0, 2.0]), Tensor([[1.0, -1.0], [0.5, 2.0]])
-        loss = ad.reduce_sum(ad.relu(x * x) @ w) + 3.0
+        x, w = Tensor([[1.0, 2.0]]), Tensor([[1.0, -1.0], [0.5, 2.0]])
+        loss = ad.reduce_sum(ad.affine_relu(x * x, w, ad.constant(np.zeros(2)))) + 3.0
         loss.backward()
         nodes = _tape(loss)
         interior = [t for t in nodes if t._parents]
         leaves = [t for t in nodes if not t._parents]
-        assert len(interior) == 5 and all(t.grad is None for t in interior)
+        assert len(interior) == 4 and all(t.grad is None for t in interior)
         assert all(t._vjps for t in interior)  # the tape itself is kept
         assert {id(t) for t in leaves if t.grad is not None} == {id(x), id(w)}
-        np.testing.assert_array_equal(x.grad, [2.0 * (1.0 - 1.0), 4.0 * (0.5 + 2.0)])
+        np.testing.assert_array_equal(x.grad, [[2.0 * (1.0 - 1.0), 4.0 * (0.5 + 2.0)]])
         np.testing.assert_array_equal(w.grad, [[1.0, 1.0], [4.0, 4.0]])
 
     def test_a_second_backward_adds_the_gradient_once_more(self):
         x = Tensor([1.0, 2.0])
-        loss = ad.reduce_sum(ad.relu(x * x))
+        loss = ad.reduce_sum(x * x)
         loss.backward()
         once = x.grad.copy()
         np.testing.assert_array_equal(once, [2.0, 4.0])
@@ -282,13 +319,22 @@ class TestGatherScaleRows:
             lambda ts: ad.reduce_sum(ad.mul(ad.scale_rows(ts[0], ts[1]), Tensor(w))), [m, v]
         ) < 1e-6
 
-    def test_add_rowvec_gradient(self):
+    def test_affine_relu_gradient(self):
         rng = np.random.default_rng(7)
-        m = Tensor(rng.normal(size=(3, 5)))
-        v = Tensor(rng.normal(size=5))
-        assert grad_check_many(
-            lambda ts: ad.sq_l2(ad.add_rowvec(ts[0], ts[1])), [m, v]
-        ) < 1e-6
+        x = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(4, 5)))
+        b = Tensor(rng.normal(size=5))
+        pre = x.data @ w.data + b.data
+        assert np.abs(pre).min() > 1e-3 and (pre < 0).any()  # off the kink, on both sides
+        assert grad_check_many(lambda ts: ad.sq_l2(ad.affine_relu(*ts)), [x, w, b]) < 1e-6
+
+    def test_affine_relu_shape_mismatch(self):
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        for b in (Tensor(np.ones(3)), Tensor(np.ones((1, 4)))):
+            with pytest.raises(ShapeError):
+                ad.affine_relu(x, w, b)
+        with pytest.raises(ShapeError):
+            ad.affine_relu(x, Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
 
 
 class TestPercentileOp:

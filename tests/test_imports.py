@@ -1,7 +1,9 @@
 """Every name a cmil module or test file imports is used in that file.
 
 A standard-library stand-in for a linter's unused-import rule. `from __future__`
-imports and the package's `__init__.py` (which re-exports) are exempt.
+imports and the package's `__init__.py` (which re-exports) are exempt. The same
+AST walks check that `src/cmil` reads every forward-record field, frames binary
+data only in `bagio`, and calls every definition it makes.
 """
 
 import ast
@@ -95,3 +97,58 @@ def test_only_bagio_packs_binary_headers():
 
 def test_a_framing_import_is_reported():
     assert imported_modules("import struct as s\nfrom zlib import crc32\nfrom . import x\n") == {"struct", "zlib"}
+
+
+# Every top-level function and class of src/cmil, and every method of a
+# top-level class, is read by name somewhere in src/cmil outside its own
+# definition, so no path in src/ is reached only from tests.  Dunder methods
+# are called by Python itself.  The check is by name, as the rules above are.
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, FUNCTIONS))
+
+
+def names_read(tree: ast.Module) -> list[tuple[str, int]]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, node.lineno))
+    return out
+
+
+def uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = {name: names_read(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        for d in definitions(tree):
+            if d.name.startswith("__") and d.name.endswith("__"):
+                continue
+            outside = (line for reader, lines in reads.items() for read, line in lines
+                       if read == d.name and not (reader == name and d.lineno <= line <= d.end_lineno))
+            if next(outside, None) is None:
+                found.append(f"{name}:{d.lineno}: {d.name}")
+    return found
+
+
+def test_every_definition_in_src_has_a_caller_in_src():
+    assert {"autodiff.py", "trainer.py"} <= {p.name for p in MODULES}
+    assert not uncalled_definitions({p.name: p.read_text(encoding="utf-8") for p in MODULES})
+
+
+def test_a_definition_without_a_caller_is_reported():
+    source = ("def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1)\n\n\n"
+              "class Box:\n    def __len__(self):\n        return used()\n\n    def size(self):\n"
+              "        return self.size\n")
+    other = "from m import Box\nBox.size\n"
+    assert uncalled_definitions({"m.py": source}) == ["m.py:5: recursive", "m.py:9: Box",
+                                                      "m.py:13: size"]
+    assert uncalled_definitions({"m.py": source, "n.py": other}) == ["m.py:5: recursive"]

@@ -232,7 +232,9 @@ class TestAdamW:
 
     def test_flat_vector_matches_per_parameter_oracle(self):
         rng = np.random.default_rng(11)
-        shapes = {"scalar": (), "vector": (7,), "matrix": (5, 3), "unused": (4,)}
+        # "long" spans two whole scratch blocks and part of a third, which "unused" ends
+        shapes = {"scalar": (), "vector": (7,), "matrix": (5, 3),
+                  "long": (2 * AdamW._BLOCK + 5,), "unused": (4,)}
         init = {k: rng.normal(size=s) for k, s in shapes.items()}
         flat = {k: Tensor(v.copy()) for k, v in init.items()}
         ref = {k: Tensor(v.copy()) for k, v in init.items()}
@@ -678,8 +680,10 @@ class TestTapeMemory:
     CONCEPTS = ConceptSet([f"c{i}" for i in range(12)],
                           np.random.default_rng(0).normal(size=(12, 64)))
 
-    def test_dual_training_step_peak_stays_below_100x_the_embeddings(self):
-        # holding every interior grad to the end of backward peaked at 113x
+    def test_dual_training_step_peak_stays_below_75x_the_embeddings(self):
+        # holding every interior grad to the end of backward peaked at 113x; keeping the
+        # projector's product and pre-activation on the tape, and AdamW's two full-length
+        # scratch vectors, at 84.6x
         cfg = TrainConfig()
         model = init_model(cfg, self.CONCEPTS, 64)
         params = model.parameters()
@@ -696,18 +700,19 @@ class TestTapeMemory:
 
         peak = _traced_peak(step)
         ratio = peak / bag.embeddings.nbytes
-        assert ratio < 100, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
+        assert ratio < 75, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
         # the parameters are leaves: their grads are still the optimizer's buffer
         assert all(np.shares_memory(p.grad, opt._g) for p in params.values())
         assert np.any(opt._g)
 
-    def test_predict_peak_stays_below_40x_the_embeddings(self):
-        # predicting on the live parameters held the whole tape and peaked at 54.5x
+    def test_predict_peak_stays_below_28x_the_embeddings(self):
+        # predicting on the live parameters held the whole tape and peaked at 54.5x;
+        # sigmoid_value's four temporaries at 30.4x
         model = init_model(TrainConfig(), self.CONCEPTS, 64)
         bag = _wide_bag(10_000)
         peak = _traced_peak(lambda: predict(bag, model))
         ratio = peak / bag.embeddings.nbytes
-        assert ratio < 40, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
+        assert ratio < 28, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
 
 
 @pytest.fixture(scope="module")
@@ -756,10 +761,11 @@ class TestTrainingHeap:
             assert fallback.parameters()[name].data.tobytes() == t.data.tobytes(), name
 
     def test_one_tape_alive_at_a_time(self, default_scale):
-        # holding the last step's tape through the next forward peaked at 12.3 MiB
+        # holding the last step's tape through the next forward peaked at 12.3 MiB, and
+        # the projector's two extra tape arrays and AdamW's full-length scratch at 9.8 MiB
         split, concepts, bags = default_scale
         peak = _traced_peak(lambda: train(split, concepts, TrainConfig(epochs=1), bags=bags))
-        assert peak < 11 * 2**20, f"one epoch peaked at {peak / 2**20:.2f} MiB"
+        assert peak < 8.5 * 2**20, f"one epoch peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestCheckpoint:
