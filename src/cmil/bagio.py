@@ -6,11 +6,11 @@ little-endian header: a four-byte magic, u32 version, u64 rows, u64 columns, a
 u32 flags word and a u32 CRC-32.  Its sections follow, row-major.  A bag
 (magic ``CMIL``) holds the N x D float32 embeddings, the N x 2 int64 (row, col)
 grid, and, when flags bit 0 is set, N uint8 tumor flags (0 or 1); its sidecar
-holds ``slide_id``, ``label`` and ``crc32``.  A concept set (``CCPT``) holds
-its C x D float32 embeddings, with ``names``, ``prompt_template`` and
-``crc32`` in its sidecar.  A checkpoint (``CMCK``, written by ``trainer``)
-holds its C x D float64 concept embeddings and then every model parameter as
-one float64 vector.
+holds ``slide_id`` (one file-name component), ``label`` and ``crc32``.  A
+concept set (``CCPT``) holds its C x D float32 embeddings, with ``names``,
+``prompt_template`` and ``crc32`` in its sidecar.  A checkpoint (``CMCK``,
+written by ``trainer``) holds its C x D float64 concept embeddings and then
+each model parameter as its own float64 section, in sorted-name order.
 
 The CRC-32 (zlib) runs over the header's first 28 bytes, then the sidecar's
 other fields as sorted-key ASCII JSON, then each section, and the sidecar's
@@ -58,6 +58,8 @@ class Bag:
     its file's float32 embedding section); any other dtype becomes float64.  `grid` is
     the N x 2 int64 (row, col) of each patch, and `in_tumor` an N-long bool
     array of ground-truth tumor flags, or None when the slide is unannotated.
+    `slide_id` names the slide's artifacts, so it must be one file-name
+    component: not empty, ``.`` or ``..``, and without ``/``, ``\\`` or NUL.
     """
 
     slide_id: str
@@ -67,6 +69,9 @@ class Bag:
     in_tumor: np.ndarray | None
 
     def __post_init__(self):
+        if (not isinstance(self.slide_id, str) or self.slide_id in ("", ".", "..")
+                or any(c in self.slide_id for c in "/\\\0")):
+            raise DataValidationError(f"slide_id {self.slide_id!r} is not one file-name component")
         self.embeddings = np.asarray(self.embeddings)
         if self.embeddings.dtype not in (np.float32, np.float64):
             self.embeddings = self.embeddings.astype(np.float64)

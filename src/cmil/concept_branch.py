@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
-from .image_branch import gated_attention, named_tensors, uniform
+from .image_branch import gated_attention, named_tensors
 
 
 @dataclass
@@ -34,25 +34,6 @@ class ConceptBranchParams:
 
     def tensors(self) -> dict[str, Tensor]:
         return named_tensors(self, "concept.")
-
-
-def init_concept_params(
-    rng: np.random.Generator,
-    K: int,
-    C: int,
-    d_a: int,
-    gamma: float,
-    temperature: float,
-) -> ConceptBranchParams:
-    return ConceptBranchParams(
-        attn_v=uniform(rng, K, (K, d_a)),
-        attn_u=uniform(rng, K, (K, d_a)),
-        attn_w=uniform(rng, d_a, (d_a,)),
-        clf_w=uniform(rng, C, (C,)),
-        clf_b=uniform(rng, C, ()),
-        gamma=gamma,
-        temperature=temperature,
-    )
 
 
 @dataclass

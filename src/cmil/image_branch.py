@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
@@ -34,23 +32,6 @@ def named_tensors(params, prefix: str) -> dict[str, Tensor]:
     """The Tensor fields of a params dataclass, keyed prefix + field name, in field order."""
     return {prefix + f.name: v for f in fields(params)
             if isinstance(v := getattr(params, f.name), Tensor)}
-
-
-def uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
-
-
-def init_image_params(rng: np.random.Generator, D: int, d_h: int, d_a: int) -> ImageBranchParams:
-    return ImageBranchParams(
-        proj_w=uniform(rng, D, (D, d_h)),
-        proj_b=uniform(rng, D, (d_h,)),
-        attn_v=uniform(rng, d_h, (d_h, d_a)),
-        attn_u=uniform(rng, d_h, (d_h, d_a)),
-        attn_w=uniform(rng, d_a, (d_a,)),
-        clf_w=uniform(rng, d_h, (d_h,)),
-        clf_b=uniform(rng, d_h, ()),
-    )
 
 
 def project_features(I: Tensor, params: ImageBranchParams) -> Tensor:

@@ -10,11 +10,12 @@ with the model.
 
 A checkpoint is a format-version-2 blob pair (see `bagio`) under magic "CMCK":
 the header's rows and columns are C and D, and its sections are the C x D f64
-concept embeddings, then every model parameter as one f64 vector in
+concept embeddings, then each model parameter as its own f64 section in
 sorted-name order. The sidecar holds `concepts` (names, prompt template),
-`data_hash`, `epoch` and `train_config`. Loading sizes the parameter vector
-from the embedded config before anything is allocated, rebuilds the model with
-`init_model` and fills its parameters from slices of that vector.
+`data_hash`, `epoch` and `train_config`. `parameter_shapes` declares every
+parameter once: `init_model` draws it, `save_checkpoint` writes it and
+`load_checkpoint` sizes its section from the embedded config before anything is
+allocated, then builds the model from the sections it read, drawing nothing.
 
 A process that trains keeps its freed heap: before the first step `train` sets
 glibc's trim threshold to 1 GiB and fixes its mmap threshold at 32 MiB, so the
@@ -34,11 +35,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bagio import CKPT_MAGIC, Bag, ConceptSet, DatasetSplit, _read_blob, _write_blob, read_bag
-from .concept_branch import ConceptBranchParams, ConceptForward, concept_forward, init_concept_params
+from .concept_branch import ConceptBranchParams, ConceptForward, concept_forward
 from .errors import (ConfigError, DataValidationError, FormatError, ShapeError,
                      TrainingDivergedError, check_field_types, config_from_dict)
-from .image_branch import (ImageBranchParams, ImageForward, image_forward, init_image_params,
-                           named_tensors)
+from .image_branch import ImageBranchParams, ImageForward, image_forward, named_tensors
 from .metrics import auc
 from .projection import project
 from .topk import Selection, TopKConfig, gather_concepts, select
@@ -134,7 +134,7 @@ class AdamW:
     changes no bit and the scratch does not grow with the model.
     """
 
-    _BLOCK = 32_768  # three blocks hold the default model's 87,822 values
+    _BLOCK = 32_768  # three blocks hold the default model's 87,822 values (C = 12, D = 64)
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float,
                  beta1: float, beta2: float, eps: float):
@@ -209,12 +209,43 @@ class CmilModel:
         return self.image.proj_w.shape[0]
 
 
-def init_model(cfg: TrainConfig, concepts: ConceptSet, dim: int) -> CmilModel:
-    rng = np.random.default_rng((cfg.seed, _INIT_STREAM))
-    image = init_image_params(rng, dim, cfg.d_h, cfg.d_a)
-    concept = init_concept_params(rng, cfg.topk.K, concepts.num_concepts, cfg.d_a,
-                                  cfg.gamma, cfg.temperature)
+def parameter_shapes(cfg: TrainConfig, C: int, D: int) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """The (init fan-in, shape) of every model parameter for C concepts and D-dim
+    embeddings, keyed by full name in init draw order: each branch's fields in
+    declaration order, image first."""
+    d_h, d_a, K = cfg.d_h, cfg.d_a, cfg.topk.K
+    return {
+        "image.proj_w": (D, (D, d_h)),
+        "image.proj_b": (D, (d_h,)),
+        "image.attn_v": (d_h, (d_h, d_a)),
+        "image.attn_u": (d_h, (d_h, d_a)),
+        "image.attn_w": (d_a, (d_a,)),
+        "image.clf_w": (d_h, (d_h,)),
+        "image.clf_b": (d_h, ()),
+        "concept.attn_v": (K, (K, d_a)),
+        "concept.attn_u": (K, (K, d_a)),
+        "concept.attn_w": (d_a, (d_a,)),
+        "concept.clf_w": (C, (C,)),
+        "concept.clf_b": (C, ()),
+    }
+
+
+def _build_model(cfg: TrainConfig, concepts: ConceptSet, arrays: dict[str, np.ndarray]) -> CmilModel:
+    """The model holding `arrays`, keyed as in `parameter_shapes`, as its parameters."""
+    def branch(prefix):
+        return {name[len(prefix):]: Tensor(a) for name, a in arrays.items() if name.startswith(prefix)}
+
+    image = ImageBranchParams(**branch("image."))
+    concept = ConceptBranchParams(**branch("concept."), gamma=cfg.gamma, temperature=cfg.temperature)
     return CmilModel(image, concept, concepts, cfg.topk, cfg.mode)
+
+
+def init_model(cfg: TrainConfig, concepts: ConceptSet, dim: int) -> CmilModel:
+    """Draw each parameter uniform in +-1/sqrt(fan-in), in table order, from the init stream."""
+    rng = np.random.default_rng((cfg.seed, _INIT_STREAM))
+    return _build_model(cfg, concepts, {
+        name: rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
+        for name, (fan_in, shape) in parameter_shapes(cfg, concepts.num_concepts, dim).items()})
 
 
 def _constant_view(model: CmilModel) -> CmilModel:
@@ -397,20 +428,15 @@ _CKPT_FIELDS = ("concepts", "data_hash", "epoch", "train_config")
 def save_checkpoint(path: Path, model: CmilModel, cfg: TrainConfig, epoch: int,
                     data_hash: str = "") -> None:
     params = model.parameters()
-    values = np.concatenate([params[n].data.ravel() for n in sorted(params)], dtype="<f8")
-    embeddings = np.ascontiguousarray(model.concepts.embeddings, dtype="<f8")
-    _write_blob(Path(path), CKPT_MAGIC, [embeddings, values], 0, {
+    sections = [np.ascontiguousarray(a, dtype="<f8")
+                for a in (model.concepts.embeddings, *(params[n].data for n in sorted(params)))]
+    _write_blob(Path(path), CKPT_MAGIC, sections, 0, {
         "concepts": {"names": list(model.concepts.names),
                      "prompt_template": model.concepts.prompt_template},
         "data_hash": data_hash,
         "epoch": epoch,
         "train_config": asdict(cfg),
     })
-
-
-def _parameter_count(cfg: TrainConfig, C: int, D: int) -> int:
-    """The number of values `init_model(cfg, C concepts, D)` holds."""
-    return cfg.d_h * (D + 2 * cfg.d_a + 2) + 2 * cfg.d_a * (cfg.topk.K + 1) + C + 2
 
 
 def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
@@ -429,19 +455,14 @@ def load_checkpoint(path: Path) -> tuple[CmilModel, TrainConfig, dict]:
         except ConfigError as exc:
             # an invalid embedded config means the file is damaged, not the caller's flags
             raise FormatError(f"{path}: invalid embedded train config: {exc}") from exc
-        return [("<f8", (rows, cols)), ("<f8", (_parameter_count(cfg, rows, cols),))]
+        shapes = parameter_shapes(cfg, rows, cols)
+        return [("<f8", (rows, cols)), *(("<f8", shapes[n][1]) for n in sorted(shapes))]
 
-    meta, (embeddings, values) = _read_blob(path, CKPT_MAGIC, _CKPT_FIELDS, layout)
+    meta, (embeddings, *values) = _read_blob(path, CKPT_MAGIC, _CKPT_FIELDS, layout)
     cdoc = meta["concepts"]
     if (not isinstance(cdoc, dict) or sorted(cdoc) != ["names", "prompt_template"]
             or not isinstance(cdoc["names"], list) or not all(isinstance(n, str) for n in cdoc["names"])):
         raise FormatError(f"{path}: malformed 'concepts' record")
     concepts = ConceptSet(cdoc["names"], embeddings, cdoc["prompt_template"])
-    model = init_model(cfg, concepts, concepts.dim)
-    params = model.parameters()
-    offset = 0
-    for name in sorted(params):
-        p = params[name]
-        p.data[...] = values[offset:offset + p.data.size].reshape(p.shape)
-        offset += p.data.size
-    return model, cfg, meta
+    names = sorted(parameter_shapes(cfg, *embeddings.shape))
+    return _build_model(cfg, concepts, dict(zip(names, values, strict=True))), cfg, meta

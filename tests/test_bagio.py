@@ -40,6 +40,13 @@ def write_v1(blob, magic, matrix, sidecar_doc):
     blob.with_suffix(".json").write_text(json.dumps(sidecar_doc))
 
 
+# slide ids that are not one file-name component: each would name an artifact outside `--out`
+BAD_SLIDE_IDS = ["", ".", "..", "a/b", "../x", "a\x00b"]
+# any text that is one file-name component
+SLIDE_IDS = st.text(st.characters(codec="utf-8", exclude_characters="/\\\0"), min_size=1, max_size=12).filter(
+    lambda s: s not in (".", ".."))
+
+
 def assert_same_patches(a: Bag, b: Bag):
     np.testing.assert_array_equal(a.grid, b.grid)
     assert (a.in_tumor is None) == (b.in_tumor is None)
@@ -79,6 +86,11 @@ class TestBagModel:
         emb[1, 2] = np.nan
         with pytest.raises(DataValidationError, match="finite"):
             Bag("s", 0, emb, [(0, 0), (0, 1)], None)
+
+    @pytest.mark.parametrize("slide_id", BAD_SLIDE_IDS)
+    def test_slide_id_must_be_one_file_name_component(self, slide_id):
+        with pytest.raises(DataValidationError, match="not one file-name component"):
+            make_bag(slide_id=slide_id)
 
     def test_tumor_flags_all_or_nothing_detection(self):
         bag = make_bag(flags=True)
@@ -220,7 +232,7 @@ class TestBagRoundTrip:
         grid=st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), min_size=1, max_size=12,
                       unique=True),
         flags=st.one_of(st.none(), st.lists(st.booleans(), min_size=12, max_size=12)),
-        slide_id=st.text(max_size=12),
+        slide_id=SLIDE_IDS,
         seed=st.integers(0, 2**16),
         label=st.integers(0, 1),
     )
@@ -315,6 +327,17 @@ BAD_SIDECARS = {
     "string crc32": (lambda doc: {**doc, "crc32": str(doc["crc32"])}, "crc32 '[0-9]+' does not match"),
     "unknown key": (lambda doc: {**doc, "patches": []}, r"unexpected manifest keys \['patches'\]"),
 }
+
+
+@pytest.mark.parametrize("slide_id", BAD_SLIDE_IDS)
+def test_read_bag_rejects_a_slide_id_that_is_not_one_file_name_component(slide_id, tmp_path):
+    p = tmp_path / "bag.cmil"
+    write_bag(make_bag(n=5), p)
+    edit_sidecar(p, "slide_id", slide_id)
+    reseal(p)
+    with pytest.raises(FormatError, match="not one file-name component") as info:
+        read_bag(p)
+    assert str(info.value).startswith(f"{p}: ")
 
 
 @pytest.mark.parametrize("case", list(BAD_SIDECARS))

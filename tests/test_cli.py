@@ -332,6 +332,23 @@ def test_predict_misshaped_blob_exits_3(ckpt, data_dir, tmp_path, capsys):
     assert "header declares" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slide_id", ["../escaped", "", "a/b"])
+@pytest.mark.parametrize("command", ["predict", "explain"])
+def test_slide_id_that_is_not_a_file_name_exits_3_and_writes_nothing(command, slide_id, ckpt, data_dir,
+                                                                     tmp_path, capsys):
+    bag = tmp_path / "in" / "bag.cmil"
+    bag.parent.mkdir()
+    shutil.copy(data_dir / "bag_0000.cmil", bag)
+    doc = json.loads((data_dir / "bag_0000.json").read_text())
+    bag.with_suffix(".json").write_text(json.dumps({**doc, "slide_id": slide_id}))
+    reseal(bag)
+    rc = main([command, "--ckpt", str(ckpt), "--bag", str(bag), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_IO
+    assert "not one file-name component" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+        Path("in"), Path("in/bag.cmil"), Path("in/bag.json")]
+
+
 def test_explain_writes_byte_identical_reports(ckpt, data_dir, tmp_path):
     bag = str(data_dir / "bag_0003.cmil")
     a, b = tmp_path / "a", tmp_path / "b"

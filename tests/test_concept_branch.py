@@ -11,11 +11,11 @@ from cmil.concept_branch import (
     _contributions,
     concept_attention,
     concept_forward,
-    init_concept_params,
     scale_attention,
 )
 from cmil.errors import ConfigError, ShapeError
-from cmil.trainer import TrainConfig
+from cmil.topk import TopKConfig
+from cmil.trainer import TrainConfig, parameter_shapes
 from gradcheck import relative_error, zero_grads
 
 
@@ -23,8 +23,13 @@ DEFAULTS = TrainConfig()
 
 
 def small_params(seed=0, K=6, C=5, d_a=4):
-    return init_concept_params(np.random.default_rng(seed), K, C, d_a,
-                               DEFAULTS.gamma, DEFAULTS.temperature)
+    """The concept entries of the init table, drawn in order from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    shapes = parameter_shapes(TrainConfig(d_a=d_a, topk=TopKConfig(K=K)), C, 1)
+    return ConceptBranchParams(**{
+        name[len("concept."):]: Tensor(rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=shape))
+        for name, (f, shape) in shapes.items() if name.startswith("concept.")
+    }, gamma=DEFAULTS.gamma, temperature=DEFAULTS.temperature)
 
 
 def scalar_concept_attention(F, Vw, Uw, w):
@@ -263,13 +268,3 @@ class TestParameters:
         assert list(p.tensors()) == ["concept.attn_v", "concept.attn_u", "concept.attn_w",
                                      "concept.clf_w", "concept.clf_b"]
         assert all(t is getattr(p, name[len("concept."):]) for name, t in p.tensors().items())
-
-    def test_init_draws_each_parameter_in_field_order(self):
-        # (fan_in, shape) of every field: one uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draw each
-        K, C, d_a = 6, 5, 4
-        draws = [(K, (K, d_a)), (K, (K, d_a)), (d_a, (d_a,)), (C, (C,)), (C, ())]
-        rng = np.random.default_rng(8)
-        expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
-        got = small_params(8, K, C, d_a).tensors().values()
-        for e, t in zip(expected, got, strict=True):
-            assert t.shape == e.shape and t.data.tobytes() == e.tobytes()

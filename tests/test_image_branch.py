@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 
 from cmil.autodiff import Tensor, sigmoid_value
+from cmil.bagio import ConceptSet
 from cmil.errors import ShapeError
 from cmil.image_branch import (
+    ImageBranchParams,
     attention_scores,
     gated_attention,
     image_forward,
     image_logit,
-    init_image_params,
     project_features,
 )
+from cmil.trainer import TrainConfig, init_model, parameter_shapes
 from gradcheck import relative_error, zero_grads
 
 
 def small_params(seed=0, D=5, d_h=6, d_a=4):
-    return init_image_params(np.random.default_rng(seed), D, d_h, d_a)
+    """The image entries of the init table, drawn in order from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    shapes = parameter_shapes(TrainConfig(d_h=d_h, d_a=d_a), 2, D)
+    return ImageBranchParams(**{
+        name[len("image."):]: Tensor(rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=shape))
+        for name, (f, shape) in shapes.items() if name.startswith("image.")})
 
 
 def scalar_relu_fc(I, W, b):
@@ -177,8 +184,10 @@ class TestGradients:
             assert relative_error(t.grad, numeric) < 1e-4, name
 
     def test_init_is_seed_deterministic_and_bounded(self):
-        a = init_image_params(np.random.default_rng(5), D=8, d_h=4, d_a=3)
-        b = init_image_params(np.random.default_rng(5), D=8, d_h=4, d_a=3)
+        cfg = TrainConfig(seed=5, d_h=4, d_a=3)
+        concepts = ConceptSet(["a", "b"], np.ones((2, 8)))
+        a = init_model(cfg, concepts, 8).image
+        b = init_model(cfg, concepts, 8).image
         for (na, ta), (nb, tb) in zip(sorted(a.tensors().items()), sorted(b.tensors().items())):
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
@@ -190,14 +199,3 @@ class TestGradients:
         assert list(p.tensors()) == ["image.proj_w", "image.proj_b", "image.attn_v", "image.attn_u",
                                      "image.attn_w", "image.clf_w", "image.clf_b"]
         assert all(t is getattr(p, name[len("image."):]) for name, t in p.tensors().items())
-
-    def test_init_draws_each_parameter_in_field_order(self):
-        # (fan_in, shape) of every field: one uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draw each
-        D, d_h, d_a = 5, 6, 4
-        draws = [(D, (D, d_h)), (D, (d_h,)), (d_h, (d_h, d_a)), (d_h, (d_h, d_a)),
-                 (d_a, (d_a,)), (d_h, (d_h,)), (d_h, ())]
-        rng = np.random.default_rng(3)
-        expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
-        got = init_image_params(np.random.default_rng(3), D, d_h, d_a).tensors().values()
-        for e, t in zip(expected, got, strict=True):
-            assert t.shape == e.shape and t.data.tobytes() == e.tobytes()

@@ -8,12 +8,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmil import autodiff as ad
 from cmil.autodiff import Tensor
 from cmil.bagio import Bag, ConceptSet, read_bag, read_concepts
+from cmil.concept_branch import ConceptBranchParams
 from cmil.errors import (ConfigError, DataValidationError, FormatError, ShapeError, TrainingDivergedError,
                          config_from_dict)
+from cmil.image_branch import ImageBranchParams
 from cmil.metrics import auc
 from cmil.projection import project
 from cmil.synthgen import SynthConfig, gen_dataset
@@ -27,6 +31,7 @@ from cmil.trainer import (
     init_model,
     joint_forward,
     load_checkpoint,
+    parameter_shapes,
     predict,
     save_checkpoint,
     total_loss,
@@ -768,6 +773,41 @@ class TestTrainingHeap:
         assert peak < 8.5 * 2**20, f"one epoch peaked at {peak / 2**20:.2f} MiB"
 
 
+class TestParameterShapes:
+    # C, D, K, d_h and d_a all differ, so a swapped dimension changes a shape
+    CFG = TrainConfig(seed=4, d_h=5, d_a=4, topk=TopKConfig(K=2))
+    CONCEPTS = ConceptSet(["a", "b", "c"], np.ones((3, 7)))
+
+    def test_names_are_the_prefixed_fields_and_shapes_are_init_models(self):
+        shapes = parameter_shapes(self.CFG, 3, 7)
+        assert list(shapes) == (
+            [f"image.{f.name}" for f in dataclasses.fields(ImageBranchParams) if f.type == "Tensor"]
+            + [f"concept.{f.name}" for f in dataclasses.fields(ConceptBranchParams) if f.type == "Tensor"])
+        params = init_model(self.CFG, self.CONCEPTS, 7).parameters()
+        assert list(params) == list(shapes)
+        assert all(params[name].shape == shape for name, (_, shape) in shapes.items())
+
+    def test_default_model_holds_87822_values(self):
+        shapes = parameter_shapes(TrainConfig(), 12, 64)
+        assert sum(math.prod(shape) for _, shape in shapes.values()) == 87_822
+
+    def test_init_draws_each_parameter_in_table_order(self):
+        # (name, fan_in, shape) of every parameter: one uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draw each
+        C, D, K, d_h, d_a = 3, 7, 2, 5, 4
+        draws = [("image.proj_w", D, (D, d_h)), ("image.proj_b", D, (d_h,)),
+                 ("image.attn_v", d_h, (d_h, d_a)), ("image.attn_u", d_h, (d_h, d_a)),
+                 ("image.attn_w", d_a, (d_a,)), ("image.clf_w", d_h, (d_h,)), ("image.clf_b", d_h, ()),
+                 ("concept.attn_v", K, (K, d_a)), ("concept.attn_u", K, (K, d_a)),
+                 ("concept.attn_w", d_a, (d_a,)), ("concept.clf_w", C, (C,)), ("concept.clf_b", C, ())]
+        assert parameter_shapes(self.CFG, C, D) == {name: (f, s) for name, f, s in draws}
+        rng = np.random.default_rng((self.CFG.seed, 0))
+        expected = {name: rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for name, f, s in draws}
+        got = init_model(self.CFG, self.CONCEPTS, D).parameters()
+        assert list(got) == list(expected)
+        for name, e in expected.items():
+            assert got[name].shape == e.shape and got[name].data.tobytes() == e.tobytes(), name
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_dataset, tmp_path):
         split, concepts = tiny_dataset
@@ -811,8 +851,8 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="payload is .* bytes, header declares"):
             load_checkpoint(p)
 
-    def test_load_peak_stays_below_two_and_a_half_file_sizes(self, tmp_path):
-        # the file's sections and the model are needed; a second copy of either is not
+    def test_load_peak_stays_below_one_and_a_quarter_file_sizes(self, tmp_path):
+        # the model holds the sections it was read into: no second copy, no init draws
         cfg = TrainConfig()
         concepts = ConceptSet([f"c{i}" for i in range(12)],
                               np.random.default_rng(0).normal(size=(12, 64)))
@@ -825,7 +865,40 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * size, f"peak {peak / size:.2f}x the {size}-byte file"
+        assert peak < 1.25 * size, f"peak {peak / size:.2f}x the {size}-byte file"
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        cfg = TrainConfig(seed=3, d_h=5, d_a=4, topk=TopKConfig(K=2))
+        model = init_model(cfg, ConceptSet(["a", "b", "c"], np.ones((3, 7))), 7)
+        save_checkpoint(tmp_path / "m.cmck", model, cfg, epoch=0)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew from a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded, _, _ = load_checkpoint(tmp_path / "m.cmck")
+        for name, t in model.parameters().items():
+            assert loaded.parameters()[name].data.tobytes() == t.data.tobytes(), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(d_h=st.integers(1, 5), d_a=st.integers(1, 5), K=st.integers(1, 5), D=st.integers(1, 5),
+           C=st.integers(2, 5), seed=st.integers(0, 2**16))
+    def test_format_holds_across_shapes(self, tmp_path_factory, d_h, d_a, K, D, C, seed):
+        cfg = TrainConfig(seed=seed, d_h=d_h, d_a=d_a, topk=TopKConfig(K=K))
+        concepts = ConceptSet([f"c{i}" for i in range(C)], np.random.default_rng(seed).normal(size=(C, D)))
+        model = init_model(cfg, concepts, D)
+        path = tmp_path_factory.mktemp("shapes") / "m.cmck"
+        save_checkpoint(path, model, cfg, epoch=0)
+        params = model.parameters()
+        # after the header and the C x D embeddings, each parameter in sorted-name order
+        assert path.read_bytes()[HEADER + 8 * C * D:] == b"".join(
+            params[n].data.astype("<f8").tobytes() for n in sorted(params))
+        loaded, cfg2, _ = load_checkpoint(path)
+        assert cfg2 == cfg
+        assert loaded.concepts.embeddings.tobytes() == concepts.embeddings.tobytes()
+        for name, t in params.items():
+            got = loaded.parameters()[name].data
+            assert got.shape == t.shape and got.tobytes() == t.data.tobytes(), name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self, tiny_dataset):
