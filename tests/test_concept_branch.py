@@ -6,6 +6,7 @@ import pytest
 
 from cmil import autodiff as ad
 from cmil.autodiff import Tensor, percentile
+from cmil.bagio import ConceptSet
 from cmil.concept_branch import (
     ConceptBranchParams,
     _contributions,
@@ -15,7 +16,7 @@ from cmil.concept_branch import (
 )
 from cmil.errors import ConfigError, ShapeError
 from cmil.topk import TopKConfig
-from cmil.trainer import TrainConfig, parameter_shapes
+from cmil.trainer import TrainConfig, init_model, parameter_shapes
 from gradcheck import relative_error, zero_grads
 
 
@@ -268,3 +269,20 @@ class TestParameters:
         assert list(p.tensors()) == ["concept.attn_v", "concept.attn_u", "concept.attn_w",
                                      "concept.clf_w", "concept.clf_b"]
         assert all(t is getattr(p, name[len("concept."):]) for name, t in p.tensors().items())
+
+    def test_init_draws_each_parameter_in_field_order(self):
+        # (fan_in, shape) of every field: one uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draw each,
+        # from the init stream once the image branch's seven draws are taken
+        K, C, d_a, D, d_h = 6, 5, 4, 3, 2
+        image_draws = [(D, (D, d_h)), (D, (d_h,)), (d_h, (d_h, d_a)), (d_h, (d_h, d_a)),
+                       (d_a, (d_a,)), (d_h, (d_h,)), (d_h, ())]
+        draws = [(K, (K, d_a)), (K, (K, d_a)), (d_a, (d_a,)), (C, (C,)), (C, ())]
+        rng = np.random.default_rng((8, 0))
+        for f, s in image_draws:
+            rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s)
+        expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
+        cfg = TrainConfig(seed=8, d_h=d_h, d_a=d_a, topk=TopKConfig(K=K))
+        concepts = ConceptSet([f"c{i}" for i in range(C)], np.ones((C, D)))
+        got = init_model(cfg, concepts, D).concept.tensors().values()
+        for e, t in zip(expected, got, strict=True):
+            assert t.shape == e.shape and t.data.tobytes() == e.tobytes()

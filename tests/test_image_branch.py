@@ -199,3 +199,16 @@ class TestGradients:
         assert list(p.tensors()) == ["image.proj_w", "image.proj_b", "image.attn_v", "image.attn_u",
                                      "image.attn_w", "image.clf_w", "image.clf_b"]
         assert all(t is getattr(p, name[len("image."):]) for name, t in p.tensors().items())
+
+    def test_init_draws_each_parameter_in_field_order(self):
+        # (fan_in, shape) of every field: one uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draw each,
+        # the image branch first from the init stream
+        D, d_h, d_a = 5, 6, 4
+        draws = [(D, (D, d_h)), (D, (d_h,)), (d_h, (d_h, d_a)), (d_h, (d_h, d_a)),
+                 (d_a, (d_a,)), (d_h, (d_h,)), (d_h, ())]
+        rng = np.random.default_rng((3, 0))
+        expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
+        cfg = TrainConfig(seed=3, d_h=d_h, d_a=d_a)
+        got = init_model(cfg, ConceptSet(["a", "b"], np.ones((2, D))), D).image.tensors().values()
+        for e, t in zip(expected, got, strict=True):
+            assert t.shape == e.shape and t.data.tobytes() == e.tobytes()
