@@ -12,8 +12,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bagio import (_read_json, content_hash, dump_json, file_hash, read_bag,
-                    read_concepts, read_split)
+from .bagio import (_read_json, _sidecar, content_hash, dump_json, file_hash,
+                    read_bag, read_concepts, read_split)
 from .embed2d import MIN_POINTS
 from .errors import (CmilError, ConfigError, DataValidationError, ShapeError,
                      TrainingDivergedError, config_from_dict)
@@ -132,6 +132,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(TrainConfig, args, "seed", "epochs", "mode")
+    out = Path(args.out)
+    if _sidecar(out) == out:
+        raise ConfigError(f"--out {out} would be overwritten by its own sidecar; "
+                          f"name the checkpoint with another suffix, such as .cmck")
 
     data = Path(args.data)
     split = read_split(data / "split.json")
@@ -146,7 +150,6 @@ def cmd_train(args) -> int:
               f"(last good epoch: {last_good})", file=sys.stderr)
         return EXIT_DIVERGED
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, model, cfg, epoch=cfg.epochs - 1, data_hash=data_hash)
 
@@ -241,7 +244,10 @@ def cmd_eval(args) -> int:
         "results": result.to_dict(),
     }
     dump_json(doc, out)
-    write_global_report(g, out.parent)
+    # named after --out's stem, so evals into one directory keep their own reports
+    report_dir = out.with_name(f"{out.stem}_global")
+    report_dir.mkdir(exist_ok=True)
+    write_global_report(g, report_dir)
     loc = "n/a" if result.localization_mean is None else f"{result.localization_mean:.4f}"
     print(f"eval[{args.split}] accuracy {result.accuracy:.4f}, AUC {result.auc:.4f}, "
           f"localization {loc}; wrote {out}")
@@ -290,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     v.add_argument("--ckpt", required=True)
     v.add_argument("--data", required=True)
-    v.add_argument("--out", required=True, help="eval JSON path")
+    v.add_argument("--out", required=True,
+                   help="eval JSON path; the global report goes to <stem>_global/ beside it")
     v.add_argument("--split", choices=["train", "val", "test"], default="test")
     v.add_argument("--projection", choices=["pca", "tsne"], default="tsne")
     v.add_argument("--seed", type=int, default=0, help="projection seed")

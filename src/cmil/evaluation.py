@@ -70,10 +70,12 @@ def evaluate_split(bags, model: CmilModel, projection: str = "tsne", seed: int =
         localization_slides=len(hits),
         jsd_per_concept=jsd_per_concept,
         jsd_mean=jsd_mean,
-        silhouette_wsi=silhouette(g.wsi_points, truth),
-        silhouette_patch=silhouette(g.patch_points, patch_truth) if two_classes else None,
-        silhouette_wsi_2d=silhouette(g.wsi_points_2d, truth),
-        silhouette_patch_2d=silhouette(g.patch_points_2d, patch_truth) if two_classes else None,
+        silhouette={
+            "wsi_concept_space": silhouette(g.wsi_points, truth),
+            "patch_concept_space": silhouette(g.patch_points, patch_truth) if two_classes else None,
+            "wsi_projected_2d": silhouette(g.wsi_points_2d, truth),
+            "patch_projected_2d": silhouette(g.patch_points_2d, patch_truth) if two_classes else None,
+        },
         counts={
             "slides": len(preds),
             "tumor": int(truth.sum()),

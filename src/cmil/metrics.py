@@ -7,7 +7,7 @@ singleton-cluster-scores-zero convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,39 +126,17 @@ def silhouette(points, labels) -> float:
 
 @dataclass
 class EvalResult:
+    """`eval.json`'s ``results`` object, in schemas/eval.schema.json's shape."""
+
     accuracy: float
     auc: float
+    auc_per_concept: dict
     localization_mean: float | None
     localization_slides: int
-    auc_per_concept: dict
     jsd_per_concept: dict
     jsd_mean: float | None
-    silhouette_wsi: float | None
-    silhouette_patch: float | None
-    silhouette_wsi_2d: float | None
-    silhouette_patch_2d: float | None
+    silhouette: dict
     counts: dict
 
-    def __post_init__(self):
-        if not (0.0 <= self.accuracy <= 1.0 and 0.0 <= self.auc <= 1.0):
-            raise DataValidationError("accuracy and AUC must lie in [0,1]")
-        if self.localization_mean is not None and not 0.0 <= self.localization_mean <= 1.0:
-            raise DataValidationError("localization must lie in [0,1]")
-
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "auc_per_concept": dict(self.auc_per_concept),
-            "localization_mean": self.localization_mean,
-            "localization_slides": self.localization_slides,
-            "jsd_per_concept": dict(self.jsd_per_concept),
-            "jsd_mean": self.jsd_mean,
-            "silhouette": {
-                "wsi_concept_space": self.silhouette_wsi,
-                "patch_concept_space": self.silhouette_patch,
-                "wsi_projected_2d": self.silhouette_wsi_2d,
-                "patch_projected_2d": self.silhouette_patch_2d,
-            },
-            "counts": dict(self.counts),
-        }
+        return asdict(self)

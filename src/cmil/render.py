@@ -4,6 +4,7 @@ All floats are written with fixed precision so rendering is byte-stable; the
 JSON artifacts carry the full-precision numbers.
 """
 
+from html import escape
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def _rect(x, y, w, h, fill, extra=""):
 
 def _text(x, y, s, size):
     return (f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
-            f'font-family="sans-serif" text-anchor="start">{s}</text>')
+            f'font-family="sans-serif" text-anchor="start">{escape(s, quote=False)}</text>')
 
 
 def render_local_svg(exp: dict) -> str:

@@ -63,10 +63,9 @@ def perturbed_topk(alpha: Tensor, cfg: TopKConfig, rng: np.random.Generator) -> 
     """Soft top-K indicator as an autodiff node over the attention vector.
 
     The M x N Gaussian samples, M = cfg.num_noise_samples, are drawn from `rng`.
+    K must not exceed N: `select` checks that first, in `hard_topk`.
     """
     n = alpha.shape[0]
-    if cfg.K > n:
-        raise ShapeError(f"K={cfg.K} exceeds bag size N={n}")
     if cfg.K == n:
         # every perturbation selects everything: constant ones, no gradient
         return constant(np.ones(n))

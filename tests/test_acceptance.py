@@ -427,8 +427,9 @@ def test_criterion_7_separability(capsys, default_sweep):
 
     tumor = [v for k, v in res.jsd_per_concept.items() if k.startswith("tumor")]
     bg = [v for k, v in res.jsd_per_concept.items() if k.startswith("background")]
-    sil_ok = (res.silhouette_wsi >= res.silhouette_patch
-              and res.silhouette_wsi_2d >= res.silhouette_patch_2d)
+    sil = res.silhouette
+    sil_ok = (sil["wsi_concept_space"] >= sil["patch_concept_space"]
+              and sil["wsi_projected_2d"] >= sil["patch_projected_2d"])
     jsd_ok = np.mean(tumor) > np.mean(bg) and min(tumor) >= max(bg)
     auc_tumor = [v for k, v in res.auc_per_concept.items() if k.startswith("tumor")]
     auc_bg = [v for k, v in res.auc_per_concept.items() if k.startswith("background")]
@@ -438,8 +439,8 @@ def test_criterion_7_separability(capsys, default_sweep):
 
     ok = sil_ok and jsd_ok and rank_ok
     report(capsys, 7, ok,
-           f"silhouette WSI {res.silhouette_wsi:.3f} >= patch {res.silhouette_patch:.3f} "
-           f"(2-D: {res.silhouette_wsi_2d:.3f} >= {res.silhouette_patch_2d:.3f}); "
+           f"silhouette WSI {sil['wsi_concept_space']:.3f} >= patch {sil['patch_concept_space']:.3f} "
+           f"(2-D: {sil['wsi_projected_2d']:.3f} >= {sil['patch_projected_2d']:.3f}); "
            f"JSD tumor mean {np.mean(tumor):.3f} > background mean {np.mean(bg):.3f}; "
            f"min tumor {min(tumor):.3f} >= max background {max(bg):.3f} "
            f"(all tumor concepts sit at the 1.0 bound, so strict per-concept ordering "

@@ -16,7 +16,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cmil.bagio import Bag, content_hash, dump_json, read_bag, read_split, write_bag
+from cmil.bagio import (Bag, _sidecar, content_hash, dump_json, read_bag, read_split,
+                        write_bag)
 from cmil.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
                       EXIT_SHAPE, main)
 from cmil.explain import explain_slide
@@ -228,6 +229,17 @@ def test_train_unknown_mode_exits_2(data_dir, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_train_out_named_as_its_own_sidecar_exits_2_and_writes_nothing(data_dir, tmp_path,
+                                                                      monkeypatch, capsys):
+    out = _sidecar(tmp_path / "m")  # the checkpoint's sidecar would overwrite it
+    reads = []
+    monkeypatch.setattr("cmil.cli.read_split", lambda p: reads.append(p) or read_split(p))
+    rc = main(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1"])
+    assert rc == EXIT_CONFIG
+    assert "sidecar" in capsys.readouterr().err
+    assert reads == [] and list(tmp_path.iterdir()) == []
+
+
 # a setting of the wrong type, a dotted --set into a value that is not an object, a
 # negative seed or a cap below 3 (4 for t-SNE) is a configuration error
 BAD_SETTINGS = [
@@ -402,9 +414,21 @@ def test_eval_output_validates_against_shipped_schema(ckpt, data_dir, tmp_path):
     schema = json.loads(files("cmil").joinpath("schemas/eval.schema.json").read_text())
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, schema)
-    assert (tmp_path / "global.json").exists()
-    assert (tmp_path / "global.svg").exists()
+    assert (tmp_path / "eval_global" / "global.json").exists()
+    assert (tmp_path / "eval_global" / "global.svg").exists()
     assert doc["results"]["counts"]["slides"] == 24
+
+
+def test_two_evals_into_one_directory_keep_both_global_reports(ckpt, data_dir, tmp_path):
+    for projection in ("pca", "tsne"):
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--split", "train",
+                   "--out", str(tmp_path / f"eval_{projection}.json"),
+                   "--projection", projection])
+        assert rc == EXIT_OK
+    for projection in ("pca", "tsne"):
+        report = tmp_path / f"eval_{projection}_global"
+        assert json.loads((report / "global.json").read_text())["projection_method"] == projection
+        assert f"({projection})" in (report / "global.svg").read_text()
 
 
 def test_bag_in_two_splits_exits_3(ckpt, data_dir, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Explanation assembly, SVG rendering, and split evaluation."""
 
+import dataclasses
 import json
 import tracemalloc
 import xml.etree.ElementTree as ET
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from cmil.errors import DataValidationError
 from cmil.evaluation import evaluate_split
 from cmil.explain import (SCHEMA_VERSION, explain_slide, global_explanations,
                           wsi_concept_values)
-from cmil.metrics import auc
+from cmil.metrics import EvalResult, auc
 from cmil.render import (CLASS_COLORS, VIRIDIS_STOPS, color_for,
                          render_global_svg, render_local_svg,
                          write_global_report, write_local_report)
@@ -217,6 +219,23 @@ class TestRender:
         fills = {c.get("fill") for c in circles}
         assert CLASS_COLORS["tumor"] in fills and CLASS_COLORS["normal"] in fills
 
+    def test_markup_in_names_is_escaped(self, fitted):
+        """A concept name or slide id holding `&` or `<` is text, not markup:
+        both SVGs parse and give the names back."""
+        bags, _, model = fitted
+        names = [f"H&E <artifact {i}>" for i in range(len(model.concepts.names))]
+        exp = explain(bags[0], model)
+        exp["slide_id"] = "slide <0> & co"
+        for c in exp["contributions"]:
+            c["concept"] = names[model.concepts.names.index(c["concept"])]
+        g = global_explanations([predict(b, model) for b in bags], [b.label for b in bags],
+                                names, "predicted", "pca", 0, 2000)
+        ns = "{http://www.w3.org/2000/svg}"
+        local = [t.text for t in ET.fromstring(render_local_svg(exp)).iter(f"{ns}text")]
+        assert local[0].startswith("slide <0> & co: ") and set(names) <= set(local)
+        glob = [t.text for t in ET.fromstring(render_global_svg(g.report)).iter(f"{ns}text")]
+        assert [t for t in glob if t in names] == names + names
+
     def test_write_local_report_files(self, fitted, tmp_path):
         bags, _, model = fitted
         exp = explain(bags[0], model)
@@ -255,6 +274,16 @@ class TestEvaluation:
                               "patch_points": 30 * model.topk.K}
         assert len(preds) == len(bags)
 
+    def test_result_is_the_schemas_results_object(self, fitted):
+        """The record's fields, its silhouette keys and their order are the
+        schema's: `to_dict` is the dataclass's own dict, with no key renamed."""
+        results = json.loads(files("cmil").joinpath("schemas/eval.schema.json")
+                             .read_text())["properties"]["results"]
+        res, _, _ = evaluate_split(fitted[0], fitted[2], projection="pca")
+        assert [f.name for f in dataclasses.fields(EvalResult)] == results["required"]
+        assert list(res.silhouette) == results["properties"]["silhouette"]["required"]
+        assert res.to_dict() == dataclasses.asdict(res)
+
     def test_auc_per_concept_ranks_slide_level_scores(self, fitted):
         bags, concepts, model = fitted
         res, g, _ = evaluate_split(bags, model, projection="pca")
@@ -287,8 +316,8 @@ class TestEvaluation:
     def test_wsi_silhouette_at_least_patch_level(self, fitted):
         bags, _, model = fitted
         res, g, _ = evaluate_split(bags, model, projection="tsne", seed=0)
-        assert res.silhouette_wsi_2d >= res.silhouette_patch_2d
-        assert res.silhouette_wsi >= res.silhouette_patch
+        assert res.silhouette["wsi_projected_2d"] >= res.silhouette["patch_projected_2d"]
+        assert res.silhouette["wsi_concept_space"] >= res.silhouette["patch_concept_space"]
         assert g.report["projection_method"] == "tsne"
 
     def test_evaluation_is_deterministic(self, fitted):

@@ -117,7 +117,7 @@ class TestPerturbedForward:
 
     def test_k_larger_than_bag_rejected(self):
         with pytest.raises(ShapeError, match="exceeds"):
-            perturbed_topk(Tensor(np.array([1.0, 2.0])), TopKConfig(K=5), np.random.default_rng(0))
+            select(Tensor(np.array([1.0, 2.0])), TopKConfig(K=5), np.random.default_rng(0))
 
 
 class TestPerturbedBackward:
