@@ -7,8 +7,11 @@ whose inputs are all constant is constant itself and records neither, so
 a forward pass over constants builds no tape and its closures pin nothing.
 A node holds its output and what its vjps read, so an op whose vjps need
 only its output keeps no intermediate: ``affine_relu``, the projector,
-builds relu(x @ w + b) in one buffer and rebuilds its pre-activation
-gradient from that output.
+builds relu(x @ w + b) in one buffer, and ``matmul_tanh`` and
+``matmul_sigmoid``, gated attention's two branches, build tanh(x @ w) and
+sigmoid(x @ w); each rebuilds its pre-activation gradient from that output.
+Such a node also records that rebuild as its ``pre``, which ``backward``
+applies to the node's gradient once, before all of the node's vjps read it.
 ``backward()`` visits the tape once in reverse topological order and is
 the only code that computes gradients: it applies the vjp of every input
 that is not constant and skips the rest, and it drops each interior
@@ -50,13 +53,14 @@ class Tensor:
     never differentiated and its ``grad`` stays None.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_vjps", "_const")
+    __slots__ = ("data", "grad", "_parents", "_vjps", "_pre", "_const")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjps: tuple[Callable[[Array], Array], ...] = ()
+        self._pre: Callable[[Array], Array] | None = None
         self._const = False
 
     @property
@@ -116,9 +120,10 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t.grad is not None and t._parents:
+                g = t.grad if t._pre is None else t._pre(t.grad)
                 for parent, vjp in zip(t._parents, t._vjps):
                     if not parent._const:
-                        _accumulate(parent, vjp(t.grad))
+                        _accumulate(parent, vjp(g))
                 t.grad = None
 
 
@@ -135,16 +140,21 @@ def constant(data) -> Tensor:
     return t
 
 
-def node(value, *inputs: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
+def node(value, *inputs: tuple[Tensor, Callable[[Array], Array]],
+         pre: Callable[[Array], Array] | None = None) -> Tensor:
     """An op's result: ``inputs`` pairs each input tensor with its vjp, in input order.
 
-    Of constant inputs it is a constant leaf that keeps neither, so both can be freed.
+    ``pre``, when given, maps the node's gradient to the array every vjp reads,
+    so ``backward`` builds that array once per node, not once per vjp. Of
+    constant inputs it is a constant leaf that keeps none of these, so all
+    can be freed.
     """
     t = Tensor(value)
     if all(parent._const for parent, _ in inputs):
         t._const = True
     else:
         t._parents, t._vjps = zip(*inputs)
+        t._pre = pre
     return t
 
 
@@ -202,11 +212,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     return node(-a.data, (a, lambda g: -g))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return node(y, (a, lambda g: g * (1.0 - y * y)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -274,11 +279,16 @@ def transpose(a: Tensor) -> Tensor:
     return node(a.data.T, (a, lambda g: g.T))
 
 
+def _check_matmul_2d(x: Tensor, w: Tensor, op: str) -> None:
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"{op}: incompatible shapes {x.shape} @ {w.shape}")
+
+
 def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """relu(x @ w + b) for an r-by-k x, a k-by-c w and a length-c b.
 
     Its output, built in one buffer, is the only array it adds to the tape:
-    the vjps rebuild the pre-activation gradient from it.
+    its ``pre`` rebuilds the pre-activation gradient from it.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
@@ -288,16 +298,34 @@ def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     # fmax maps NaN to 0 and may keep -0.0, which `+= 0.0` turns into +0.0
     np.fmax(y, 0.0, out=y)
     y += 0.0
-
-    def pre(g):
-        # the subgradient at 0 is 0; a -0.0 kept from g needs no `+ 0.0` here,
-        # since `_accumulate` stores the first gradient a tensor gets as g + 0.0
-        return g * (y > 0.0)
-
+    # the subgradient at 0 is 0; a -0.0 kept from g needs no `+ 0.0` here,
+    # since `_accumulate` stores the first gradient a tensor gets as g + 0.0
     return node(y,
-                (x, lambda g: pre(g) @ w.data.T),
-                (w, lambda g: x.data.T @ pre(g)),
-                (b, lambda g: pre(g).sum(axis=0)))
+                (x, lambda g: g @ w.data.T),
+                (w, lambda g: x.data.T @ g),
+                (b, lambda g: g.sum(axis=0)),
+                pre=lambda g: g * (y > 0.0))
+
+
+def matmul_tanh(x: Tensor, w: Tensor) -> Tensor:
+    """tanh(x @ w) for an r-by-k x and a k-by-c w; like ``affine_relu``, it keeps
+    only its output, from which its ``pre`` rebuilds the pre-activation gradient."""
+    _check_matmul_2d(x, w, "matmul_tanh")
+    y = x.data @ w.data
+    np.tanh(y, out=y)
+    return _matmul_then(x, w, y, lambda g: g * (1.0 - y * y))
+
+
+def matmul_sigmoid(x: Tensor, w: Tensor) -> Tensor:
+    """sigmoid(x @ w) for an r-by-k x and a k-by-c w, kept as ``matmul_tanh`` keeps tanh."""
+    _check_matmul_2d(x, w, "matmul_sigmoid")
+    y = sigmoid_value(x.data @ w.data)
+    return _matmul_then(x, w, y, lambda g: g * y * (1.0 - y))
+
+
+def _matmul_then(x: Tensor, w: Tensor, y: Array, pre: Callable[[Array], Array]) -> Tensor:
+    """The node of f(x @ w) with output y, whose ``pre`` maps its gradient to x @ w's."""
+    return node(y, (x, lambda g: g @ w.data.T), (w, lambda g: x.data.T @ g), pre=pre)
 
 
 def scale_rows(m: Tensor, v: Tensor) -> Tensor:

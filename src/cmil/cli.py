@@ -214,6 +214,10 @@ def cmd_eval(args) -> int:
     if args.seed < 0 or args.max_patch_points < min_points:
         raise ConfigError(f"--seed must be >= 0 and --max-patch-points >= {min_points} with "
                           f"--projection {args.projection}, got {args.seed} and {args.max_patch_points}")
+    out, ckpt = Path(args.out), Path(args.ckpt)
+    if out.resolve() in (ckpt.resolve(), _sidecar(ckpt).resolve()):
+        raise ConfigError(f"--out {out} would overwrite --ckpt {ckpt} or its sidecar "
+                          f"{_sidecar(ckpt)}; write the eval JSON under another name")
     model, cfg, header = load_checkpoint(args.ckpt)
     data = Path(args.data)
     split = read_split(data / "split.json")
@@ -226,7 +230,6 @@ def cmd_eval(args) -> int:
         (read_bag(p) for p in paths), model, projection=args.projection, seed=args.seed,
         group_by=args.group_by, max_patch_points=args.max_patch_points)
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -297,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--ckpt", required=True)
     v.add_argument("--data", required=True)
     v.add_argument("--out", required=True,
-                   help="eval JSON path; the global report goes to <stem>_global/ beside it")
+                   help="eval JSON path, not --ckpt or its sidecar; the global report goes "
+                        "to <stem>_global/ beside it")
     v.add_argument("--split", choices=["train", "val", "test"], default="test")
     v.add_argument("--projection", choices=["pca", "tsne"], default="tsne")
     v.add_argument("--seed", type=int, default=0, help="projection seed")

@@ -42,7 +42,7 @@ def project_features(I: Tensor, params: ImageBranchParams) -> Tensor:
 
 def gated_attention(x: Tensor, attn_v: Tensor, attn_u: Tensor, attn_w: Tensor) -> Tensor:
     """Gated attention score of each row of x: (tanh(x@V) * sigmoid(x@U)) @ w."""
-    return ad.mul(ad.tanh(x @ attn_v), ad.sigmoid(x @ attn_u)) @ attn_w
+    return ad.mul(ad.matmul_tanh(x, attn_v), ad.matmul_sigmoid(x, attn_u)) @ attn_w
 
 
 def attention_scores(V: Tensor, params: ImageBranchParams) -> Tensor:

@@ -1,8 +1,8 @@
 """Cosine projection of patch embeddings into concept space.
 
 Both patch and concept embeddings come from frozen encoders, so the
-activation matrix is training-invariant; it is computed once per bag (plain
-numpy, no autodiff).
+activation matrix is training-invariant (plain numpy, no autodiff). Training
+recomputes it for the bag of each step rather than holding every bag's.
 """
 
 from __future__ import annotations
@@ -22,13 +22,16 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
+def check_dim(shape: tuple, concepts: ConceptSet) -> None:
+    """Raise the ShapeError `project` raises unless `shape` is N x D in the concept set's D."""
+    if len(shape) != 2 or shape[1] != concepts.dim:
+        raise ShapeError(f"embeddings are {shape}, concept space expects D={concepts.dim}")
+
+
 def project(bag_embeddings: np.ndarray, concepts: ConceptSet) -> np.ndarray:
     """N x C cosine activations, columns in the concept set's order."""
     emb = np.asarray(bag_embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[1] != concepts.dim:
-        raise ShapeError(
-            f"embeddings are {emb.shape}, concept space expects D={concepts.dim}"
-        )
+    check_dim(emb.shape, concepts)
     values = l2_normalize_rows(emb) @ l2_normalize_rows(concepts.embeddings).T
     # unit rows can still round a hair past 1
     np.clip(values, -1.0, 1.0, out=values)

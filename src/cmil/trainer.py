@@ -4,6 +4,8 @@ The loss is BCE on each branch's slide probability plus an L2 penalty on the
 post-softmax patch attention. Training runs at batch size 1 (bags differ in
 size); the perturbed top-K noise is resampled every step from a dedicated
 stream, and the final-epoch model is the result — no early stopping.
+Each step projects its own bag into concept space and keeps no activations
+of other bags, so what training holds does not grow with the number of bags.
 `AdamW` keeps the parameters, gradients and both moments in four flat vectors
 and steps them through two fixed scratch blocks, so its scratch does not grow
 with the model.
@@ -40,7 +42,7 @@ from .errors import (ConfigError, DataValidationError, FormatError, ShapeError,
                      TrainingDivergedError, check_field_types, config_from_dict)
 from .image_branch import ImageBranchParams, ImageForward, image_forward, named_tensors
 from .metrics import auc
-from .projection import project
+from .projection import check_dim, project
 from .topk import Selection, TopKConfig, gather_concepts, select
 
 # RNG stream ids hung off the config seed
@@ -327,9 +329,10 @@ def train(
     if shared:
         raise DataValidationError(f"slide_id {shared[0]!r} appears in both train and val")
 
-    dim = train_bags[0].dim
-    model = init_model(cfg, concepts, dim)
-    f_train = [project(b.embeddings, concepts) for b in train_bags]
+    # each step projects its own bag; a bag of the wrong D fails here, before step 0
+    for b in train_bags:
+        check_dim(b.embeddings.shape, concepts)
+    model = init_model(cfg, concepts, concepts.dim)
 
     # ablations optimize one branch and leave the other at its initialization
     params = {"dual": model.parameters, "image-only": model.image.tensors,
@@ -345,7 +348,8 @@ def train(
         sums = {"bce_img": 0.0, "bce_concept": 0.0, "l2_alpha": 0.0, "total": 0.0}
         for step_no, i in enumerate(order):
             bag = train_bags[i]
-            fwd = joint_forward(model, bag.embeddings, f_train[i], rng=rng_noise)
+            fwd = joint_forward(model, bag.embeddings, project(bag.embeddings, concepts),
+                                rng=rng_noise)
             lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
                             cfg.lam, mode=cfg.mode)
             if not np.isfinite(lb["total"].data):

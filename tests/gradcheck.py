@@ -52,6 +52,13 @@ def frozen_forward(model: CmilModel, emb: np.ndarray, f_values: np.ndarray,
     return JointForward(img, sel, f_topk, con, prob)
 
 
+def frozen_tanh(a: Tensor) -> Tensor:
+    """The tanh tape op that `ad.matmul_tanh` replaced: after `matmul` it is the
+    two-op tape whose value and gradients the fused op must match bit for bit."""
+    y = np.tanh(a.data)
+    return ad.node(y, (a, lambda g: g * (1.0 - y * y)))
+
+
 def relative_error(analytic: Array, numeric: Array) -> float:
     """Max over coordinates of |a - n| / (|a| + |n| + 1e-12)."""
     a = np.asarray(analytic, dtype=np.float64).ravel()

@@ -142,9 +142,11 @@ def _op_cases(rng):
             return x
         return fix
 
-    def matmul_case():
-        a, b = Tensor(rng.uniform(-2, 2, (3, 4))), Tensor(rng.uniform(-2, 2, (4, 2)))
-        return scalarized(lambda ts: ad.matmul(ts[0], ts[1]), [a, b])
+    def matmul_then(op):
+        def build():
+            a, b = Tensor(rng.uniform(-2, 2, (3, 4))), Tensor(rng.uniform(-2, 2, (4, 2)))
+            return scalarized(lambda ts: op(ts[0], ts[1]), [a, b])
+        return build
 
     def affine_relu_case():
         while True:  # redraw until every pre-activation clears relu's kink
@@ -178,13 +180,14 @@ def _op_cases(rng):
         ("mul", pair(ad.mul)),
         ("div", pair(lambda a, b: ad.div(a, ad.add(ad.mul(b, b), Tensor(np.full(b.data.shape, 0.5)))))),
         ("neg", unary(ad.neg)),
-        ("tanh", unary(ad.tanh)),
+        ("matmul_tanh", matmul_then(ad.matmul_tanh)),
+        ("matmul_sigmoid", matmul_then(ad.matmul_sigmoid)),
         ("sigmoid", unary(ad.sigmoid)),
         ("log", unary(ad.log, lo=0.1, hi=3.0)),
         ("sqrt", unary(ad.sqrt, lo=0.1, hi=3.0)),
         ("clamp", unary(lambda t: ad.clamp(t, -1.0, 1.0),
                         keep_off_kinks=away_from([-1.0, 1.0], 0.05))),
-        ("matmul", matmul_case),
+        ("matmul", matmul_then(ad.matmul)),
         ("transpose", unary(ad.transpose)),
         ("affine_relu", affine_relu_case),
         ("scale_rows", scale_rows_case),

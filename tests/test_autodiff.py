@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from cmil import autodiff as ad
 from cmil.autodiff import Tensor
 from cmil.errors import ShapeError
-from gradcheck import grad_check, grad_check_many
+from gradcheck import frozen_tanh, grad_check, grad_check_many
 
 
 class TestMatmul:
@@ -56,8 +56,20 @@ class TestElementwise:
 
     def test_tanh_gradient(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=7))
-        assert grad_check(lambda t: ad.reduce_sum(ad.tanh(t)), x) < 1e-6
+        x, w = Tensor(rng.normal(size=(3, 7))), Tensor(rng.normal(size=(7, 2)))
+        assert grad_check_many(lambda ts: ad.reduce_sum(ad.matmul_tanh(*ts)), [x, w]) < 1e-6
+
+    def test_matmul_sigmoid_gradient(self):
+        rng = np.random.default_rng(2)
+        x, w = Tensor(rng.normal(size=(3, 7))), Tensor(rng.normal(size=(7, 2)))
+        assert grad_check_many(lambda ts: ad.reduce_sum(ad.matmul_sigmoid(*ts)), [x, w]) < 1e-6
+
+    def test_matmul_activation_shape_mismatch(self):
+        for op in (ad.matmul_tanh, ad.matmul_sigmoid):
+            for x, w in ((np.ones((2, 3)), np.ones((2, 4))), (np.ones(3), np.ones((3, 4))),
+                         (np.ones((2, 3)), np.ones(3))):
+                with pytest.raises(ShapeError, match=op.__name__):
+                    op(Tensor(x), Tensor(w))
 
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
@@ -160,6 +172,27 @@ class TestKernelsMatchFrozenOracles:
         expected = frozen_affine_relu(x, w, b, g)
         for got, want in zip([y.data] + [t.grad for t in leaves], expected):
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["tanh", "sigmoid"]), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 9), st.sampled_from([0.1, 1.0, 30.0]), st.integers(0, 2**32 - 1))
+    def test_matmul_activations_match_the_two_op_tape(self, act, r, k, c, scale, seed):
+        fused, frozen = {"tanh": (ad.matmul_tanh, frozen_tanh),
+                         "sigmoid": (ad.matmul_sigmoid, ad.sigmoid)}[act]
+        rng = np.random.default_rng(seed)
+        # at scale 30 many outputs saturate, so the rebuilt gradient holds zeros
+        x, w = scale * rng.normal(size=(r, k)), rng.normal(size=(k, c))
+        # zero entries and negative zeros in the upstream gradient test the stored signs
+        g = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(r, c))
+        got = []
+        for build in (fused, lambda xt, wt: frozen(ad.matmul(xt, wt))):
+            leaves = Tensor(x), Tensor(w)
+            y = build(*leaves)
+            ad.reduce_sum(ad.mul(y, ad.constant(g))).backward()
+            got.append([y.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+            if build is fused:
+                assert y._parents == leaves  # one node: the product x @ w is not kept
+        assert got[0] == got[1]
 
 
 class TestSoftmax:
@@ -288,6 +321,14 @@ class TestBackwardReleasesInteriorGrads:
         np.testing.assert_array_equal(x.grad, [[2.0 * (1.0 - 1.0), 4.0 * (0.5 + 2.0)]])
         np.testing.assert_array_equal(w.grad, [[1.0, 1.0], [4.0, 4.0]])
 
+    def test_each_node_builds_its_pre_activation_gradient_once(self):
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+        for y in (ad.affine_relu(x, w, b), ad.matmul_tanh(x, w), ad.matmul_sigmoid(x, w)):
+            calls, pre = [], y._pre
+            y._pre = lambda g, pre=pre: calls.append(g) or pre(g)
+            ad.reduce_sum(y).backward()
+            assert len(calls) == 1 and len(y._vjps) >= 2
+
     def test_a_second_backward_adds_the_gradient_once_more(self):
         x = Tensor([1.0, 2.0])
         loss = ad.reduce_sum(x * x)
@@ -357,17 +398,17 @@ class TestGradCheck:
         rng = np.random.default_rng(9)
         readout = Tensor(np.arange(1.0, 7.0))
         for _ in range(100):
-            x = Tensor(0.6 * rng.normal(size=6))
+            x = Tensor(0.6 * rng.normal(size=(3, 6)))
             w = Tensor(0.6 * rng.normal(size=(6, 4)))
-            u = Tensor(rng.normal(size=4))
+            u = Tensor(rng.normal(size=(4, 2)))
 
             def f(ts):
-                h = ad.sigmoid(ts[0] @ ts[1])
-                s = ad.tanh(ad.mul(h, ts[2]))
+                s = ad.matmul_tanh(ad.matmul_sigmoid(ts[0], ts[1]), ts[2])
+                scores = ts[0] @ readout
                 return (
                     ad.reduce_sum(s)
                     + ad.reduce_mean(ad.sq_l2(ts[0]))
-                    + ad.reduce_sum(ad.mul(ad.softmax(ts[0]), readout))
+                    + ad.reduce_sum(ad.mul(ad.softmax(scores), scores))
                 )
 
             assert grad_check_many(f, [x, w, u]) < 1e-4
@@ -386,7 +427,7 @@ class TestDeterminism:
             rng = np.random.default_rng(10)
             x = Tensor(rng.normal(size=(5, 3)))
             w = Tensor(rng.normal(size=(3, 2)))
-            out = ad.sq_l2(ad.tanh(x @ w))
+            out = ad.sq_l2(ad.matmul_tanh(x, w))
             out.backward()
             return out.data.copy(), x.grad.copy()
 

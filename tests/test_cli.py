@@ -431,6 +431,28 @@ def test_two_evals_into_one_directory_keep_both_global_reports(ckpt, data_dir, t
         assert f"({projection})" in (report / "global.svg").read_text()
 
 
+def test_eval_out_naming_the_checkpoint_or_its_sidecar_exits_2_and_writes_nothing(
+        ckpt, data_dir, tmp_path, monkeypatch, capsys):
+    model = tmp_path / "m.cmck"
+    shutil.copyfile(ckpt, model)
+    shutil.copyfile(_sidecar(ckpt), _sidecar(model))
+    before = _checksums(tmp_path)
+    reads = []
+    monkeypatch.setattr("cmil.cli.read_split", lambda p: reads.append(p) or read_split(p))
+    monkeypatch.setattr("cmil.cli.load_checkpoint",
+                        lambda p: reads.append(p) or load_checkpoint(p))
+    monkeypatch.chdir(tmp_path)
+    # the sidecar, the checkpoint itself, and the sidecar spelled relative to the cwd
+    for out in (_sidecar(model), model, Path(_sidecar(model).name)):
+        rc = main(["eval", "--ckpt", str(model), "--data", str(data_dir), "--out", str(out),
+                   "--split", "train", "--projection", "pca"])
+        assert rc == EXIT_CONFIG, out
+        assert "--ckpt" in capsys.readouterr().err
+    assert reads == [] and _checksums(tmp_path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.cmck", "m.json"]
+    load_checkpoint(model)
+
+
 def test_bag_in_two_splits_exits_3(ckpt, data_dir, tmp_path, capsys):
     # a bag in both train and test, and a bag listed twice in test
     for name, source, expected in [("leaky", "train", "in both 'train' and 'test'"),

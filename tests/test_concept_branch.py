@@ -17,7 +17,7 @@ from cmil.concept_branch import (
 from cmil.errors import ConfigError, ShapeError
 from cmil.topk import TopKConfig
 from cmil.trainer import TrainConfig, init_model, parameter_shapes
-from gradcheck import relative_error, zero_grads
+from gradcheck import frozen_tanh, relative_error, zero_grads
 
 
 DEFAULTS = TrainConfig()
@@ -72,9 +72,20 @@ class TestConceptAttention:
     def test_has_the_inline_gate_bits_over_the_transpose(self):
         p = small_params(seed=6)
         F = Tensor(np.random.default_rng(7).normal(size=(6, 5)))
-        ft = ad.transpose(F)
-        inline = ad.mul(ad.tanh(ft @ p.attn_v), ad.sigmoid(ft @ p.attn_u)) @ p.attn_w
-        assert concept_attention(F, p).data.tobytes() == inline.data.tobytes()
+        readout = ad.constant(np.random.default_rng(8).normal(size=5))
+        leaves = [F, p.attn_v, p.attn_u, p.attn_w]
+
+        def inline():
+            ft = ad.transpose(F)
+            return ad.mul(frozen_tanh(ft @ p.attn_v), ad.sigmoid(ft @ p.attn_u)) @ p.attn_w
+
+        got = []
+        for build in (inline, lambda: concept_attention(F, p)):
+            zero_grads(leaves)
+            out = build()
+            ad.reduce_sum(ad.mul(out, readout)).backward()
+            got.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+        assert got[0] == got[1]
 
 
 class TestPercentile:

@@ -15,7 +15,7 @@ from cmil.image_branch import (
     project_features,
 )
 from cmil.trainer import TrainConfig, init_model, parameter_shapes
-from gradcheck import relative_error, zero_grads
+from gradcheck import frozen_tanh, relative_error, zero_grads
 
 
 def small_params(seed=0, D=5, d_h=6, d_a=4):
@@ -114,9 +114,16 @@ class TestAttention:
 
         p = small_params(seed=14)
         V = Tensor(np.random.default_rng(15).normal(size=(7, 6)))
-        inline = ad.mul(ad.tanh(V @ p.attn_v), ad.sigmoid(V @ p.attn_u)) @ p.attn_w
-        got = gated_attention(V, p.attn_v, p.attn_u, p.attn_w)
-        assert got.data.tobytes() == inline.data.tobytes()
+        readout = ad.constant(np.random.default_rng(16).normal(size=7))
+        leaves = [V, p.attn_v, p.attn_u, p.attn_w]
+        got = []
+        for build in (lambda: ad.mul(frozen_tanh(V @ p.attn_v), ad.sigmoid(V @ p.attn_u)) @ p.attn_w,
+                      lambda: gated_attention(V, p.attn_v, p.attn_u, p.attn_w)):
+            zero_grads(leaves)
+            out = build()
+            ad.reduce_sum(ad.mul(out, readout)).backward()
+            got.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+        assert got[0] == got[1]
 
 
 class TestLogit:
