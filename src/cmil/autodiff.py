@@ -210,10 +210,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                 (b, lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.shape)))
 
 
-def neg(a: Tensor) -> Tensor:
-    return node(-a.data, (a, lambda g: -g))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     y = sigmoid_value(a.data)
     return node(y, (a, lambda g: g * y * (1.0 - y)))
@@ -234,19 +230,16 @@ def sigmoid_value(x: Array | float) -> Array:
     return num[()]
 
 
-def log(a: Tensor) -> Tensor:
-    return node(np.log(a.data), (a, lambda g: g / a.data))
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + e^a), built as max(a, 0) + log1p(e^-|a|) so that no exp overflows;
+    its gradient is sigmoid(a)."""
+    return node(np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data))),
+                (a, lambda g: g * sigmoid_value(a.data)))
 
 
 def sqrt(a: Tensor) -> Tensor:
     y = np.sqrt(a.data)
     return node(y, (a, lambda g: g / (2.0 * y)))
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    # gradient passes through wherever the value was not clipped
-    inside = (a.data >= lo) & (a.data <= hi)
-    return node(np.clip(a.data, lo, hi), (a, lambda g: g * inside))
 
 
 # -- linear algebra -----------------------------------------------------------

@@ -100,10 +100,6 @@ class Bag:
         if not np.all(np.isfinite(self.embeddings)):
             raise DataValidationError(f"bag {self.slide_id}: non-finite embedding values")
 
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
-
 
 @dataclass
 class ConceptSet:

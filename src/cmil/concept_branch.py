@@ -4,9 +4,10 @@ Gated attention runs over the transposed K x C activation matrix, so every
 attention unit sees one concept's K-vector of activations across the selected
 patches. Raw scores are sparsified by a percentile/temperature squash
 (sigmoid((raw - Pr_gamma)/std * t)) instead of softmax, and the slide logit is
-assembled as the sum of per-concept contributions kappa_c, making the
-decomposition sigma(sum kappa + b) = Y_concept an identity of the forward
-pass itself rather than a post-hoc approximation.
+assembled as the sum of per-concept contributions kappa_c. The forward pass
+ends at that logit, and `predict` takes Y_concept as its `sigmoid_value`, so
+the decomposition sigma(sum kappa + b) = Y_concept is an identity of the
+forward pass itself rather than a post-hoc approximation.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ def _contributions(f_topk: Tensor, beta: Tensor, params: ConceptBranchParams) ->
 class ConceptForward:
     attention: ConceptAttention
     kappa: Tensor
-    prob: Tensor
+    logit: Tensor
 
 
 def concept_forward(f_topk: Tensor, params: ConceptBranchParams) -> ConceptForward:
     att = scale_attention(concept_attention(f_topk, params), params.gamma, params.temperature)
     kappa = _contributions(f_topk, att.gated, params)
     # the logit IS the contribution sum, so the decomposition identity is exact
-    return ConceptForward(att, kappa, ad.sigmoid(ad.reduce_sum(kappa) + params.clf_b))
+    return ConceptForward(att, kappa, ad.reduce_sum(kappa) + params.clf_b)

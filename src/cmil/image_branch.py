@@ -1,8 +1,10 @@
-"""Attention-MIL image branch: ReLU projector, gated patch attention, logistic head.
+"""Attention-MIL image branch: ReLU projector, gated patch attention, linear head.
 
 Attention scores are softmax-normalized over the N patches of a bag, so they
 double as the selection signal for the top-K gate and as the weights of the
-attention-scaled feature aggregate feeding the slide-level classifier.
+attention-scaled feature aggregate feeding the slide-level classifier. The
+forward pass ends at the slide logit; the loss reads it, and `predict` takes
+its sigmoid.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass, fields
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
 
 
 @dataclass
@@ -35,8 +36,6 @@ def named_tensors(params, prefix: str) -> dict[str, Tensor]:
 
 
 def project_features(I: Tensor, params: ImageBranchParams) -> Tensor:
-    if I.shape[1] != params.proj_w.shape[0]:
-        raise ShapeError(f"embeddings have D={I.shape[1]}, projector expects D={params.proj_w.shape[0]}")
     return ad.affine_relu(I, params.proj_w, params.proj_b)
 
 
@@ -50,16 +49,17 @@ def attention_scores(V: Tensor, params: ImageBranchParams) -> Tensor:
 
 
 def image_logit(V: Tensor, alpha: Tensor, params: ImageBranchParams) -> Tensor:
-    return ad.reduce_sum(ad.scale_rows(V, alpha) @ params.clf_w) + params.clf_b
+    """w . sum_i alpha_i V_i + b, as alpha . (V @ w) + b: no N x d_h product is built."""
+    return alpha @ (V @ params.clf_w) + params.clf_b
 
 
 @dataclass
 class ImageForward:
     alpha: Tensor
-    prob: Tensor
+    logit: Tensor
 
 
 def image_forward(I: Tensor, params: ImageBranchParams) -> ImageForward:
     V = project_features(I, params)
     alpha = attention_scores(V, params)
-    return ImageForward(alpha, ad.sigmoid(image_logit(V, alpha, params)))
+    return ImageForward(alpha, image_logit(V, alpha, params))

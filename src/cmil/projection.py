@@ -25,7 +25,8 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 def check_dim(shape: tuple, concepts: ConceptSet) -> None:
     """Raise the ShapeError `project` raises unless `shape` is N x D in the concept set's D."""
     if len(shape) != 2 or shape[1] != concepts.dim:
-        raise ShapeError(f"embeddings are {shape}, concept space expects D={concepts.dim}")
+        got = f"have D={shape[1]}" if len(shape) == 2 else "are not N x D"
+        raise ShapeError(f"embeddings of shape {shape} {got}; concept space expects D={concepts.dim}")
 
 
 def project(bag_embeddings: np.ndarray, concepts: ConceptSet) -> np.ndarray:

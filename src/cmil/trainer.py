@@ -1,7 +1,8 @@
 """Joint training of both branches, checkpointing, and inference.
 
-The loss is BCE on each branch's slide probability plus an L2 penalty on the
-post-softmax patch attention. Training runs at batch size 1 (bags differ in
+The loss is BCE on each branch's slide logit plus an L2 penalty on the
+post-softmax patch attention; the forward pass ends at the logits, and only
+`predict` takes their sigmoid. Training runs at batch size 1 (bags differ in
 size); the perturbed top-K noise is resampled every step from a dedicated
 stream, and the final-epoch model is the result — no early stopping.
 Each step projects its own bag into concept space and keeps no activations
@@ -38,8 +39,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bagio import CKPT_MAGIC, Bag, ConceptSet, DatasetSplit, _read_blob, _write_blob, read_bag
 from .concept_branch import ConceptBranchParams, ConceptForward, concept_forward
-from .errors import (ConfigError, DataValidationError, FormatError, ShapeError,
-                     TrainingDivergedError, check_field_types, config_from_dict)
+from .errors import (ConfigError, DataValidationError, FormatError, TrainingDivergedError,
+                     check_field_types, config_from_dict)
 from .image_branch import ImageBranchParams, ImageForward, image_forward, named_tensors
 from .metrics import auc
 from .projection import check_dim, project
@@ -94,21 +95,19 @@ class TrainConfig:
 # -- loss -----------------------------------------------------------------------
 
 
-def bce_loss(y: int, p: Tensor) -> Tensor:
-    """-[y ln p + (1-y) ln(1-p)] with p clamped to [1e-7, 1-1e-7]."""
+def bce_loss(y: int, z: Tensor) -> Tensor:
+    """-[y ln sigmoid(z) + (1-y) ln(1-sigmoid(z))] of a logit z: softplus(-z) for
+    y = 1, softplus(z) for y = 0, so a confidently wrong z keeps its gradient."""
     if y not in (0, 1):
         raise DataValidationError(f"label must be 0 or 1, got {y!r}")
-    clamped = ad.clamp(p, 1e-7, 1.0 - 1e-7)
-    if y == 1:
-        return ad.neg(ad.log(clamped))
-    return ad.neg(ad.log(1.0 - clamped))
+    return ad.softplus(-1.0 * z if y == 1 else z)
 
 
-def total_loss(y: int, img_prob: Tensor, concept_prob: Tensor, alpha: Tensor,
+def total_loss(y: int, img_logit: Tensor, concept_logit: Tensor, alpha: Tensor,
                lam: float, mode: str) -> dict[str, Tensor]:
     """The loss terms the epoch log sums: bce_img, bce_concept, l2_alpha and the total."""
-    bi = bce_loss(y, img_prob)
-    bc = bce_loss(y, concept_prob)
+    bi = bce_loss(y, img_logit)
+    bc = bce_loss(y, concept_logit)
     l2 = ad.sq_l2(alpha)
     if mode == "image-only":
         total = bi + lam * l2
@@ -206,10 +205,6 @@ class CmilModel:
         out.update(self.concept.tensors())
         return out
 
-    @property
-    def dim(self) -> int:
-        return self.image.proj_w.shape[0]
-
 
 def parameter_shapes(cfg: TrainConfig, C: int, D: int) -> dict[str, tuple[int, tuple[int, ...]]]:
     """The (init fan-in, shape) of every model parameter for C concepts and D-dim
@@ -242,12 +237,12 @@ def _build_model(cfg: TrainConfig, concepts: ConceptSet, arrays: dict[str, np.nd
     return CmilModel(image, concept, concepts, cfg.topk, cfg.mode)
 
 
-def init_model(cfg: TrainConfig, concepts: ConceptSet, dim: int) -> CmilModel:
+def init_model(cfg: TrainConfig, concepts: ConceptSet) -> CmilModel:
     """Draw each parameter uniform in +-1/sqrt(fan-in), in table order, from the init stream."""
     rng = np.random.default_rng((cfg.seed, _INIT_STREAM))
     return _build_model(cfg, concepts, {
         name: rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
-        for name, (fan_in, shape) in parameter_shapes(cfg, concepts.num_concepts, dim).items()})
+        for name, (fan_in, shape) in parameter_shapes(cfg, concepts.num_concepts, concepts.dim).items()})
 
 
 def _constant_view(model: CmilModel) -> CmilModel:
@@ -265,7 +260,7 @@ class JointForward:
     sel: Selection
     f_topk: Tensor
     con: ConceptForward
-    prob: Tensor  # of the head the model's mode decides on
+    logit: Tensor  # of the head the model's mode decides on
 
 
 def joint_forward(
@@ -277,8 +272,8 @@ def joint_forward(
     """Forward pass of both branches with the selection of the model's mode.
 
     Selection is perturbed top-K when `rng` is given (training) and hard top-K
-    otherwise; concept-only models take the first K patches. `prob` is the
-    image head for image-only models and the concept head otherwise.
+    otherwise; concept-only models take the first K patches. `logit` is the
+    image head's for image-only models and the concept head's otherwise.
     """
     img = image_forward(ad.constant(embeddings), model.image)
     if model.mode == "concept-only":
@@ -288,8 +283,8 @@ def joint_forward(
         sel = select(img.alpha, model.topk, rng=rng)
     f_topk = gather_concepts(f_values, sel)
     con = concept_forward(f_topk, model.concept)
-    prob = img.prob if model.mode == "image-only" else con.prob
-    return JointForward(img, sel, f_topk, con, prob)
+    logit = img.logit if model.mode == "image-only" else con.logit
+    return JointForward(img, sel, f_topk, con, logit)
 
 
 # -- training loop ------------------------------------------------------------------
@@ -332,7 +327,7 @@ def train(
     # each step projects its own bag; a bag of the wrong D fails here, before step 0
     for b in train_bags:
         check_dim(b.embeddings.shape, concepts)
-    model = init_model(cfg, concepts, concepts.dim)
+    model = init_model(cfg, concepts)
 
     # ablations optimize one branch and leave the other at its initialization
     params = {"dual": model.parameters, "image-only": model.image.tensors,
@@ -350,7 +345,7 @@ def train(
             bag = train_bags[i]
             fwd = joint_forward(model, bag.embeddings, project(bag.embeddings, concepts),
                                 rng=rng_noise)
-            lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
+            lb = total_loss(bag.label, fwd.img.logit, fwd.con.logit, fwd.img.alpha,
                             cfg.lam, mode=cfg.mode)
             if not np.isfinite(lb["total"].data):
                 raise TrainingDivergedError(
@@ -405,16 +400,15 @@ def predict(bag: Bag, model: CmilModel) -> Prediction:
 
     The concept branch decides, except for image-only models.
     """
-    if bag.dim != model.dim:
-        raise ShapeError(f"bag D={bag.dim} does not match checkpoint D={model.dim}")
     f_values = project(bag.embeddings, model.concepts)
     fwd = joint_forward(_constant_view(model), bag.embeddings, f_values)
+    prob = float(ad.sigmoid_value(fwd.logit.data))
     return Prediction(
         slide_id=bag.slide_id,
-        prob_concept=fwd.con.prob.item(),
-        prob_image=fwd.img.prob.item(),
-        prob=fwd.prob.item(),
-        decision="tumor" if fwd.prob.item() >= 0.5 else "normal",
+        prob_concept=float(ad.sigmoid_value(fwd.con.logit.data)),
+        prob_image=float(ad.sigmoid_value(fwd.img.logit.data)),
+        prob=prob,
+        decision="tumor" if prob >= 0.5 else "normal",
         alpha=fwd.img.alpha.data.copy(),
         hard_indices=np.asarray(fwd.sel.hard_indices, dtype=int),
         f_topk=fwd.f_topk.data.copy(),

@@ -48,8 +48,8 @@ def frozen_forward(model: CmilModel, emb: np.ndarray, f_values: np.ndarray,
     sel = Selection(np.asarray(fixed, dtype=int))
     f_topk = gather_concepts(f_values, sel)
     con = concept_forward(f_topk, model.concept)
-    prob = img.prob if model.mode == "image-only" else con.prob
-    return JointForward(img, sel, f_topk, con, prob)
+    logit = img.logit if model.mode == "image-only" else con.logit
+    return JointForward(img, sel, f_topk, con, logit)
 
 
 def frozen_tanh(a: Tensor) -> Tensor:

@@ -89,6 +89,31 @@ class TestElementwise:
         assert grad_check_many(lambda ts: ad.reduce_sum(ad.div(ts[0], ts[1])), [x, s]) < 1e-6
 
 
+class TestSoftplus:
+    """softplus(z) = log(1 + e^z), the BCE of a logit: value, gradient and range."""
+
+    @staticmethod
+    def check(z):
+        x = Tensor(z)
+        y = ad.softplus(x)
+        ad.reduce_sum(y).backward()
+        assert np.isfinite(y.data).all() and np.isfinite(x.grad).all()
+        np.testing.assert_allclose(y.data, np.logaddexp(0.0, z), rtol=1e-14, atol=1e-300)
+        assert x.grad.tobytes() == ad.sigmoid_value(z).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=12),
+                      elements=st.floats(-1e4, 1e4, width=64)))
+    def test_value_is_logaddexp_and_gradient_is_sigmoid(self, z):
+        self.check(z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(710.0, 1e308), min_size=1, max_size=8), st.booleans())
+    def test_stays_finite_where_exp_overflows(self, mags, negative):
+        z = np.array(mags) * (-1.0 if negative else 1.0)
+        self.check(z)
+
+
 def frozen_relu_value(x):
     """The masked relu forward that ``np.fmax`` replaced."""
     return np.where(x > 0.0, x, 0.0)
@@ -412,13 +437,6 @@ class TestGradCheck:
                 )
 
             assert grad_check_many(f, [x, w, u]) < 1e-4
-
-    def test_clamp_passthrough(self):
-        x = Tensor([0.5, 2.0, -1.0])
-        y = ad.clamp(x, 0.0, 1.0)
-        np.testing.assert_array_equal(y.data, [0.5, 1.0, 0.0])
-        ad.reduce_sum(y).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
 
 
 class TestDeterminism:

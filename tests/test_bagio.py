@@ -409,7 +409,7 @@ class TestFloat32Exactness:
         assert bag.embeddings.dtype == np.float32
         promoted = Bag(bag.slide_id, bag.label, bag.embeddings.astype(np.float64),
                        bag.grid, bag.in_tumor)
-        model = init_model(TrainConfig(d_h=8, d_a=6, mode=mode), concepts, cfg.D)
+        model = init_model(TrainConfig(d_h=8, d_a=6, mode=mode), concepts)
         a, b = predict(bag, model), predict(promoted, model)
         for field in ("alpha", "kappa", "beta", "f_topk"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field

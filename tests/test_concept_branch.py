@@ -156,18 +156,13 @@ class TestScaleAttention:
         assert np.all(att.gated.data > 0) and np.all(att.gated.data < 1)
 
 
-def concept_logit(fwd, params):
-    """The concept head's logit, sum(kappa) + b, as concept_forward forms it."""
-    return (ad.reduce_sum(fwd.kappa) + params.clf_b).item()
-
-
 class TestConceptLogit:
     def test_zero_classifier_weight(self):
         p = small_params(seed=8)
         p.clf_w.data[:] = 0.0
         F = Tensor(np.random.default_rng(9).normal(size=(6, 5)))
         fwd = concept_forward(F, p)
-        assert concept_logit(fwd, p) == pytest.approx(float(p.clf_b.data), abs=1e-12)
+        assert fwd.logit.item() == pytest.approx(float(p.clf_b.data), abs=1e-12)
 
     def test_zero_beta(self):
         # the logit is sum(kappa) + b, so zero kappa leaves b
@@ -180,13 +175,12 @@ class TestConceptLogit:
         p = small_params(seed=13)
         F = np.random.default_rng(14).normal(size=(6, 5))
         fwd = concept_forward(Tensor(F), p)
-        prob, beta = fwd.prob, fwd.attention.gated.data
+        beta = fwd.attention.gated.data
         acc = float(p.clf_b.data)
         for j in range(6):
             for c in range(5):
                 acc += p.clf_w.data[c] * F[j, c] * beta[c]
-        assert concept_logit(fwd, p) == pytest.approx(acc, abs=1e-12)
-        assert prob.item() == pytest.approx(1 / (1 + math.exp(-acc)), abs=1e-12)
+        assert fwd.logit.item() == pytest.approx(acc, abs=1e-12)
 
 
 class TestContributions:
@@ -197,7 +191,7 @@ class TestContributions:
             # one concept always has zero attention variance; the fallback is tested above
             warnings.simplefilter("ignore", RuntimeWarning)
             fwd = concept_forward(F, p)
-        assert fwd.kappa.data[0] == pytest.approx(concept_logit(fwd, p) - float(p.clf_b.data), abs=1e-12)
+        assert fwd.kappa.data[0] == pytest.approx(fwd.logit.item() - float(p.clf_b.data), abs=1e-12)
 
     def test_zero_activations_give_zero_kappa(self):
         p = small_params(seed=18)
@@ -210,7 +204,7 @@ class TestContributions:
             F = Tensor(np.random.default_rng(100 + seed).normal(size=(6, 5)))
             fwd = concept_forward(F, p)
             rebuilt = 1.0 / (1.0 + math.exp(-(fwd.kappa.data.sum() + float(p.clf_b.data))))
-            assert abs(rebuilt - fwd.prob.item()) < 1e-12
+            assert abs(rebuilt - ad.sigmoid_value(fwd.logit.data)) < 1e-12
 
     def test_concept_permutation_equivariance(self):
         p = small_params(seed=19)
@@ -224,7 +218,7 @@ class TestContributions:
         )
         fwd2 = concept_forward(Tensor(F[:, perm]), p2)
         np.testing.assert_allclose(fwd2.kappa.data, fwd.kappa.data[perm], atol=1e-12)
-        assert fwd2.prob.item() == pytest.approx(fwd.prob.item(), abs=1e-12)
+        assert fwd2.logit.item() == pytest.approx(fwd.logit.item(), abs=1e-12)
 
 
 class TestGradients:
@@ -235,7 +229,7 @@ class TestGradients:
         params = p.tensors()
         fwd = concept_forward(Tensor(F), p)
         zero_grads(params.values())
-        fwd.prob.backward()
+        ad.sigmoid(fwd.logit).backward()
 
         eps = 1e-6
         for name, t in params.items():
@@ -244,9 +238,9 @@ class TestGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                hi = concept_forward(Tensor(F), p).prob.item()
+                hi = ad.sigmoid_value(concept_forward(Tensor(F), p).logit.data)
                 flat[i] = orig - eps
-                lo = concept_forward(Tensor(F), p).prob.item()
+                lo = ad.sigmoid_value(concept_forward(Tensor(F), p).logit.data)
                 flat[i] = orig
                 num_flat[i] = (hi - lo) / (2 * eps)
             grad = t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -255,7 +249,7 @@ class TestGradients:
     def test_gradient_flows_into_activations(self):
         p = small_params(seed=23)
         F = Tensor(np.random.default_rng(24).normal(size=(6, 5)))
-        concept_forward(F, p).prob.backward()
+        concept_forward(F, p).logit.backward()
         assert F.grad is not None and np.any(F.grad != 0)
 
 
@@ -294,6 +288,6 @@ class TestParameters:
         expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
         cfg = TrainConfig(seed=8, d_h=d_h, d_a=d_a, topk=TopKConfig(K=K))
         concepts = ConceptSet([f"c{i}" for i in range(C)], np.ones((C, D)))
-        got = init_model(cfg, concepts, D).concept.tensors().values()
+        got = init_model(cfg, concepts).concept.tensors().values()
         for e, t in zip(expected, got, strict=True):
             assert t.shape == e.shape and t.data.tobytes() == e.tobytes()

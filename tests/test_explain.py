@@ -344,7 +344,7 @@ class TestEvaluation:
         # its embedding bytes, one bag at a time near half of them
         cfg = SynthConfig(seed=1)
         split = gen_dataset(cfg, tmp_path)
-        model = init_model(TrainConfig(), read_concepts(tmp_path / "concepts.ccpt"), cfg.D)
+        model = init_model(TrainConfig(), read_concepts(tmp_path / "concepts.ccpt"))
         embedding_bytes = 0
 
         def stream():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmil.autodiff import Tensor, sigmoid_value
+from cmil.autodiff import Tensor, sigmoid, sigmoid_value
 from cmil.bagio import ConceptSet
 from cmil.errors import ShapeError
 from cmil.image_branch import (
@@ -73,7 +73,7 @@ class TestProjector:
         np.testing.assert_allclose(V.data, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="D=5"):
+        with pytest.raises(ShapeError, match=r"affine_relu: incompatible shapes \(2, 3\) @ \(5, 6\)"):
             project_features(Tensor(np.zeros((2, 3))), small_params())
 
 
@@ -131,7 +131,7 @@ class TestLogit:
         p = small_params(seed=13)
         p.clf_w.data[:] = 0.0
         fwd = image_forward(Tensor(np.random.default_rng(14).normal(size=(4, 5))), p)
-        assert fwd.prob.item() == pytest.approx(sigmoid_value(p.clf_b.data), abs=1e-12)
+        assert sigmoid_value(fwd.logit.data) == pytest.approx(sigmoid_value(p.clf_b.data), abs=1e-12)
 
     def test_single_patch_reduces_to_logistic_regression(self):
         p = small_params(seed=15)
@@ -152,7 +152,7 @@ class TestLogit:
             for d in range(6):
                 acc += p.clf_w.data[d] * V.data[n, d] * fwd.alpha.data[n]
         assert image_logit(V, fwd.alpha, p).item() == pytest.approx(acc, abs=1e-12)
-        assert 0.0 < fwd.prob.item() < 1.0
+        assert fwd.logit.item() == pytest.approx(acc, abs=1e-12)
 
 
 class TestBagSymmetry:
@@ -163,7 +163,7 @@ class TestBagSymmetry:
         fwd = image_forward(Tensor(I), p)
         fwd_p = image_forward(Tensor(I[perm]), p)
         np.testing.assert_allclose(fwd_p.alpha.data, fwd.alpha.data[perm], atol=1e-12)
-        assert fwd_p.prob.item() == pytest.approx(fwd.prob.item(), abs=1e-12)
+        assert fwd_p.logit.item() == pytest.approx(fwd.logit.item(), abs=1e-12)
 
 
 class TestGradients:
@@ -174,7 +174,7 @@ class TestGradients:
         params = p.tensors()
         fwd = image_forward(Tensor(I), p)
         zero_grads(params.values())
-        fwd.prob.backward()
+        sigmoid(fwd.logit).backward()
 
         eps = 1e-6
         for name, t in params.items():
@@ -183,9 +183,9 @@ class TestGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                hi = image_forward(Tensor(I), p).prob.item()
+                hi = sigmoid_value(image_forward(Tensor(I), p).logit.data)
                 flat[i] = orig - eps
-                lo = image_forward(Tensor(I), p).prob.item()
+                lo = sigmoid_value(image_forward(Tensor(I), p).logit.data)
                 flat[i] = orig
                 num_flat[i] = (hi - lo) / (2 * eps)
             assert relative_error(t.grad, numeric) < 1e-4, name
@@ -193,8 +193,8 @@ class TestGradients:
     def test_init_is_seed_deterministic_and_bounded(self):
         cfg = TrainConfig(seed=5, d_h=4, d_a=3)
         concepts = ConceptSet(["a", "b"], np.ones((2, 8)))
-        a = init_model(cfg, concepts, 8).image
-        b = init_model(cfg, concepts, 8).image
+        a = init_model(cfg, concepts).image
+        b = init_model(cfg, concepts).image
         for (na, ta), (nb, tb) in zip(sorted(a.tensors().items()), sorted(b.tensors().items())):
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
@@ -216,6 +216,6 @@ class TestGradients:
         rng = np.random.default_rng((3, 0))
         expected = [rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for f, s in draws]
         cfg = TrainConfig(seed=3, d_h=d_h, d_a=d_a)
-        got = init_model(cfg, ConceptSet(["a", "b"], np.ones((2, D))), D).image.tensors().values()
+        got = init_model(cfg, ConceptSet(["a", "b"], np.ones((2, D)))).image.tensors().values()
         for e, t in zip(expected, got, strict=True):
             assert t.shape == e.shape and t.data.tobytes() == e.tobytes()

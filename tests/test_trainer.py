@@ -106,23 +106,42 @@ class TestConfig:
 
 
 class TestBceLoss:
+    """bce_loss reads the logit z of the slide probability sigmoid(z)."""
+
     def test_half_is_ln_two(self):
-        assert bce_loss(1, Tensor(np.float64(0.5))).item() == pytest.approx(math.log(2), abs=1e-12)
+        for y in (0, 1):
+            assert bce_loss(y, Tensor(np.float64(0.0))).item() == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct_is_near_zero(self):
-        assert bce_loss(1, Tensor(np.float64(1 - 1e-9))).item() < 1e-6
+        # sigmoid(21) = 1 - 7.6e-10
+        assert 0.0 < bce_loss(1, Tensor(np.float64(21.0))).item() < 1e-6
+        assert 0.0 < bce_loss(0, Tensor(np.float64(-21.0))).item() < 1e-6
 
     def test_wrong_nine_tenths(self):
-        assert bce_loss(0, Tensor(np.float64(0.9))).item() == pytest.approx(-math.log(0.1), abs=1e-12)
+        z = Tensor(np.float64(math.log(9.0)))  # sigmoid(z) = 0.9
+        assert bce_loss(0, z).item() == pytest.approx(-math.log(0.1), abs=1e-12)
 
-    def test_clamp_keeps_loss_finite(self):
-        assert np.isfinite(bce_loss(1, Tensor(np.float64(0.0))).item())
-        assert bce_loss(1, Tensor(np.float64(0.0))).item() == pytest.approx(-math.log(1e-7), abs=1e-9)
+    def test_large_logits_keep_loss_finite(self):
+        # a confidently wrong logit z costs about |z|
+        assert bce_loss(1, Tensor(np.float64(-40.0))).item() == pytest.approx(40.0, abs=1e-12)
+        assert bce_loss(0, Tensor(np.float64(1e300))).item() == 1e300
+        assert bce_loss(1, Tensor(np.float64(1e300))).item() == 0.0
 
     def test_gradient_matches_analytic(self):
-        p = Tensor(np.float64(0.3))
-        bce_loss(1, p).backward()
-        assert p.grad == pytest.approx(-1 / 0.3, abs=1e-9)
+        z = Tensor(np.float64(0.3))
+        bce_loss(1, z).backward()
+        assert z.grad == pytest.approx(1.0 / (1.0 + math.exp(-0.3)) - 1.0, abs=1e-12)
+
+    def test_confidently_wrong_logit_gets_a_unit_gradient(self):
+        # clamping the probability to [1e-7, 1 - 1e-7] gave these bags no gradient at all
+        for y, z0 in ((1, -40.0), (0, 40.0)):
+            z = Tensor(np.float64(z0))
+            bce_loss(y, z).backward()
+            assert z.grad == pytest.approx(1.0 if y == 0 else -1.0, abs=1e-12), y
+
+    def test_label_must_be_binary(self):
+        with pytest.raises(DataValidationError, match="label"):
+            bce_loss(2, Tensor(np.float64(0.0)))
 
 
 class TestTotalLoss:
@@ -272,7 +291,7 @@ def train_hand_listed(split, concepts, cfg):
     """Frozen copy of `train` that picks the optimized parameters by name prefix."""
     train_bags = [read_bag(p) for p in split.train]
     val_bags = [read_bag(p) for p in split.val]
-    model = init_model(cfg, concepts, train_bags[0].dim)
+    model = init_model(cfg, concepts)
     f_train = [project(b.embeddings, concepts) for b in train_bags]
     prefix = {"dual": "", "image-only": "image.", "concept-only": "concept."}[cfg.mode]
     tensors = model.parameters()
@@ -286,7 +305,7 @@ def train_hand_listed(split, concepts, cfg):
         for i in rng_shuffle.permutation(len(train_bags)):
             bag = train_bags[i]
             fwd = joint_forward(model, bag.embeddings, f_train[i], rng=rng_noise)
-            lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
+            lb = total_loss(bag.label, fwd.img.logit, fwd.con.logit, fwd.img.alpha,
                             cfg.lam, mode=cfg.mode)
             opt.zero_grad()
             lb["total"].backward()
@@ -367,7 +386,7 @@ class TestEndToEndGradients:
         cfg = TrainConfig(seed=3, d_h=5, d_a=4,
                           topk=TopKConfig(K=3, num_noise_samples=100, noise_sigma=0.05))
         concepts = ConceptSet([f"c{i}" for i in range(4)], rng.normal(size=(4, 6)))
-        model = init_model(cfg, concepts, 6)
+        model = init_model(cfg, concepts)
         return model, cfg, emb, f_values
 
     def test_frozen_support_matches_fd_tightly(self):
@@ -380,7 +399,7 @@ class TestEndToEndGradients:
 
         def loss_value():
             fwd = frozen_forward(model, emb, f_values, fixed)
-            return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, "dual")
+            return total_loss(1, fwd.img.logit, fwd.con.logit, fwd.img.alpha, cfg.lam, "dual")
 
         params = model.parameters()
         zero_grads(params.values())
@@ -416,7 +435,7 @@ class TestEndToEndGradients:
 
         def loss_value():
             fwd = joint_forward(model, emb, f_values, rng=PinnedNoise(noise))
-            return total_loss(1, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg2.lam, "dual")
+            return total_loss(1, fwd.img.logit, fwd.con.logit, fwd.img.alpha, cfg2.lam, "dual")
 
         params = model.parameters()
         zero_grads(params.values())
@@ -465,11 +484,11 @@ class TestConstantLeaves:
             return image_forward(I, params)
 
         monkeypatch.setattr(cmil.trainer, "image_forward", capture)
-        model = init_model(dataclasses.replace(TINY_TRAIN, mode=mode), concepts, TINY_SYNTH.D)
+        model = init_model(dataclasses.replace(TINY_TRAIN, mode=mode), concepts)
         bag = read_bag(split.train[0])
         fwd = joint_forward(model, bag.embeddings, project(bag.embeddings, concepts),
                             rng=np.random.default_rng(0))
-        loss = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha,
+        loss = total_loss(bag.label, fwd.img.logit, fwd.con.logit, fwd.img.alpha,
                           TINY_TRAIN.lam, mode=mode)["total"]
         loss.backward()
         monkeypatch.undo()
@@ -574,7 +593,7 @@ class TestPredict:
             rng = np.random.default_rng(0)
             state = rng.bit_generator.state
             fwd = joint_forward(m, bag.embeddings, f_values, rng=rng)
-            assert fwd.prob is (fwd.img.prob if mode == "image-only" else fwd.con.prob), mode
+            assert fwd.logit is (fwd.img.logit if mode == "image-only" else fwd.con.logit), mode
             if mode == "concept-only":
                 np.testing.assert_array_equal(fwd.sel.hard_indices, np.arange(m.topk.K))
                 assert rng.bit_generator.state == state
@@ -616,8 +635,9 @@ class TestPredict:
                 out = predict(bag, m)
                 fwd = joint_forward(m, bag.embeddings, project(bag.embeddings, concepts))
                 expected = {
-                    "prob_concept": fwd.con.prob.data, "prob_image": fwd.img.prob.data,
-                    "prob": fwd.prob.data, "alpha": fwd.img.alpha.data,
+                    "prob_concept": ad.sigmoid_value(fwd.con.logit.data),
+                    "prob_image": ad.sigmoid_value(fwd.img.logit.data),
+                    "prob": ad.sigmoid_value(fwd.logit.data), "alpha": fwd.img.alpha.data,
                     "hard_indices": np.asarray(fwd.sel.hard_indices, dtype=int),
                     "f_topk": fwd.f_topk.data, "beta": fwd.con.attention.gated.data,
                     "kappa": fwd.con.kappa.data, "bias": m.concept.clf_b.data,
@@ -645,10 +665,10 @@ class TestPredict:
         f_val = [project(b.embeddings, concepts) for b in val_bags]
         assert len(forwards) == len(val_bags) + 1
         for fwd in forwards:
-            for t in (fwd.img.alpha, fwd.img.prob, fwd.f_topk, fwd.con.attention.gated,
-                      fwd.con.kappa, fwd.con.prob):
+            for t in (fwd.img.alpha, fwd.img.logit, fwd.f_topk, fwd.con.attention.gated,
+                      fwd.con.kappa, fwd.con.logit):
                 assert t._const and t._parents == ()
-        live_probs = [joint_forward(model, b.embeddings, f).prob.item()
+        live_probs = [ad.sigmoid_value(joint_forward(model, b.embeddings, f).logit.data)
                       for b, f in zip(val_bags, f_val)]
         assert got_auc == auc(live_probs, [b.label for b in val_bags])
 
@@ -685,12 +705,13 @@ class TestTapeMemory:
     CONCEPTS = ConceptSet([f"c{i}" for i in range(12)],
                           np.random.default_rng(0).normal(size=(12, 64)))
 
-    def test_dual_training_step_peak_stays_below_66x_the_embeddings(self):
+    def test_dual_training_step_peak_stays_below_58x_the_embeddings(self):
         # holding every interior grad to the end of backward peaked at 113x; keeping the
         # projector's product and pre-activation on the tape, and AdamW's two full-length
-        # scratch vectors, at 84.6x; keeping gated attention's two pre-activations, at 68.6x
+        # scratch vectors, at 84.6x; keeping gated attention's two pre-activations, at 68.6x;
+        # the image logit's N x d_h attention-scaled features, at 64.5x
         cfg = TrainConfig()
-        model = init_model(cfg, self.CONCEPTS, 64)
+        model = init_model(cfg, self.CONCEPTS)
         params = model.parameters()
         opt = AdamW(params, cfg.learning_rate, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps)
         bag = _wide_bag(2000)
@@ -698,14 +719,14 @@ class TestTapeMemory:
 
         def step():
             fwd = joint_forward(model, bag.embeddings, f_values, rng=np.random.default_rng(0))
-            lb = total_loss(bag.label, fwd.img.prob, fwd.con.prob, fwd.img.alpha, cfg.lam, cfg.mode)
+            lb = total_loss(bag.label, fwd.img.logit, fwd.con.logit, fwd.img.alpha, cfg.lam, cfg.mode)
             opt.zero_grad()
             lb["total"].backward()
             opt.step()
 
         peak = _traced_peak(step)
         ratio = peak / bag.embeddings.nbytes
-        assert ratio < 66, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
+        assert ratio < 58, f"peak {ratio:.1f}x the {bag.embeddings.nbytes}-byte embeddings"
         # the parameters are leaves: their grads are still the optimizer's buffer
         assert all(np.shares_memory(p.grad, opt._g) for p in params.values())
         assert np.any(opt._g)
@@ -713,7 +734,7 @@ class TestTapeMemory:
     def test_predict_peak_stays_below_28x_the_embeddings(self):
         # predicting on the live parameters held the whole tape and peaked at 54.5x;
         # sigmoid_value's four temporaries at 30.4x
-        model = init_model(TrainConfig(), self.CONCEPTS, 64)
+        model = init_model(TrainConfig(), self.CONCEPTS)
         bag = _wide_bag(10_000)
         peak = _traced_peak(lambda: predict(bag, model))
         ratio = peak / bag.embeddings.nbytes
@@ -795,7 +816,7 @@ class TestParameterShapes:
         assert list(shapes) == (
             [f"image.{f.name}" for f in dataclasses.fields(ImageBranchParams) if f.type == "Tensor"]
             + [f"concept.{f.name}" for f in dataclasses.fields(ConceptBranchParams) if f.type == "Tensor"])
-        params = init_model(self.CFG, self.CONCEPTS, 7).parameters()
+        params = init_model(self.CFG, self.CONCEPTS).parameters()
         assert list(params) == list(shapes)
         assert all(params[name].shape == shape for name, (_, shape) in shapes.items())
 
@@ -814,7 +835,7 @@ class TestParameterShapes:
         assert parameter_shapes(self.CFG, C, D) == {name: (f, s) for name, f, s in draws}
         rng = np.random.default_rng((self.CFG.seed, 0))
         expected = {name: rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s) for name, f, s in draws}
-        got = init_model(self.CFG, self.CONCEPTS, D).parameters()
+        got = init_model(self.CFG, self.CONCEPTS).parameters()
         assert list(got) == list(expected)
         for name, e in expected.items():
             assert got[name].shape == e.shape and got[name].data.tobytes() == e.tobytes(), name
@@ -869,7 +890,7 @@ class TestCheckpoint:
         concepts = ConceptSet([f"c{i}" for i in range(12)],
                               np.random.default_rng(0).normal(size=(12, 64)))
         path = tmp_path / "default.cmck"
-        save_checkpoint(path, init_model(cfg, concepts, 64), cfg, epoch=0)
+        save_checkpoint(path, init_model(cfg, concepts), cfg, epoch=0)
         size = path.stat().st_size
         tracemalloc.start()
         try:
@@ -881,7 +902,7 @@ class TestCheckpoint:
 
     def test_load_draws_nothing(self, tmp_path, monkeypatch):
         cfg = TrainConfig(seed=3, d_h=5, d_a=4, topk=TopKConfig(K=2))
-        model = init_model(cfg, ConceptSet(["a", "b", "c"], np.ones((3, 7))), 7)
+        model = init_model(cfg, ConceptSet(["a", "b", "c"], np.ones((3, 7))))
         save_checkpoint(tmp_path / "m.cmck", model, cfg, epoch=0)
 
         def no_draws(*args, **kwargs):
@@ -898,7 +919,7 @@ class TestCheckpoint:
     def test_format_holds_across_shapes(self, tmp_path_factory, d_h, d_a, K, D, C, seed):
         cfg = TrainConfig(seed=seed, d_h=d_h, d_a=d_a, topk=TopKConfig(K=K))
         concepts = ConceptSet([f"c{i}" for i in range(C)], np.random.default_rng(seed).normal(size=(C, D)))
-        model = init_model(cfg, concepts, D)
+        model = init_model(cfg, concepts)
         path = tmp_path_factory.mktemp("shapes") / "m.cmck"
         save_checkpoint(path, model, cfg, epoch=0)
         params = model.parameters()
